@@ -47,8 +47,6 @@ from .metrics import (
     build_distance_matrix,
     check_invariance,
     circular_arc_metric,
-    distance,
-    distance_to_identity,
     hamming_metric,
 )
 from .characters import (

@@ -289,53 +289,78 @@ def fwht(values) -> list:
     return v
 
 
-def _bitvector_index(spec: GroupSpec, g: Tuple[int, ...]) -> int:
+def _bitvector_index(g: Tuple[int, ...]) -> int:
     value = 0
     for bit in g:
         value = value << 1 | bit
     return value
 
 
+def _power_terms(value: Scalar):
+    """(exponent, coefficient) pairs of an exact scalar on the powers of its
+    root of unity; a rational sits on the power 0."""
+    if isinstance(value, Cyclotomic):
+        return [(e, c) for e, c in enumerate(value.coeffs) if c]
+    return [(0, value)] if value else []
+
+
+def _row_sums(f: ClassFunction, order: int, denom: int):
+    """Yield (label, sums) with sums[e] the coefficient of zeta^e in
+    |G| * denom * <f, chi_label>; the row product is the per-kind part."""
+    spec = f.group
+    if spec.kind == groups.ELEMENTARY_ABELIAN_2:
+        # One FWHT per power, filled straight from the values.
+        vectors = [[0] * spec.order for _ in range(order)]
+        for g, value in f.values.items():
+            for e, c in _power_terms(value):
+                vectors[e][_bitvector_index(g)] = int(c * denom)
+        walsh = [fwht(v) for v in vectors]
+        for label in irreducible_labels(spec):
+            yield label, [w[subset_bit_value(spec, label)] for w in walsh]
+        return
+    # On C_n and S_n each conj(chi_label) value is a monomial: zeta^(-j a)
+    # at frequency j, or the integer Murnaghan-Nakayama value.
+    weighted = [
+        (cls.label,
+         [(e, cls.size * int(c * denom)) for e, c in _power_terms(f.values[cls.label])])
+        for cls in groups.conjugacy_classes(spec)
+    ]
+    for label in irreducible_labels(spec):
+        sums = [0] * order
+        for cl, terms in weighted:
+            if spec.kind == groups.CYCLIC:
+                shift, chi = -label * cl, 1
+            else:
+                shift, chi = 0, _mn_character(label.parts, cl.parts)
+            for e, c in terms:
+                sums[(e + shift) % order] += chi * c
+        yield label, sums
+
+
 def decompose_class_function(f: ClassFunction) -> DecompositionResult:
     """sigma_i = <f, chi_i> for every irreducible label, exact.
 
-    (C_2)^k uses the fast Walsh-Hadamard transform over the 2^k class
-    values (O(k 2^k)) and C_n accumulates root-of-unity powers directly;
-    S_n takes inner products over its p(n) classes.
+    One kernel for every group kind and value type. The values are scaled
+    once, by their common denominator, to integer coefficients on the powers
+    of zeta_N (N = n on C_n, else the values' cyclotomic order, 1 when all
+    are rational). Each character row is summed against the class-weighted
+    coefficients and divided by |G| times the denominator once at the end.
+    Only the row product depends on the kind: the fast Walsh-Hadamard
+    transform for (C_2)^k (O(k 2^k)), collecting zeta^(e - j a) powers for
+    C_n, and the Murnaghan-Nakayama row over one class list for S_n.
     """
     spec = f.group
-    if spec.kind == groups.ELEMENTARY_ABELIAN_2 and all(
-        isinstance(v, (int, Fraction)) for v in f.values.values()
-    ):
-        k = spec.size
-        denom = 1
-        for v in f.values.values():
-            denom = denom * Fraction(v).denominator // math.gcd(denom, Fraction(v).denominator)
-        vec = [0] * (2 ** k)
-        for g, v in f.values.items():
-            vec[_bitvector_index(spec, g)] = int(Fraction(v) * denom)
-        transformed = fwht(vec)
-        coeffs = {}
-        for label in irreducible_labels(spec):
-            idx = subset_bit_value(spec, label)
-            coeffs[label] = Fraction(transformed[idx], denom * 2 ** k)
-        return DecompositionResult(spec, coeffs)
-    if spec.kind == groups.CYCLIC and all(
-        isinstance(v, (int, Fraction)) for v in f.values.values()
-    ):
-        n = spec.size
-        coeffs = {}
-        for j in range(n):
-            acc = [Fraction(0)] * n
-            for a in range(n):
-                acc[(-j * a) % n] += Fraction(f.values[a], n)
-            coeffs[j] = normalize_scalar(Cyclotomic(n, acc))
-        return DecompositionResult(spec, coeffs)
-    coeffs = {}
-    for label in irreducible_labels(spec):
-        chi = character_class_function(spec, label)
-        coeffs[label] = inner_product(f, chi)
-    return DecompositionResult(spec, coeffs)
+    orders = {v.order for v in f.values.values() if isinstance(v, Cyclotomic)}
+    order = spec.size if spec.kind == groups.CYCLIC else max(orders, default=1)
+    if orders - {order}:
+        raise InvalidElementError(f"values on {spec.text} must all lie in Q(zeta_{order})")
+    denom = math.lcm(*(c.denominator for v in f.values.values() for _, c in _power_terms(v)))
+    scale = spec.order * denom
+    return DecompositionResult(spec, {
+        label: Fraction(sums[0], scale) if order == 1
+        else normalize_scalar(Cyclotomic(order, [Fraction(s, scale) for s in sums]))
+        for label, sums in _row_sums(f, order, denom)
+    })
 
 
 def tensor_square_decomposition(spec: GroupSpec, label) -> DecompositionResult:

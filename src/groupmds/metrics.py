@@ -81,14 +81,6 @@ def default_metric(spec: GroupSpec) -> Metric:
     return circular_arc_metric(spec) if spec.kind == groups.CYCLIC else hamming_metric(spec)
 
 
-def distance(metric, g: GroupElement, h: GroupElement) -> int:
-    return metric.distance(g, h)
-
-
-def distance_to_identity(metric, g: GroupElement) -> int:
-    return metric.distance(g, metric.group.identity())
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Pairwise distances under the deterministic element enumeration."""
@@ -121,16 +113,14 @@ def build_distance_matrix(
     """Full distance matrix d(x_i, x_j) over the enumeration order."""
     elements = groups.enumerate_elements(spec, cap=cap)
     m = len(elements)
-    if isinstance(metric, Metric) and spec.kind == groups.SYMMETRIC:
-        arr = np.array(elements, dtype=np.int64)
-        values = (arr[:, None, :] != arr[None, :, :]).sum(axis=2)
-    elif isinstance(metric, Metric) and spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        arr = np.array(elements, dtype=np.int64)
-        values = (arr[:, None, :] != arr[None, :, :]).sum(axis=2)
-    elif isinstance(metric, Metric) and spec.kind == groups.CYCLIC:
+    if isinstance(metric, Metric) and spec.kind == groups.CYCLIC:
         arr = np.arange(spec.size, dtype=np.int64)
         delta = np.abs(arr[:, None] - arr[None, :])
         values = np.minimum(delta, spec.size - delta)
+    elif isinstance(metric, Metric):
+        # Hamming on permutations and on bit vectors alike.
+        arr = np.array(elements, dtype=np.int64)
+        values = (arr[:, None, :] != arr[None, :, :]).sum(axis=2)
     else:
         # Generic path for metric-like objects (corrupted/test metrics).
         values = np.empty((m, m), dtype=np.int64)
@@ -179,10 +169,7 @@ def check_invariance(
     if spec.order <= exhaustive_threshold:
         elements, _, table, _ = groups.multiplication_table(spec)
         m = len(elements)
-        dmat = np.empty((m, m), dtype=np.int64)
-        for i, g in enumerate(elements):
-            for j, h in enumerate(elements):
-                dmat[i, j] = metric.distance(g, h)
+        dmat = build_distance_matrix(spec, metric).values
         for side in sides:
             for fi in range(m):
                 translated = table[fi, :] if side == "left" else table[:, fi]

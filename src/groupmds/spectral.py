@@ -224,11 +224,6 @@ def spectrum_via_characters(
     return _assemble_summary(spec, decomp.coefficients, mu.metric_kind)
 
 
-def spectrum_from_mu(mu: MuFunction) -> SpectralSummary:
-    decomp = characters.decompose_class_function(mu.function)
-    return _assemble_summary(mu.group, decomp.coefficients, mu.metric_kind)
-
-
 def closed_form_c2k(k: int) -> SpectralSummary:
     """Hamming spectrum on (C_2)^k without enumerating the group:
     eigenvalue 2^(k-2) k on the k singleton subsets, -2^(k-2) on the
@@ -394,18 +389,6 @@ def standard_rep_coordinates(g: Tuple[int, ...], n: int) -> np.ndarray:
     for j, image in enumerate(g):
         coords[image - 1, j] += scale
     return coords.reshape(n * n)
-
-
-def eigenvalue_for_label(spec: GroupSpec, mu: MuFunction, label) -> Scalar:
-    """lambda = |G| sigma / dim for one irreducible (for a cyclic label,
-    the shared eigenvalue of the merged pair)."""
-    decomp = characters.decompose_class_function(mu.function)
-    if spec.kind == groups.CYCLIC:
-        sigma = decomp.coefficients[label % spec.size]
-        return normalize_scalar(sigma * spec.order)
-    sigma = decomp.coefficients[label]
-    dim = characters.dimension(spec, label)
-    return normalize_scalar(sigma * Fraction(spec.order, dim))
 
 
 def cluster_eigenvalues(values: np.ndarray, rel_tol: float = 1e-8):

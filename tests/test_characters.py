@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from groupmds import groups
+from groupmds.errors import InvalidElementError
 from groupmds.characters import (
     ClassFunction,
     character_class_function,
@@ -313,6 +314,60 @@ def test_decompose_reconstruct_roundtrip_abelian():
     result = decompose_class_function(f)
     for a in range(12):
         assert result.reconstruct(a) == values[a]
+
+
+def loop_decomposition(f):
+    """Reference: one inner product per irreducible label."""
+    spec = f.group
+    return {lab: inner_product(f, character_class_function(spec, lab))
+            for lab in irreducible_labels(spec)}
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+
+
+def random_cyclotomic(rng, order):
+    # Sparse, so the class functions mix rational and irrational values.
+    return Cyclotomic(order, [random_rational(rng) if rng.random() < 0.3 else 0
+                              for _ in range(order)])
+
+
+KERNEL_SPECS = [symmetric(5), symmetric(6), elementary_abelian_2(4), cyclic(12), cyclic(15)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.text)
+def test_kernel_matches_inner_products_rational(spec):
+    rng = random.Random(43)
+    classes = groups.conjugacy_classes(spec)
+    for _ in range(5):
+        f = ClassFunction(spec, {c.label: random_rational(rng) for c in classes})
+        assert decompose_class_function(f).coefficients == loop_decomposition(f)
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    [(cyclic(12), 12), (cyclic(15), 15), (symmetric(5), 6), (elementary_abelian_2(4), 5)],
+    ids=lambda x: getattr(x, "text", str(x)),
+)
+def test_kernel_matches_inner_products_cyclotomic(spec, order):
+    rng = random.Random(44)
+    classes = groups.conjugacy_classes(spec)
+    for _ in range(3):
+        f = ClassFunction(spec, {c.label: random_cyclotomic(rng, order) for c in classes})
+        assert decompose_class_function(f).coefficients == loop_decomposition(f)
+
+
+def test_kernel_rejects_values_from_two_cyclotomic_fields():
+    s3 = symmetric(3)
+    values = {c.label: Cyclotomic.root(3, 1) for c in groups.conjugacy_classes(s3)}
+    values[Partition((3,))] = Cyclotomic.root(4, 1)
+    with pytest.raises(InvalidElementError):
+        decompose_class_function(ClassFunction(s3, values))
+    with pytest.raises(InvalidElementError):
+        decompose_class_function(
+            ClassFunction(cyclic(4), {a: Cyclotomic.root(3, a) for a in range(4)})
+        )
 
 
 # --- tensor squares ----------------------------------------------------------

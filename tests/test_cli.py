@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -244,11 +245,16 @@ def test_synthesize_deterministic_bytes(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # The child imports the package this test process imported.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, "-m", "groupmds.cli", "spectrum", "--group", "c2k",
          "--k", "3", "--metric", "hamming"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     doc = json.loads(result.stdout)

@@ -11,8 +11,6 @@ from groupmds.metrics import (
     build_distance_matrix,
     check_invariance,
     circular_arc_metric,
-    distance,
-    distance_to_identity,
     hamming_metric,
 )
 
@@ -42,13 +40,13 @@ class CorruptedMetric:
 
 def test_distance_bitvector_example():
     c22 = elementary_abelian_2(2)
-    assert distance(hamming_metric(c22), (0, 0), (1, 1)) == 2
+    assert hamming_metric(c22).distance((0, 0), (1, 1)) == 2
 
 
 def test_distance_permutation_example():
     # (1 2) and (1 2 3) in one-line notation; they agree only at position 1.
     s3 = symmetric(3)
-    assert distance(hamming_metric(s3), (2, 1, 3), (2, 3, 1)) == 2
+    assert hamming_metric(s3).distance((2, 1, 3), (2, 3, 1)) == 2
 
 
 @pytest.mark.parametrize("spec,metric", ALL_METRIC_CASES)
@@ -56,15 +54,15 @@ def test_distance_of_element_to_itself(spec, metric):
     rng = random.Random(3)
     for _ in range(20):
         g = groups.random_element(spec, rng)
-        assert distance(metric, g, g) == 0
+        assert metric.distance(g, g) == 0
 
 
 def test_distance_to_identity_examples():
     s4 = symmetric(4)
-    assert distance_to_identity(hamming_metric(s4), (2, 1, 4, 3)) == 4
+    assert hamming_metric(s4).distance_to_identity((2, 1, 4, 3)) == 4
     c24 = elementary_abelian_2(4)
-    assert distance_to_identity(hamming_metric(c24), (0, 1, 1, 0)) == 2
-    assert distance_to_identity(hamming_metric(s4), s4.identity()) == 0
+    assert hamming_metric(c24).distance_to_identity((0, 1, 1, 0)) == 2
+    assert hamming_metric(s4).distance_to_identity(s4.identity()) == 0
 
 
 def test_circular_arc_distance():

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupmds import characters, dense, groups, metrics, verify
 from groupmds.errors import NotBiInvariantError, UnsupportedClosedFormError
@@ -16,6 +19,8 @@ from groupmds.metrics import (
     hamming_metric,
 )
 from groupmds.spectral import (
+    SpectralEntry,
+    SpectralSummary,
     closed_form_c2k,
     closed_form_sn,
     convolution_matrix,
@@ -384,6 +389,88 @@ def test_oracle_equivalence(spec):
         spec, default_metric(spec), check_projectors=spec.order <= 128
     )
     assert report.passed, "\n".join(report.lines())
+
+
+def test_spectrum_match_separates_close_cyclic_eigenvalues():
+    # Distinct arc eigenvalues of C_720 lie 1.45e-9 of the spectral radius
+    # apart, below rel_tol; a match over clusters merged them.
+    n = 720
+    spec = cyclic(n)
+    a = np.arange(n)
+    lam = np.fft.fft(-np.minimum(a, n - a) ** 2 / 2.0).real
+    entries = [
+        SpectralEntry(
+            eigenvalue=Fraction(float(lam[j])),
+            multiplicity=1 if 2 * j == n else 2,
+            labels=(j,) if 2 * j == n else (j, n - j),
+            sign="positive" if lam[j] > 0 else "negative",
+        )
+        for j in sorted(range(1, n // 2 + 1), key=lambda j: -lam[j])
+    ]
+    summary = SpectralSummary(spec, metrics.CIRCULAR_ARC, tuple(entries))
+    dm = build_distance_matrix(spec, circular_arc_metric(spec))
+    dec = dense.eigendecompose(dense.double_center(dm))
+    deviation, ok = verify.spectrum_match_deviation(summary, dec)
+    assert ok, deviation
+    assert deviation <= 1e-8 * float(np.max(np.abs(lam)))
+
+
+def test_spectrum_match_rejects_a_moved_eigenvalue():
+    s4 = symmetric(4)
+    summary = spectrum_via_characters(s4, hamming_metric(s4))
+    dec = dense.eigendecompose(dense.double_center(build_distance_matrix(s4, hamming_metric(s4))))
+    assert verify.spectrum_match_deviation(summary, dec)[1]
+    top = summary.entries[0]
+    moved = dataclasses.replace(top, eigenvalue=top.eigenvalue + Fraction(1, 1000))
+    bad = dataclasses.replace(summary, entries=(moved,) + summary.entries[1:])
+    deviation, ok = verify.spectrum_match_deviation(bad, dec)
+    assert not ok and deviation == pytest.approx(1e-3)
+    short = dataclasses.replace(summary, entries=summary.entries[1:])
+    assert verify.spectrum_match_deviation(short, dec) == (float("inf"), False)
+
+
+class ClassDissimilarity:
+    """d(g, h) = phi(class of g h^-1): bi-invariant for any phi that is zero
+    at the identity and takes equal values on a class and its inverse."""
+
+    kind = "class-dissimilarity"
+
+    def __init__(self, spec, phi):
+        self.group = spec
+        self.phi = phi
+
+    def distance(self, g, h):
+        spec = self.group
+        quotient = groups.multiply(spec, g, groups.inverse(spec, h))
+        return self.phi[groups.class_label_of(spec, quotient)]
+
+
+@st.composite
+def class_dissimilarities(draw):
+    kind = draw(st.sampled_from([groups.SYMMETRIC, groups.ELEMENTARY_ABELIAN_2, groups.CYCLIC]))
+    value = st.integers(0, 9)
+    if kind == groups.SYMMETRIC:
+        spec = symmetric(draw(st.integers(1, 5)))
+        phi = {c.label: draw(value) for c in groups.conjugacy_classes(spec)}
+    elif kind == groups.ELEMENTARY_ABELIAN_2:
+        spec = elementary_abelian_2(draw(st.integers(1, 6)))
+        phi = {g: draw(value) for g in groups.enumerate_elements(spec)}
+    else:
+        spec = cyclic(draw(st.integers(1, 120)))
+        half = [draw(value) for _ in range(spec.size // 2 + 1)]
+        phi = {a: half[min(a, spec.size - a)] for a in range(spec.size)}
+    phi[groups.class_label_of(spec, spec.identity())] = 0
+    return ClassDissimilarity(spec, phi)
+
+
+@settings(max_examples=10, deadline=None)
+@given(class_dissimilarities())
+def test_predicted_spectrum_of_any_class_dissimilarity_matches_dense(metric):
+    spec = metric.group
+    summary = spectrum_via_characters(spec, metric)
+    dec = dense.eigendecompose(dense.double_center(build_distance_matrix(spec, metric)))
+    deviation, ok = verify.spectrum_match_deviation(summary, dec)
+    assert ok, (spec.text, metric.phi, deviation)
 
 
 def test_trace_identity_spot_values():
