@@ -19,9 +19,9 @@ from groupmds import (
     spectrum_via_characters,
     symmetric,
 )
-from groupmds.exact import scalar_float, scalar_text
+from groupmds.exact import scalar_text
 from groupmds.metrics import default_metric
-from groupmds.spectral import cluster_eigenvalues
+from groupmds.verify import spectrum_match_deviation
 
 for spec in (symmetric(5), elementary_abelian_2(6), cyclic(12)):
     metric = default_metric(spec)
@@ -39,16 +39,14 @@ for spec in (symmetric(5), elementary_abelian_2(6), cyclic(12)):
     # Brute force: full distance matrix -> double centering -> eigh.
     dm = build_distance_matrix(spec, metric)
     dec = eigendecompose(double_center(dm))
-    clusters = cluster_eigenvalues(dec.eigenvalues)
-    print("dense oracle clusters (value, count):")
-    print("  " + ", ".join(f"({v:.6g}, {c})" for v, c in clusters))
+    values, counts = np.unique(np.round(dec.eigenvalues, 6) + 0.0, return_counts=True)  # no -0
+    print("dense oracle eigenvalues (value, count):")
+    print("  " + ", ".join(f"({v:.6g}, {c})" for v, c in zip(values[::-1], counts[::-1])))
 
-    predicted = sorted(
-        (scalar_float(e.eigenvalue) for e in summary.nonzero_entries()), reverse=True
-    )
-    observed = sorted((v for v, _ in clusters if abs(v) > dec.zero_threshold), reverse=True)
-    worst = max(abs(a - b) for a, b in zip(predicted, observed))
-    print(f"max |predicted - observed| = {worst:.3e}")
+    # Predicted values expanded by multiplicity, compared one by one.
+    worst, ok = spectrum_match_deviation(summary, dec)
+    print(f"max |predicted - observed| over all {dec.size} eigenvalues = {worst:.3e}"
+          f" ({'match' if ok else 'MISMATCH'})")
     print()
 
 print("The exact trace identity: sum(lambda * mult) = (1/(2|G|)) * sum d^2")

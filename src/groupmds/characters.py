@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Dict, Mapping, Tuple
 
 from . import groups
-from .errors import InvalidElementError, TooLargeError
+from .errors import InvalidElementError
 from .exact import (
     Cyclotomic,
     Scalar,
@@ -27,23 +27,21 @@ from .exact import (
     normalize_scalar,
     scalar_is_zero,
 )
-from .groups import DEFAULT_ENUMERATION_CAP, GroupSpec, Partition
+from .groups import GroupSpec, Partition
 
 
-def irreducible_labels(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP):
+def irreducible_labels(spec: GroupSpec):
     """Irreducible labels in deterministic order, trivial first.
 
     Partitions are reverse-lexicographic; subsets sort by (size, binary
     value with position 1 as the most significant bit); frequencies ascend.
+    Raises :class:`TooLargeError` above the enumeration cap.
     """
+    groups.check_size(spec, groups.conjugacy_class_count(spec), "irreducibles")
     if spec.kind == groups.SYMMETRIC:
         return groups.partitions_of(spec.size)
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
         k = spec.size
-        if spec.order > cap:
-            raise TooLargeError(
-                f"{spec.text} has {spec.order} irreducibles, above the cap {cap}", cap=cap
-            )
         subsets = [frozenset(s + 1 for s in range(k) if bits >> (k - 1 - s) & 1)
                    for bits in range(2 ** k)]
         subsets.sort(key=lambda s: label_sort_key(spec, s))
@@ -175,9 +173,6 @@ class CharacterTable:
     classes: Tuple[groups.ConjugacyClass, ...]
     values: Tuple[Tuple[Scalar, ...], ...]
 
-    def row(self, label) -> Tuple[Scalar, ...]:
-        return self.values[self.labels.index(label)]
-
     def to_text(self) -> str:
         headers = [""] + [
             f"{self._class_text(c)} ({c.size})" for c in self.classes
@@ -208,15 +203,10 @@ class CharacterTable:
         return groups.element_text(self.group, cls.representative)
 
 
-def character_table(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> CharacterTable:
+def character_table(spec: GroupSpec) -> CharacterTable:
     """The full exact character table in deterministic row/column order."""
-    if groups.conjugacy_class_count(spec) > cap:
-        raise TooLargeError(
-            f"{spec.text} has {groups.conjugacy_class_count(spec)} classes, above the cap {cap}",
-            cap=cap,
-        )
-    labels = irreducible_labels(spec, cap=cap)
-    classes = groups.conjugacy_classes(spec, cap=cap)
+    labels = irreducible_labels(spec)
+    classes = groups.conjugacy_classes(spec)
     values = tuple(
         tuple(character_value(spec, lab, cls.label) for cls in classes) for lab in labels
     )

@@ -79,35 +79,27 @@ def cmd_spectrum(parser, args) -> int:
     spec = _group_from_args(parser, args)
     metric_name = _default_metric_name(args)
     metric = _metric_from_args(parser, spec, metric_name)
-    if args.closed_form:
-        try:
+    try:
+        if args.closed_form:
             if spec.kind == groups.SYMMETRIC:
                 summary = spectral.closed_form_sn(spec.size)
             elif spec.kind == groups.ELEMENTARY_ABELIAN_2:
                 summary = spectral.closed_form_c2k(spec.size)
             else:
                 parser.error("--closed-form covers only sn and c2k groups")
-        except UnsupportedClosedFormError as exc:
-            parser.error(str(exc))
-    else:
-        try:
+        else:
             summary = spectral.spectrum_via_characters(spec, metric)
-        except TooLargeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_GUARD
-    doc = summary.to_json_dict()
-    if args.verify:
-        if spec.order > args.cap:
-            print(
-                f"error: {spec.text} has order {spec.order}, above the oracle cap {args.cap}",
-                file=sys.stderr,
-            )
-            return EXIT_GUARD
-        dm = metrics.build_distance_matrix(spec, metric)
-        dec = dense.eigendecompose(dense.double_center(dm))
-        deviation, ok = verify.spectrum_match_deviation(summary, dec)
-        doc["dense_max_deviation"] = deviation
-        doc["dense_match"] = ok
+        doc = summary.to_json_dict()
+        if args.verify:
+            _, _, dec = verify.dense_oracle(spec, metric, args.cap)
+            deviation, ok = verify.spectrum_match_deviation(summary, dec)
+            doc["dense_max_deviation"] = deviation
+            doc["dense_match"] = ok
+    except UnsupportedClosedFormError as exc:
+        parser.error(str(exc))
+    except TooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -201,14 +193,14 @@ def cmd_verify(parser, args) -> int:
     spec = _group_from_args(parser, args)
     metric = _metric_from_args(parser, spec, _default_metric_name(args))
     try:
-        if args.dump_distances:
-            dm = metrics.build_distance_matrix(spec, metric)
-            with open(args.dump_distances, "w", encoding="utf-8") as fh:
-                fh.write(dm.to_csv())
         report = verify.oracle_equivalence_report(spec, metric, cap=args.cap)
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    if args.dump_distances:
+        dm = metrics.build_distance_matrix(spec, metric)
+        with open(args.dump_distances, "w", encoding="utf-8") as fh:
+            fh.write(dm.to_csv())
     _emit("\n".join(report.lines()) + "\n", args.out)
     return EXIT_OK if report.passed else 1
 

@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 ZERO_EIGENVALUE_REL_TOL = 1e-9
+SYMMETRY_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +85,7 @@ class SpectralDecomposition:
         return int(np.sum(np.abs(self.eigenvalues) > self.zero_threshold))
 
 
-def eigendecompose(kernel, symmetry_tol: float = 1e-8) -> SpectralDecomposition:
+def eigendecompose(kernel) -> SpectralDecomposition:
     """Eigendecompose a symmetric kernel.
 
     Eigenvalues come back in descending order. Each eigenvector is sign-fixed
@@ -92,7 +93,7 @@ def eigendecompose(kernel, symmetry_tol: float = 1e-8) -> SpectralDecomposition:
     """
     m = kernel.matrix if isinstance(kernel, MdsKernel) else np.asarray(kernel, dtype=float)
     scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if scale and float(np.max(np.abs(m - m.T))) > symmetry_tol * scale:
+    if scale and float(np.max(np.abs(m - m.T))) > SYMMETRY_REL_TOL * scale:
         raise ValueError("kernel is not symmetric within tolerance")
     eigenvalues, eigenvectors = np.linalg.eigh((m + m.T) / 2.0)
     order = np.argsort(eigenvalues)[::-1]

@@ -118,7 +118,11 @@ class Cyclotomic:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return Cyclotomic(self.order, [a * f for a in self.coeffs])
+            out = Cyclotomic(self.order, [a * f for a in self.coeffs])
+            if self._canon is not None:
+                # Reduction modulo Phi_n is linear, so the scaled form is exact.
+                out._canon = tuple(c * f for c in self._canon)
+            return out
         if isinstance(other, Cyclotomic) and other.order == self.order:
             n = self.order
             out = [_ZERO] * n

@@ -181,18 +181,25 @@ def conjugate_element(spec: GroupSpec, g: GroupElement, h: GroupElement) -> Grou
     return multiply(spec, multiply(spec, h, g), inverse(spec, h))
 
 
-def enumerate_elements(
-    spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Tuple[GroupElement, ...]:
+def check_size(spec: GroupSpec, count: int, what: str) -> None:
+    """The one enumeration guard: raise :class:`TooLargeError` before a call
+    on ``spec`` lists ``count`` elements, classes or irreducibles (``what``)
+    above :data:`DEFAULT_ENUMERATION_CAP`."""
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise TooLargeError(
+            f"{spec.text} has {count} {what}, above the enumeration cap "
+            f"{DEFAULT_ENUMERATION_CAP}",
+            cap=DEFAULT_ENUMERATION_CAP,
+        )
+
+
+def enumerate_elements(spec: GroupSpec) -> Tuple[GroupElement, ...]:
     """All elements in deterministic lexicographic order.
 
-    Raises :class:`TooLargeError` when the group order exceeds ``cap``.
+    Raises :class:`TooLargeError` when the group order exceeds the
+    enumeration cap.
     """
-    if spec.order > cap:
-        raise TooLargeError(
-            f"{spec.text} has order {spec.order}, above the enumeration cap {cap}",
-            cap=cap,
-        )
+    check_size(spec, spec.order, "elements")
     if spec.kind == SYMMETRIC:
         return tuple(_iter_permutations(range(1, spec.size + 1)))
     if spec.kind == ELEMENTARY_ABELIAN_2:
@@ -289,22 +296,21 @@ def _cycle_representative(n: int, parts: Sequence[int]) -> Tuple[int, ...]:
     return tuple(image)
 
 
-def conjugacy_classes(
-    spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Tuple[ConjugacyClass, ...]:
+def conjugacy_classes(spec: GroupSpec) -> Tuple[ConjugacyClass, ...]:
     """Conjugacy classes in deterministic order.
 
     For S_n there is one class per partition (reverse-lexicographic order);
     for the abelian kinds every element is its own class, in enumeration
-    order.
+    order. Raises :class:`TooLargeError` above the enumeration cap.
     """
     if spec.kind == SYMMETRIC:
         n = spec.size
+        check_size(spec, count_partitions(n), "classes")
         return tuple(
             ConjugacyClass(_cycle_representative(n, p.parts), _class_size(n, p.parts), p)
             for p in partitions_of(n)
         )
-    return tuple(ConjugacyClass(g, 1, g) for g in enumerate_elements(spec, cap=cap))
+    return tuple(ConjugacyClass(g, 1, g) for g in enumerate_elements(spec))
 
 
 def class_label_of(spec: GroupSpec, g: GroupElement):
@@ -378,8 +384,11 @@ def cycle_notation(g: Tuple[int, ...]) -> str:
 
 
 @lru_cache(maxsize=8)
-def _cached_group_tables(spec: GroupSpec, cap: int):
-    elements = enumerate_elements(spec, cap=cap)
+def multiplication_table(spec: GroupSpec):
+    """(elements, index, table, inverse_index) with table[i, j] the index of
+    ``elements[i] * elements[j]``. Cached per spec; results must be treated
+    as read-only."""
+    elements = enumerate_elements(spec)
     index = {g: i for i, g in enumerate(elements)}
     m = len(elements)
     table = np.empty((m, m), dtype=np.int32)
@@ -390,10 +399,3 @@ def _cached_group_tables(spec: GroupSpec, cap: int):
     for i, g in enumerate(elements):
         inv[i] = index[inverse(spec, g)]
     return elements, index, table, inv
-
-
-def multiplication_table(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP):
-    """(elements, index, table, inverse_index) with table[i, j] the index of
-    ``elements[i] * elements[j]``. Cached per spec; results must be treated
-    as read-only."""
-    return _cached_group_tables(spec, cap)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import groups
 from .errors import InvalidElementError
-from .groups import DEFAULT_ENUMERATION_CAP, GroupElement, GroupSpec
+from .groups import GroupElement, GroupSpec
 
 HAMMING_PERMUTATION = "hamming-permutation"
 HAMMING_BITVECTOR = "hamming-bitvector"
@@ -107,11 +107,9 @@ class DistanceMatrix:
         return buf.getvalue()
 
 
-def build_distance_matrix(
-    spec: GroupSpec, metric, cap: int = DEFAULT_ENUMERATION_CAP
-) -> DistanceMatrix:
+def build_distance_matrix(spec: GroupSpec, metric) -> DistanceMatrix:
     """Full distance matrix d(x_i, x_j) over the enumeration order."""
-    elements = groups.enumerate_elements(spec, cap=cap)
+    elements = groups.enumerate_elements(spec)
     m = len(elements)
     if isinstance(metric, Metric) and spec.kind == groups.CYCLIC:
         arr = np.arange(spec.size, dtype=np.int64)

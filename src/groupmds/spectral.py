@@ -35,12 +35,11 @@ from .exact import (
     scalar_sign,
     scalar_text,
 )
-from .groups import DEFAULT_ENUMERATION_CAP, GroupSpec, Partition
+from .groups import GroupSpec, Partition
 
-# Above this label count the zero entry of a closed-form summary keeps only
-# its multiplicity; listing the labels would amount to enumerating the group.
-ZERO_LABEL_LISTING_LIMIT = 100_000
-
+# Random conjugates on which mu_from_metric re-checks each non-singleton
+# class's distance to the identity.
+_MU_CONJUGATE_CHECKS = 25
 _MU_CHECK_SEED = 0xC1A55
 
 
@@ -123,13 +122,7 @@ class SpectralSummary:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def mu_from_metric(
-    spec: GroupSpec,
-    metric,
-    trials: int = 1000,
-    conjugate_checks: int = 25,
-    seed: int = _MU_CHECK_SEED,
-) -> MuFunction:
+def mu_from_metric(spec: GroupSpec, metric) -> MuFunction:
     """Build mu = -(1/2) d(., e)^2 as an exact class function.
 
     Bi-invariance is verified first (exhaustively up to order 120, sampled
@@ -137,7 +130,7 @@ def mu_from_metric(
     random conjugates rather than trusted; failures raise
     :class:`NotBiInvariantError` with a counterexample.
     """
-    report = metrics.check_invariance(spec, metric, mode="bi", trials=trials)
+    report = metrics.check_invariance(spec, metric, mode="bi")
     if not report.passed:
         side, f, g, h = report.counterexample
         raise NotBiInvariantError(
@@ -146,12 +139,12 @@ def mu_from_metric(
             counterexample=report.counterexample,
         )
     identity = spec.identity()
-    rng = random.Random(seed)
+    rng = random.Random(_MU_CHECK_SEED)
     values = {}
     for cls in groups.conjugacy_classes(spec):
         d0 = metric.distance(cls.representative, identity)
-        if spec.kind == groups.SYMMETRIC and cls.size > 1:
-            for _ in range(conjugate_checks):
+        if cls.size > 1:
+            for _ in range(_MU_CONJUGATE_CHECKS):
                 h = groups.random_element(spec, rng)
                 conj = groups.conjugate_element(spec, cls.representative, h)
                 if metric.distance(conj, identity) != d0:
@@ -210,15 +203,12 @@ def _assemble_summary(
     return SpectralSummary(group=spec, metric_kind=metric_kind, entries=tuple(entries))
 
 
-def spectrum_via_characters(
-    spec: GroupSpec, metric, cap: int = DEFAULT_ENUMERATION_CAP
-) -> SpectralSummary:
-    """Predict the complete centered-kernel spectrum from characters alone."""
-    if groups.conjugacy_class_count(spec) > cap:
-        raise TooLargeError(
-            f"{spec.text} has {groups.conjugacy_class_count(spec)} classes, above the cap {cap}",
-            cap=cap,
-        )
+def spectrum_via_characters(spec: GroupSpec, metric) -> SpectralSummary:
+    """Predict the complete centered-kernel spectrum from characters alone.
+
+    Raises :class:`TooLargeError` when the class count exceeds the
+    enumeration cap.
+    """
     mu = mu_from_metric(spec, metric)
     decomp = characters.decompose_class_function(mu.function)
     return _assemble_summary(spec, decomp.coefficients, mu.metric_kind)
@@ -248,12 +238,12 @@ def closed_form_c2k(k: int) -> SpectralSummary:
         )
     zero_mult = 2 ** k - 1 - k - n_pairs
     if zero_mult:
-        if 2 ** k <= ZERO_LABEL_LISTING_LIMIT:
+        try:
             zeros = tuple(
                 lab for lab in characters.irreducible_labels(spec) if len(lab) >= 3
             )
-        else:
-            zeros = ()
+        except TooLargeError:
+            zeros = ()  # past the enumeration cap only the multiplicity is kept
         entries.append(
             SpectralEntry(
                 eigenvalue=Fraction(0), multiplicity=zero_mult, labels=zeros, sign="zero"
@@ -296,11 +286,13 @@ def closed_form_sn(n: int) -> SpectralSummary:
     nonzero_mult = sum(mult for _, mult, _ in rows)
     zero_mult = fact - 1 - nonzero_mult
     if zero_mult:
-        if groups.count_partitions(n) <= ZERO_LABEL_LISTING_LIMIT:
-            carried = {Partition((n,))} | {label for _, _, label in rows}
-            zeros = tuple(p for p in groups.partitions_of(n) if p not in carried)
-        else:
-            zeros = ()
+        carried = {Partition((n,))} | {label for _, _, label in rows}
+        try:
+            zeros = tuple(
+                p for p in characters.irreducible_labels(spec) if p not in carried
+            )
+        except TooLargeError:
+            zeros = ()  # past the enumeration cap only the multiplicity is kept
         entries.append(
             SpectralEntry(
                 eigenvalue=Fraction(0), multiplicity=zero_mult, labels=zeros, sign="zero"
@@ -311,12 +303,10 @@ def closed_form_sn(n: int) -> SpectralSummary:
     )
 
 
-def convolution_matrix(
-    spec: GroupSpec, mu: MuFunction, cap: int = DEFAULT_ENUMERATION_CAP
-) -> "np.ndarray":
+def convolution_matrix(spec: GroupSpec, mu: MuFunction) -> "np.ndarray":
     """The matrix with entry (h, g) = mu(h g^-1) over the enumeration
     order; equals the non-centered kernel -(1/2) D o D entrywise."""
-    elements, _, table, inv = groups.multiplication_table(spec, cap=cap)
+    elements, _, table, inv = groups.multiplication_table(spec)
     values = np.array(
         [float(mu.function.value_at(g)) for g in elements], dtype=float
     )
@@ -342,15 +332,13 @@ def projector_labels(spec: GroupSpec):
     return characters.irreducible_labels(spec)
 
 
-def isotypic_projector(
-    spec: GroupSpec, label, cap: int = DEFAULT_ENUMERATION_CAP
-) -> IsotypicProjector:
+def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
     """P = (dim/|G|) sum_g conj(chi(g)) L_g with L_g left translation.
 
     For a cyclic frequency j the conjugate pair {j, n-j} is merged so the
     projector is real; its rank is then 2 instead of dim^2 = 1.
     """
-    elements, _, table, _ = groups.multiplication_table(spec, cap=cap)
+    elements, _, table, _ = groups.multiplication_table(spec)
     m = len(elements)
     if spec.kind == groups.CYCLIC:
         n = spec.size
@@ -389,21 +377,3 @@ def standard_rep_coordinates(g: Tuple[int, ...], n: int) -> np.ndarray:
     for j, image in enumerate(g):
         coords[image - 1, j] += scale
     return coords.reshape(n * n)
-
-
-def cluster_eigenvalues(values: np.ndarray, rel_tol: float = 1e-8):
-    """Group a sorted-or-not spectrum into (mean, count) clusters at
-    relative tolerance ``rel_tol`` (gaps measured against the spectral
-    radius)."""
-    if len(values) == 0:
-        return []
-    ordered = np.sort(np.asarray(values, dtype=float))[::-1]
-    scale = max(float(np.max(np.abs(ordered))), 1e-300)
-    clusters = []
-    start = 0
-    for i in range(1, len(ordered) + 1):
-        if i == len(ordered) or abs(ordered[i] - ordered[i - 1]) > rel_tol * scale:
-            chunk = ordered[start:i]
-            clusters.append((float(np.mean(chunk)), len(chunk)))
-            start = i
-    return clusters

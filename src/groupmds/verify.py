@@ -14,7 +14,6 @@ distance matrix, centers and eigendecomposes it, and then verifies:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -56,21 +55,21 @@ class VerificationReport:
         out.append("result: " + ("pass" if self.passed else "FAIL"))
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.group.text,
-            "metric": self.metric_kind,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "deviation": c.deviation,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+
+def dense_oracle(spec: GroupSpec, metric, cap: int):
+    """(distance matrix, centered kernel, eigendecomposition) of the dense
+    MDS pipeline on ``spec``.
+
+    Raises :class:`TooLargeError` before building anything when the group
+    order exceeds ``cap``.
+    """
+    if spec.order > cap:
+        raise TooLargeError(
+            f"{spec.text} has order {spec.order}, above the verification cap {cap}", cap=cap
+        )
+    dm = metrics.build_distance_matrix(spec, metric)
+    kernel = dense.double_center(dm)
+    return dm, kernel, dense.eigendecompose(kernel)
 
 
 def spectrum_match_deviation(summary, dec, rel_tol: float = 1e-8):
@@ -108,20 +107,13 @@ def oracle_equivalence_report(
     spec: GroupSpec,
     metric,
     cap: int = DEFAULT_VERIFY_CAP,
-    rel_tol: float = 1e-8,
     check_projectors: bool = True,
 ) -> VerificationReport:
-    if spec.order > cap:
-        raise TooLargeError(
-            f"{spec.text} has order {spec.order}, above the verification cap {cap}", cap=cap
-        )
+    dm, kernel, dec = dense_oracle(spec, metric, cap)
     summary = spectral.spectrum_via_characters(spec, metric)
-    dm = metrics.build_distance_matrix(spec, metric)
-    kernel = dense.double_center(dm)
-    dec = dense.eigendecompose(kernel)
     checks = []
 
-    dev, ok = spectrum_match_deviation(summary, dec, rel_tol=rel_tol)
+    dev, ok = spectrum_match_deviation(summary, dec)
     checks.append(
         CheckResult(
             "spectrum-match",
@@ -200,7 +192,3 @@ def oracle_equivalence_report(
             )
 
     return VerificationReport(group=spec, metric_kind=summary.metric_kind, checks=tuple(checks))
-
-
-def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"

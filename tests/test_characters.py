@@ -196,7 +196,7 @@ def test_table_guard():
     from groupmds.errors import TooLargeError
 
     with pytest.raises(TooLargeError):
-        character_table(elementary_abelian_2(4), cap=10)
+        character_table(elementary_abelian_2(16))
 
 
 # --- inner products and orthogonality ----------------------------------------

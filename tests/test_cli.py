@@ -43,6 +43,17 @@ def test_spectrum_closed_form_k10(capsys):
     assert entries[Fraction(-256)]["multiplicity"] == 45
 
 
+def test_spectrum_closed_form_elides_zero_labels_past_the_cap(capsys):
+    # 2^16 irreducibles lie above the enumeration cap: the zero entry keeps
+    # its multiplicity and lists no labels, as at k = 17.
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "c2k", "--k", "16",
+                           "--closed-form")
+    assert code == 0
+    zero = entries_by_value(json.loads(out))[Fraction(0)]
+    assert zero["multiplicity"] == 2 ** 16 - 1 - 16 - 120
+    assert zero["labels"] == []
+
+
 def test_spectrum_with_dense_verification(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--group", "sn", "--n", "5",
                            "--metric", "hamming", "--verify")
@@ -225,6 +236,15 @@ def test_verify_dump_distances(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "00,01,10,11"
     assert lines[1] == "0,1,1,2"
+
+
+def test_verify_cap_trips_before_dumping_distances(tmp_path, capsys):
+    target = tmp_path / "d.csv"
+    code, _, err = run_cli(capsys, "verify", "--group", "sn", "--n", "7",
+                           "--dump-distances", str(target))
+    assert code == 3
+    assert "720" in err
+    assert not target.exists()
 
 
 def test_spectrum_output_deterministic(capsys):

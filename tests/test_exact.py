@@ -78,3 +78,20 @@ def test_text_form_of_irrational_value():
     sqrt3 = z + z.conjugate()
     # canonical basis of Q(zeta_12) rewrites zeta^11 as powers below phi(12)=4
     assert scalar_text(sqrt3) == "2*z12 - z12^3"
+
+
+@pytest.mark.parametrize("factor", [Fraction(-5, 3), 2, 0, Fraction(1, 7)])
+def test_scaling_a_reduced_value_matches_a_fresh_value(factor):
+    # Multiplying by a rational after canonical() carries the scaled reduced
+    # form along; it must agree with reducing the scaled coefficients afresh.
+    coeffs = [1, 2, 0, 0, 0, 3, 0, Fraction(1, 2), 0, 0, 0, -1]
+    for order, raw in ((12, coeffs), (6, [0, 1, 0, 0, 0, 1])):  # the second is 1
+        value = Cyclotomic(order, raw)
+        value.canonical()
+        fresh = Cyclotomic(order, [Fraction(c) * factor for c in raw])
+        for scaled in (value * factor, factor * value):
+            assert scaled.canonical() == fresh.canonical()
+            assert scaled == fresh
+            assert hash(scaled) == hash(fresh)
+            assert str(scaled) == str(fresh)
+            assert normalize_scalar(scaled) == normalize_scalar(fresh)

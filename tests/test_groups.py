@@ -1,11 +1,12 @@
 import random
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupmds import groups
+from groupmds import characters, groups, metrics, spectral
 from groupmds.errors import InvalidElementError, TooLargeError
 from groupmds.groups import (
     GroupSpec,
@@ -154,6 +155,42 @@ def test_enumeration_cap_s8_fits_s9_does_not():
         enumerate_elements(symmetric(9))
     assert excinfo.value.cap == 50000
     assert "50000" in str(excinfo.value)
+
+
+S9 = symmetric(9)
+OVER_CAP_CALLS = [
+    pytest.param(lambda: conjugacy_classes(symmetric(45)), id="conjugacy_classes-S45"),
+    pytest.param(lambda: characters.irreducible_labels(elementary_abelian_2(16)),
+                 id="irreducible_labels-C2^16"),
+    pytest.param(lambda: characters.irreducible_labels(symmetric(45)),
+                 id="irreducible_labels-S45"),
+    pytest.param(lambda: characters.irreducible_labels(cyclic(60000)),
+                 id="irreducible_labels-C60000"),
+    pytest.param(lambda: characters.character_table(elementary_abelian_2(16)),
+                 id="character_table-C2^16"),
+    pytest.param(lambda: spectral.spectrum_via_characters(
+        symmetric(45), metrics.hamming_metric(symmetric(45))),
+        id="spectrum_via_characters-S45"),
+    pytest.param(lambda: spectral.spectrum_via_characters(
+        cyclic(60000), metrics.circular_arc_metric(cyclic(60000))),
+        id="spectrum_via_characters-C60000"),
+    pytest.param(lambda: metrics.build_distance_matrix(S9, metrics.hamming_metric(S9)),
+                 id="build_distance_matrix-S9"),
+    pytest.param(lambda: groups.multiplication_table(S9), id="multiplication_table-S9"),
+    pytest.param(lambda: spectral.isotypic_projector(S9, Partition((8, 1))),
+                 id="isotypic_projector-S9"),
+]
+
+
+@pytest.mark.parametrize("call", OVER_CAP_CALLS)
+def test_every_listing_entry_point_refuses_over_cap_input_quickly(call):
+    # One guard, checked where elements, classes or irreducibles are listed,
+    # must trip before any of the work that the listing would feed.
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError) as excinfo:
+        call()
+    assert time.perf_counter() - start < 2.0
+    assert excinfo.value.cap == groups.DEFAULT_ENUMERATION_CAP
 
 
 # --- conjugacy classes -------------------------------------------------------
