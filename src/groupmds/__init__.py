@@ -62,7 +62,6 @@ from .characters import (
 )
 from .spectral import (
     IsotypicProjector,
-    MuFunction,
     SpectralEntry,
     SpectralSummary,
     closed_form_c2k,

@@ -14,6 +14,7 @@ import sys
 
 from . import characters, dense, groups, metrics, rankings, spectral, verify
 from .errors import (
+    InvalidElementError,
     RankingParseError,
     TooLargeError,
     UnsupportedClosedFormError,
@@ -48,13 +49,14 @@ def _group_from_args(parser, args) -> groups.GroupSpec:
     return groups.cyclic(args.n)
 
 
-def _metric_from_args(parser, spec, metric_name):
+def _metric_from_args(parser, spec, args):
+    if args.metric is None:
+        return metrics.default_metric(spec)
+    build = metrics.hamming_metric if args.metric == "hamming" else metrics.circular_arc_metric
     try:
-        if metric_name == "hamming":
-            return metrics.hamming_metric(spec)
-        return metrics.circular_arc_metric(spec)
-    except Exception:
-        parser.error(f"metric {metric_name!r} is not defined on {spec.text}")
+        return build(spec)
+    except InvalidElementError:
+        parser.error(f"metric {args.metric!r} is not defined on {spec.text}")
 
 
 def _add_group_flags(sub):
@@ -69,16 +71,9 @@ def _add_group_flags(sub):
     )
 
 
-def _default_metric_name(args):
-    if args.metric is not None:
-        return args.metric
-    return "arc" if args.group == "cyclic" else "hamming"
-
-
 def cmd_spectrum(parser, args) -> int:
     spec = _group_from_args(parser, args)
-    metric_name = _default_metric_name(args)
-    metric = _metric_from_args(parser, spec, metric_name)
+    metric = _metric_from_args(parser, spec, args)
     try:
         if args.closed_form:
             if spec.kind == groups.SYMMETRIC:
@@ -191,7 +186,7 @@ def cmd_plot(parser, args) -> int:
 
 def cmd_verify(parser, args) -> int:
     spec = _group_from_args(parser, args)
-    metric = _metric_from_args(parser, spec, _default_metric_name(args))
+    metric = _metric_from_args(parser, spec, args)
     try:
         report = verify.oracle_equivalence_report(spec, metric, cap=args.cap)
     except TooLargeError as exc:

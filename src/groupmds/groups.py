@@ -385,7 +385,7 @@ def cycle_notation(g: Tuple[int, ...]) -> str:
 
 @lru_cache(maxsize=8)
 def multiplication_table(spec: GroupSpec):
-    """(elements, index, table, inverse_index) with table[i, j] the index of
+    """(elements, table, inverse_index) with table[i, j] the index of
     ``elements[i] * elements[j]``. Cached per spec; results must be treated
     as read-only."""
     elements = enumerate_elements(spec)
@@ -398,4 +398,4 @@ def multiplication_table(spec: GroupSpec):
     inv = np.empty(m, dtype=np.int32)
     for i, g in enumerate(elements):
         inv[i] = index[inverse(spec, g)]
-    return elements, index, table, inv
+    return elements, table, inv

@@ -165,7 +165,7 @@ def check_invariance(
         raise ValueError(f"mode must be left, right, or bi, not {mode!r}")
     sides = ("left", "right") if mode == "bi" else (mode,)
     if spec.order <= exhaustive_threshold:
-        elements, _, table, _ = groups.multiplication_table(spec)
+        elements, table, _ = groups.multiplication_table(spec)
         m = len(elements)
         dmat = build_distance_matrix(spec, metric).values
         for side in sides:

@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import characters, groups, metrics
-from .characters import ClassFunction, label_sort_key, label_text
+from .characters import ClassFunction, label_text
 from .errors import NotBiInvariantError, TooLargeError, UnsupportedClosedFormError
 from .exact import (
     Scalar,
@@ -41,18 +41,6 @@ from .groups import GroupSpec, Partition
 # class's distance to the identity.
 _MU_CONJUGATE_CHECKS = 25
 _MU_CHECK_SEED = 0xC1A55
-
-
-@dataclass(frozen=True, eq=False)
-class MuFunction:
-    """The class function g -> -(1/2) d(g, e)^2 driving the spectrum."""
-
-    function: ClassFunction
-    metric_kind: str
-
-    @property
-    def group(self) -> GroupSpec:
-        return self.function.group
 
 
 @dataclass(frozen=True)
@@ -122,8 +110,8 @@ class SpectralSummary:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def mu_from_metric(spec: GroupSpec, metric) -> MuFunction:
-    """Build mu = -(1/2) d(., e)^2 as an exact class function.
+def mu_from_metric(spec: GroupSpec, metric) -> ClassFunction:
+    """Build mu = -(1/2) d(., e)^2, the class function driving the spectrum.
 
     Bi-invariance is verified first (exhaustively up to order 120, sampled
     above), and each class representative's distance is re-checked on
@@ -154,53 +142,37 @@ def mu_from_metric(spec: GroupSpec, metric) -> MuFunction:
                         counterexample=("class", h, cls.representative, conj),
                     )
         values[cls.label] = Fraction(-(d0 * d0), 2)
-    kind = getattr(metric, "kind", "custom")
-    return MuFunction(function=ClassFunction(spec, values), metric_kind=kind)
+    return ClassFunction(spec, values)
 
 
-def _assemble_summary(
-    spec: GroupSpec,
-    sigma: Dict,
-    metric_kind: str,
-) -> SpectralSummary:
-    """Group sigma coefficients into distinct-eigenvalue entries."""
-    trivial = characters.trivial_label(spec)
-    by_eigenvalue: Dict = {}
-    zero_labels = []
-    zero_mult = 0
-    for label, coeff in sigma.items():
-        if label == trivial:
-            continue
-        dim = characters.dimension(spec, label)
-        if scalar_is_zero(coeff):
-            zero_labels.append(label)
-            zero_mult += dim * dim
-            continue
-        lam = normalize_scalar(coeff * Fraction(spec.order, dim))
-        group_entry = by_eigenvalue.setdefault(lam, [0, []])
-        group_entry[0] += dim * dim
-        group_entry[1].append(label)
-    entries = []
-    for lam, (mult, labels) in by_eigenvalue.items():
-        entries.append(
-            SpectralEntry(
-                eigenvalue=lam,
-                multiplicity=mult,
-                labels=tuple(sorted(labels, key=lambda l: label_sort_key(spec, l))),
-                sign="positive" if scalar_sign(lam) > 0 else "negative",
-            )
-        )
+def _build_summary(spec: GroupSpec, metric_kind: str, rows, zero_multiplicity: int,
+                   zero_labels) -> SpectralSummary:
+    """Merge (eigenvalue, multiplicity, label) rows of the nonzero
+    irreducibles, given in irreducible order, into one entry per distinct
+    eigenvalue, sorted by descending value, then the zero entry."""
+    merged: Dict = {}
+    for lam, mult, label in rows:
+        entry = merged.setdefault(lam, [0, []])
+        entry[0] += mult
+        entry[1].append(label)
+    entries = [
+        SpectralEntry(lam, mult, tuple(labels), "positive" if scalar_sign(lam) > 0 else "negative")
+        for lam, (mult, labels) in merged.items()
+    ]
     entries.sort(key=lambda e: -scalar_float(e.eigenvalue))
-    if zero_mult:
-        entries.append(
-            SpectralEntry(
-                eigenvalue=Fraction(0),
-                multiplicity=zero_mult,
-                labels=tuple(sorted(zero_labels, key=lambda l: label_sort_key(spec, l))),
-                sign="zero",
-            )
-        )
+    if zero_multiplicity:
+        entries.append(SpectralEntry(Fraction(0), zero_multiplicity, tuple(zero_labels), "zero"))
     return SpectralSummary(group=spec, metric_kind=metric_kind, entries=tuple(entries))
+
+
+def _uncarried_labels(spec: GroupSpec, rows) -> tuple:
+    """Irreducible labels other than the trivial and the rows' labels, or
+    () past the enumeration cap, where only the multiplicity is kept."""
+    carried = {characters.trivial_label(spec)} | {label for _, _, label in rows}
+    try:
+        return tuple(lab for lab in characters.irreducible_labels(spec) if lab not in carried)
+    except TooLargeError:
+        return ()
 
 
 def spectrum_via_characters(spec: GroupSpec, metric) -> SpectralSummary:
@@ -209,9 +181,19 @@ def spectrum_via_characters(spec: GroupSpec, metric) -> SpectralSummary:
     Raises :class:`TooLargeError` when the class count exceeds the
     enumeration cap.
     """
-    mu = mu_from_metric(spec, metric)
-    decomp = characters.decompose_class_function(mu.function)
-    return _assemble_summary(spec, decomp.coefficients, mu.metric_kind)
+    sigma = characters.decompose_class_function(mu_from_metric(spec, metric)).coefficients
+    trivial = characters.trivial_label(spec)
+    rows, zero_labels, zero_mult = [], [], 0
+    for label, coeff in sigma.items():
+        if label == trivial:
+            continue
+        dim = characters.dimension(spec, label)
+        if scalar_is_zero(coeff):
+            zero_labels.append(label)
+            zero_mult += dim * dim
+        else:
+            rows.append((normalize_scalar(coeff * Fraction(spec.order, dim)), dim * dim, label))
+    return _build_summary(spec, getattr(metric, "kind", "custom"), rows, zero_mult, zero_labels)
 
 
 def closed_form_c2k(k: int) -> SpectralSummary:
@@ -221,37 +203,15 @@ def closed_form_c2k(k: int) -> SpectralSummary:
     if k < 1:
         raise UnsupportedClosedFormError("k must be >= 1")
     spec = groups.elementary_abelian_2(k)
-    lam1 = Fraction(k * 2 ** k, 4)  # 2^(k-2) * k, exact also at k = 1
-    lam2 = -Fraction(2 ** k, 4)
-    singletons = tuple(frozenset({s}) for s in range(k, 0, -1))
-    entries = [
-        SpectralEntry(eigenvalue=lam1, multiplicity=k, labels=singletons, sign="positive")
-    ]
-    n_pairs = k * (k - 1) // 2
-    if n_pairs:
-        pairs = [frozenset({a, b}) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
-        pairs.sort(key=lambda s: label_sort_key(spec, s))
-        entries.append(
-            SpectralEntry(
-                eigenvalue=lam2, multiplicity=n_pairs, labels=tuple(pairs), sign="negative"
-            )
-        )
-    zero_mult = 2 ** k - 1 - k - n_pairs
-    if zero_mult:
-        try:
-            zeros = tuple(
-                lab for lab in characters.irreducible_labels(spec) if len(lab) >= 3
-            )
-        except TooLargeError:
-            zeros = ()  # past the enumeration cap only the multiplicity is kept
-        entries.append(
-            SpectralEntry(
-                eigenvalue=Fraction(0), multiplicity=zero_mult, labels=zeros, sign="zero"
-            )
-        )
-    return SpectralSummary(
-        group=spec, metric_kind=metrics.HAMMING_BITVECTOR, entries=tuple(entries)
-    )
+    # Every irreducible is one-dimensional; subsets of one size come in
+    # ascending binary value, position 1 the most significant bit. The
+    # Fractions keep 2^(k-2) exact also at k = 1.
+    rows = [(Fraction(k * 2 ** k, 4), 1, frozenset({s})) for s in range(k, 0, -1)]
+    rows += [(-Fraction(2 ** k, 4), 1, frozenset({a, b}))
+             for a in range(k - 1, 0, -1) for b in range(k, a, -1)]
+    zero_mult = 2 ** k - 1 - len(rows)
+    return _build_summary(spec, metrics.HAMMING_BITVECTOR, rows, zero_mult,
+                          _uncarried_labels(spec, rows))
 
 
 def closed_form_sn(n: int) -> SpectralSummary:
@@ -266,50 +226,23 @@ def closed_form_sn(n: int) -> SpectralSummary:
     fact = math.factorial(n)
     rows = [
         (Fraction((2 * n - 3) * fact, 2 * n - 2), (n - 1) ** 2, Partition((n - 1, 1))),
+        (Fraction(-fact, n * (n - 3)), (n * (n - 3) // 2) ** 2, Partition((n - 2, 2))),
         (
             Fraction(-fact, (n - 1) * (n - 2)),
             ((n - 1) * (n - 2) // 2) ** 2,
             Partition((n - 2, 1, 1)),
         ),
-        (Fraction(-fact, n * (n - 3)), (n * (n - 3) // 2) ** 2, Partition((n - 2, 2))),
     ]
-    entries = [
-        SpectralEntry(
-            eigenvalue=lam,
-            multiplicity=mult,
-            labels=(label,),
-            sign="positive" if lam > 0 else "negative",
-        )
-        for lam, mult, label in rows
-    ]
-    entries.sort(key=lambda e: -scalar_float(e.eigenvalue))
-    nonzero_mult = sum(mult for _, mult, _ in rows)
-    zero_mult = fact - 1 - nonzero_mult
-    if zero_mult:
-        carried = {Partition((n,))} | {label for _, _, label in rows}
-        try:
-            zeros = tuple(
-                p for p in characters.irreducible_labels(spec) if p not in carried
-            )
-        except TooLargeError:
-            zeros = ()  # past the enumeration cap only the multiplicity is kept
-        entries.append(
-            SpectralEntry(
-                eigenvalue=Fraction(0), multiplicity=zero_mult, labels=zeros, sign="zero"
-            )
-        )
-    return SpectralSummary(
-        group=spec, metric_kind=metrics.HAMMING_PERMUTATION, entries=tuple(entries)
-    )
+    zero_mult = fact - 1 - sum(mult for _, mult, _ in rows)
+    return _build_summary(spec, metrics.HAMMING_PERMUTATION, rows, zero_mult,
+                          _uncarried_labels(spec, rows))
 
 
-def convolution_matrix(spec: GroupSpec, mu: MuFunction) -> "np.ndarray":
+def convolution_matrix(spec: GroupSpec, mu: ClassFunction) -> "np.ndarray":
     """The matrix with entry (h, g) = mu(h g^-1) over the enumeration
     order; equals the non-centered kernel -(1/2) D o D entrywise."""
-    elements, _, table, inv = groups.multiplication_table(spec)
-    values = np.array(
-        [float(mu.function.value_at(g)) for g in elements], dtype=float
-    )
+    elements, table, inv = groups.multiplication_table(spec)
+    values = np.array([float(mu.value_at(g)) for g in elements], dtype=float)
     return values[table[:, inv]]
 
 
@@ -333,13 +266,13 @@ def projector_labels(spec: GroupSpec):
 
 
 def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
-    """P = (dim/|G|) sum_g conj(chi(g)) L_g with L_g left translation.
+    """P = (dim/|G|) sum_g conj(chi(g)) L_g with L_g left translation, so
+    P[h, k] = coeff(h k^-1), gathered as in :func:`convolution_matrix`.
 
     For a cyclic frequency j the conjugate pair {j, n-j} is merged so the
     projector is real; its rank is then 2 instead of dim^2 = 1.
     """
-    elements, _, table, _ = groups.multiplication_table(spec)
-    m = len(elements)
+    elements, table, inv = groups.multiplication_table(spec)
     if spec.kind == groups.CYCLIC:
         n = spec.size
         j = label % n
@@ -351,19 +284,13 @@ def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
         rank = len(merged)
     else:
         dim = characters.dimension(spec, label)
-        coeff = np.empty(m, dtype=float)
+        coeff = np.empty(len(elements), dtype=float)
         for i, g in enumerate(elements):
             chi = characters.character_value(spec, label, groups.class_label_of(spec, g))
             coeff[i] = float(chi) * dim / spec.order
         labels = (label,)
         rank = dim * dim
-    matrix = np.zeros((m, m), dtype=float)
-    cols = np.arange(m)
-    for gi in range(m):
-        if coeff[gi] == 0.0:
-            continue
-        matrix[table[gi, cols], cols] += coeff[gi]
-    return IsotypicProjector(labels=labels, matrix=matrix, rank=rank)
+    return IsotypicProjector(labels=labels, matrix=coeff[table[:, inv]], rank=rank)
 
 
 def standard_rep_coordinates(g: Tuple[int, ...], n: int) -> np.ndarray:

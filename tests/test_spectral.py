@@ -42,16 +42,16 @@ def entry_map(summary):
 def test_mu_values_s4():
     s4 = symmetric(4)
     mu = mu_from_metric(s4, hamming_metric(s4))
-    assert mu.function.value(Partition((2, 1, 1))) == Fraction(-2)
-    assert mu.function.value(Partition((1, 1, 1, 1))) == 0
-    assert mu.function.value(Partition((4,))) == Fraction(-8)  # 4-cycles move all points
+    assert mu.value(Partition((2, 1, 1))) == Fraction(-2)
+    assert mu.value(Partition((1, 1, 1, 1))) == 0
+    assert mu.value(Partition((4,))) == Fraction(-8)  # 4-cycles move all points
 
 
 def test_mu_values_c23():
     c23 = elementary_abelian_2(3)
     mu = mu_from_metric(c23, hamming_metric(c23))
-    assert mu.function.value((1, 1, 1)) == Fraction(-9, 2)
-    assert mu.function.value((0, 0, 0)) == 0
+    assert mu.value((1, 1, 1)) == Fraction(-9, 2)
+    assert mu.value((0, 0, 0)) == 0
 
 
 class LengthMetric:
@@ -256,12 +256,29 @@ def test_fwht_path_at_k14():
     assert spectrum_via_characters(spec, hamming_metric(spec)) == closed_form_c2k(14)
 
 
-def test_closed_form_elides_zero_labels_past_listing_limit():
-    summary = closed_form_c2k(20)
+@pytest.mark.parametrize(
+    "closed_form, size, order, zero_mult, n_zero_labels",
+    [
+        # 2^15 - 1 - 15 - 105 zero labels, listed: 32768 irreducibles fit the cap.
+        (closed_form_c2k, 15, 2 ** 15, 32647, 32647),
+        (closed_form_c2k, 16, 2 ** 16, 2 ** 16 - 1 - 16 - 120, 0),
+        (closed_form_c2k, 20, 2 ** 20, 2 ** 20 - 1 - 20 - 190, 0),
+        # p(41) = 44583 irreducibles fit the cap; p(42) = 53174 do not.
+        (closed_form_sn, 41, math.factorial(41),
+         math.factorial(41) - 1 - 40 ** 2 - (41 * 38 // 2) ** 2 - (40 * 39 // 2) ** 2, 44579),
+        (closed_form_sn, 42, math.factorial(42),
+         math.factorial(42) - 1 - 41 ** 2 - (42 * 39 // 2) ** 2 - (41 * 40 // 2) ** 2, 0),
+    ],
+    ids=["c2k-15", "c2k-16", "c2k-20", "sn-41", "sn-42"],
+)
+def test_closed_form_elides_zero_labels_past_listing_limit(
+    closed_form, size, order, zero_mult, n_zero_labels
+):
+    summary = closed_form(size)
     zero_entry = [e for e in summary.entries if e.sign == "zero"][0]
-    assert zero_entry.multiplicity == 2 ** 20 - 1 - 20 - 190
-    assert zero_entry.labels == ()
-    assert summary.accounted_dimension == 2 ** 20
+    assert zero_entry.multiplicity == zero_mult
+    assert len(zero_entry.labels) == n_zero_labels
+    assert summary.accounted_dimension == order
 
 
 # --- convolution matrix -----------------------------------------------------------
@@ -325,7 +342,7 @@ def test_projector_eigen_relation_all_labels_s4():
     dm = build_distance_matrix(s4, metric)
     kernel = dense.double_center(dm)
     mu = mu_from_metric(s4, metric)
-    decomp = characters.decompose_class_function(mu.function)
+    decomp = characters.decompose_class_function(mu)
     for label in projector_labels(s4):
         proj = isotypic_projector(s4, label)
         if label == characters.trivial_label(s4):
