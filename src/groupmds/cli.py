@@ -164,6 +164,8 @@ def _read_embedding_csv(path):
 def cmd_plot(parser, args) -> int:
     from . import plotting
 
+    if args.color_col < 1:
+        parser.error("--color-col must be >= 1")
     try:
         points = _read_embedding_csv(args.input)
     except OSError as exc:
@@ -180,7 +182,12 @@ def cmd_plot(parser, args) -> int:
     for coords, weight in points:
         color = coords[color_index] if color_index < len(coords) else None
         svg_points.append((coords[0], coords[1], weight, color))
-    _emit(plotting.scatter_svg(svg_points), args.out)
+    try:
+        svg = plotting.scatter_svg(svg_points)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    _emit(svg, args.out)
     return EXIT_OK
 
 

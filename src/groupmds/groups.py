@@ -194,7 +194,8 @@ def check_size(spec: GroupSpec, count: int, what: str) -> None:
 
 
 def enumerate_elements(spec: GroupSpec) -> Tuple[GroupElement, ...]:
-    """All elements in deterministic lexicographic order.
+    """All elements in deterministic lexicographic order, the identity
+    first.
 
     Raises :class:`TooLargeError` when the group order exceeds the
     enumeration cap.
@@ -395,7 +396,6 @@ def multiplication_table(spec: GroupSpec):
     for i, g in enumerate(elements):
         for j, h in enumerate(elements):
             table[i, j] = index[multiply(spec, g, h)]
-    inv = np.empty(m, dtype=np.int32)
-    for i, g in enumerate(elements):
-        inv[i] = index[inverse(spec, g)]
-    return elements, table, inv
+    # The identity is enumerated first, so g's inverse is the column where
+    # g's row reaches index 0.
+    return elements, table, table.argmin(axis=1).astype(np.int32)

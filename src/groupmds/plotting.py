@@ -14,6 +14,9 @@ from typing import Optional, Sequence, Tuple
 
 LOW_COLOR = (0x21, 0x66, 0xAC)
 HIGH_COLOR = (0xB2, 0x18, 0x2B)
+SIZE = 720  # width and height of the square canvas, in px
+MARGIN = 48
+MAX_RADIUS = 14.0
 
 
 def _ramp(t: float) -> str:
@@ -33,18 +36,13 @@ def _normalize(values, lo_px: float, hi_px: float):
     return [lo_px + (v - vmin) * scale for v in values]
 
 
-def scatter_svg(
-    points: Sequence[Tuple[float, float, float, Optional[float]]],
-    width: int = 720,
-    height: int = 720,
-    margin: int = 48,
-    max_radius: float = 14.0,
-) -> str:
+def scatter_svg(points: Sequence[Tuple[float, float, float, Optional[float]]]) -> str:
     """Render (x, y, weight, color_value) points.
 
-    Radius is max_radius * sqrt(weight / max weight), so area tracks
-    weight and equal weights give equal radii. ``color_value`` may be None
-    on every point, in which case all points take the ramp midpoint.
+    Radius is MAX_RADIUS * sqrt(weight / max weight), so area tracks
+    weight and equal weights give equal radii; every weight must be
+    positive. ``color_value`` may be None on every point, in which case all
+    points take the ramp midpoint.
     """
     if not points:
         raise ValueError("nothing to plot")
@@ -52,24 +50,24 @@ def scatter_svg(
     ys = [p[1] for p in points]
     weights = [p[2] for p in points]
     colors = [p[3] for p in points]
-    px = _normalize(xs, margin, width - margin)
-    # SVG y grows downward; flip so larger y plots higher.
-    py = _normalize([-y for y in ys], margin, height - margin)
-    wmax = max(weights)
-    if wmax <= 0:
+    if not all(w > 0 for w in weights):
         raise ValueError("weights must be positive")
+    px = _normalize(xs, MARGIN, SIZE - MARGIN)
+    # SVG y grows downward; flip so larger y plots higher.
+    py = _normalize([-y for y in ys], MARGIN, SIZE - MARGIN)
+    wmax = max(weights)
     have_color = all(c is not None for c in colors)
     if have_color:
         cmin = min(colors)
         cmax = max(colors)
         cspan = cmax - cmin
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
     ]
     for i in range(len(points)):
-        radius = max_radius * (weights[i] / wmax) ** 0.5
+        radius = MAX_RADIUS * (weights[i] / wmax) ** 0.5
         if have_color and cspan > 0:
             fill = _ramp((colors[i] - cmin) / cspan)
         else:

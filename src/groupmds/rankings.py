@@ -101,16 +101,11 @@ def parse_rankings(text: str) -> RankingDataset:
     return RankingDataset(items=items, records=tuple(records))
 
 
-def ranking_to_permutation(
-    ranking: Sequence[int], reference: Optional[Sequence[int]] = None
-) -> Tuple[int, ...]:
-    """The permutation taking the reference order to the ranked order:
-    g(i) = rank position of the item at reference position i."""
-    n = len(ranking)
-    if reference is None:
-        reference = range(1, n + 1)
+def ranking_to_permutation(ranking: Sequence[int]) -> Tuple[int, ...]:
+    """The permutation taking item order to the ranked order: g(i) = rank
+    position of item i."""
     rank_of = {item: pos for pos, item in enumerate(ranking, start=1)}
-    return tuple(rank_of[item] for item in reference)
+    return tuple(rank_of[item] for item in range(1, len(ranking) + 1))
 
 
 def aggregate(dataset: RankingDataset) -> Tuple[PermutationSample, ...]:

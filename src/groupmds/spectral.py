@@ -267,30 +267,27 @@ def projector_labels(spec: GroupSpec):
 
 def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
     """P = (dim/|G|) sum_g conj(chi(g)) L_g with L_g left translation, so
-    P[h, k] = coeff(h k^-1), gathered as in :func:`convolution_matrix`.
+    P is the convolution matrix of the class function (dim/|G|) chi.
 
     For a cyclic frequency j the conjugate pair {j, n-j} is merged so the
     projector is real; its rank is then 2 instead of dim^2 = 1.
     """
-    elements, table, inv = groups.multiplication_table(spec)
     if spec.kind == groups.CYCLIC:
         n = spec.size
         j = label % n
         merged = {j, (n - j) % n}
-        coeff = np.array(
-            [sum(math.cos(2.0 * math.pi * jj * a / n) for jj in merged) / n for a in range(n)]
-        )
+        coeff = {a: sum(math.cos(2.0 * math.pi * jj * a / n) for jj in merged) / n
+                 for a in range(n)}
         labels = tuple(sorted(merged))
         rank = len(merged)
     else:
         dim = characters.dimension(spec, label)
-        coeff = np.empty(len(elements), dtype=float)
-        for i, g in enumerate(elements):
-            chi = characters.character_value(spec, label, groups.class_label_of(spec, g))
-            coeff[i] = float(chi) * dim / spec.order
+        coeff = {cls.label: float(characters.character_value(spec, label, cls.label)) * dim
+                 / spec.order for cls in groups.conjugacy_classes(spec)}
         labels = (label,)
         rank = dim * dim
-    return IsotypicProjector(labels=labels, matrix=coeff[table[:, inv]], rank=rank)
+    matrix = convolution_matrix(spec, ClassFunction(spec, coeff))
+    return IsotypicProjector(labels=labels, matrix=matrix, rank=rank)
 
 
 def standard_rep_coordinates(g: Tuple[int, ...], n: int) -> np.ndarray:

@@ -104,10 +104,7 @@ def exact_trace_identity(spec: GroupSpec, metric, summary) -> bool:
 
 
 def oracle_equivalence_report(
-    spec: GroupSpec,
-    metric,
-    cap: int = DEFAULT_VERIFY_CAP,
-    check_projectors: bool = True,
+    spec: GroupSpec, metric, cap: int = DEFAULT_VERIFY_CAP
 ) -> VerificationReport:
     dm, kernel, dec = dense_oracle(spec, metric, cap)
     summary = spectral.spectrum_via_characters(spec, metric)
@@ -144,51 +141,50 @@ def oracle_equivalence_report(
         )
     )
 
-    if check_projectors:
-        # Every label but the trivial one (centered to zero) is listed in
-        # the summary; a cyclic projector label j carries its pair's value.
-        eigenvalues = {label: e.eigenvalue for e in summary.entries for label in e.labels}
-        labels = spectral.projector_labels(spec)
-        # Projector assembly is O(|G|^2) per label; past 128 labels check a
-        # deterministic sample and skip the completeness sum.
-        full_family = len(labels) <= 128
-        if not full_family:
-            step = max(1, len(labels) // 16)
-            labels = labels[::step]
-        total = np.zeros((spec.order, spec.order))
-        proj_dev = 0.0
-        eig_dev = 0.0
-        for label in labels:
-            proj = spectral.isotypic_projector(spec, label)
-            p = proj.matrix
-            total += p
-            proj_dev = max(proj_dev, float(np.max(np.abs(p @ p - p))))
-            lam = scalar_float(eigenvalues.get(label, 0))
-            eig_dev = max(eig_dev, float(np.max(np.abs(p @ kernel.matrix - lam * p))))
-        scale = max(1.0, float(np.max(np.abs(dec.eigenvalues))) if dec.size else 1.0)
-        family = "all labels" if full_family else f"{len(labels)} sampled labels"
+    # Every label but the trivial one (centered to zero) is listed in
+    # the summary; a cyclic projector label j carries its pair's value.
+    eigenvalues = {label: e.eigenvalue for e in summary.entries for label in e.labels}
+    labels = spectral.projector_labels(spec)
+    # Projector assembly is O(|G|^2) per label; past 128 labels check a
+    # deterministic sample and skip the completeness sum.
+    full_family = len(labels) <= 128
+    if not full_family:
+        step = max(1, len(labels) // 16)
+        labels = labels[::step]
+    total = np.zeros((spec.order, spec.order))
+    proj_dev = 0.0
+    eig_dev = 0.0
+    for label in labels:
+        proj = spectral.isotypic_projector(spec, label)
+        p = proj.matrix
+        total += p
+        proj_dev = max(proj_dev, float(np.max(np.abs(p @ p - p))))
+        lam = scalar_float(eigenvalues.get(label, 0))
+        eig_dev = max(eig_dev, float(np.max(np.abs(p @ kernel.matrix - lam * p))))
+    scale = max(1.0, float(np.max(np.abs(dec.eigenvalues))) if dec.size else 1.0)
+    family = "all labels" if full_family else f"{len(labels)} sampled labels"
+    checks.append(
+        CheckResult(
+            "projector-idempotence", proj_dev <= 1e-8, proj_dev, f"max |P^2 - P|, {family}"
+        )
+    )
+    checks.append(
+        CheckResult(
+            "projector-eigenrelation",
+            eig_dev <= 1e-8 * scale,
+            eig_dev,
+            f"max |P M - lambda P|, {family}",
+        )
+    )
+    if full_family:
+        complete_dev = float(np.max(np.abs(total - np.eye(spec.order))))
         checks.append(
             CheckResult(
-                "projector-idempotence", proj_dev <= 1e-8, proj_dev, f"max |P^2 - P|, {family}"
+                "projector-completeness",
+                complete_dev <= 1e-8,
+                complete_dev,
+                "max |sum P - I|",
             )
         )
-        checks.append(
-            CheckResult(
-                "projector-eigenrelation",
-                eig_dev <= 1e-8 * scale,
-                eig_dev,
-                f"max |P M - lambda P|, {family}",
-            )
-        )
-        if full_family:
-            complete_dev = float(np.max(np.abs(total - np.eye(spec.order))))
-            checks.append(
-                CheckResult(
-                    "projector-completeness",
-                    complete_dev <= 1e-8,
-                    complete_dev,
-                    "max |sum P - I|",
-                )
-            )
 
     return VerificationReport(group=spec, metric_kind=summary.metric_kind, checks=tuple(checks))

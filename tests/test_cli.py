@@ -167,14 +167,17 @@ def test_embed_dense_size_guard(tmp_path, capsys):
     assert code == 3
 
 
+TOY_CSV = (
+    "id,label,weight,x1:+,x2:+,x3:+\n"
+    "0,a,{},0.0,0.0,1.0\n"
+    "1,b,{},1.0,1.0,2.0\n"
+    "2,c,{},2.0,0.5,3.0\n"
+)
+
+
 def test_plot_toy_csv(tmp_path, capsys):
     csv_file = tmp_path / "toy.csv"
-    csv_file.write_text(
-        "id,label,weight,x1:+,x2:+,x3:+\n"
-        "0,a,4,0.0,0.0,1.0\n"
-        "1,b,4,1.0,1.0,2.0\n"
-        "2,c,4,2.0,0.5,3.0\n"
-    )
+    csv_file.write_text(TOY_CSV.format(4, 4, 4))
     code, out, _ = run_cli(capsys, "plot", "--input", str(csv_file))
     assert code == 0
     root = ET.fromstring(out)
@@ -191,6 +194,27 @@ def test_plot_missing_coordinates_is_usage_error(tmp_path, capsys):
     csv_file.write_text("id,label,weight,x1:+\n0,a,1,0.5\n")
     code, _, _ = run_cli(capsys, "plot", "--input", str(csv_file))
     assert code == 2
+
+
+@pytest.mark.parametrize("color_col", ["0", "-1"])
+def test_plot_color_col_below_one_is_usage_error(tmp_path, capsys, color_col):
+    csv_file = tmp_path / "toy.csv"
+    csv_file.write_text(TOY_CSV.format(4, 4, 4))
+    code, out, err = run_cli(capsys, "plot", "--input", str(csv_file),
+                             "--color-col", color_col)
+    assert code == 2
+    assert out == ""
+    assert "--color-col must be >= 1" in err
+
+
+@pytest.mark.parametrize("weights", [(4, -4, 4), (0, 0, 0)], ids=["negative", "all-zero"])
+def test_plot_non_positive_weight_is_usage_error(tmp_path, capsys, weights):
+    csv_file = tmp_path / "toy.csv"
+    csv_file.write_text(TOY_CSV.format(*weights))
+    code, out, err = run_cli(capsys, "plot", "--input", str(csv_file))
+    assert code == 2
+    assert out == ""
+    assert err == "error: weights must be positive\n"
 
 
 def test_plot_byte_deterministic(tmp_path, capsys):

@@ -145,6 +145,21 @@ def test_enumerate_s3():
     assert list(elements) == sorted(elements)
 
 
+@pytest.mark.parametrize(
+    "spec", [symmetric(1), symmetric(5), elementary_abelian_2(1), elementary_abelian_2(4),
+             cyclic(1), cyclic(9)], ids=lambda s: s.text)
+def test_enumeration_lists_the_identity_first(spec):
+    # The inverse index and the invariance check read row and column 0.
+    assert enumerate_elements(spec)[0] == spec.identity()
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.text)
+def test_multiplication_table_inverse_index(spec):
+    elements, table, inv = groups.multiplication_table(spec)
+    assert [elements[i] for i in inv] == [inverse(spec, g) for g in elements]
+    assert all(table[i, inv[i]] == 0 for i in range(len(elements)))
+
+
 def test_enumerate_c22_binary_order():
     assert enumerate_elements(elementary_abelian_2(2)) == ((0, 0), (0, 1), (1, 0), (1, 1))
 

@@ -1,11 +1,13 @@
 import random
+from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
 
 from groupmds import groups, metrics
 from groupmds.errors import InvalidElementError
-from groupmds.groups import cyclic, elementary_abelian_2, symmetric
+from groupmds.groups import cyclic, elementary_abelian_2, enumerate_elements, symmetric
 from groupmds.metrics import (
     Metric,
     build_distance_matrix,
@@ -13,6 +15,7 @@ from groupmds.metrics import (
     circular_arc_metric,
     hamming_metric,
 )
+from test_spectral import LengthMetric, make_left_invariant_only_metric
 
 ALL_METRIC_CASES = [
     (symmetric(4), hamming_metric(symmetric(4))),
@@ -147,25 +150,69 @@ def test_all_shipped_metrics_bi_invariant_on_reference_groups():
         assert check_invariance(spec, metric, mode="bi").passed
 
 
-def test_corrupted_metric_fails_with_counterexample():
-    c22 = elementary_abelian_2(2)
-    bad = CorruptedMetric(hamming_metric(c22), (0, 0), (1, 1))
-    report = check_invariance(c22, bad, mode="bi")
-    assert not report.passed
-    assert report.counterexample is not None
-    side, f, g, h = report.counterexample
+def corrupted_hamming(spec, a, b):
+    return lambda: (spec, CorruptedMetric(hamming_metric(spec), a, b))
+
+
+def asymmetric_length_metric():
+    # Left-invariant; d(e, g) != d(g, e) on the 3-cycles, so row and
+    # column 0 of its distance matrix differ.
+    s3 = symmetric(3)
+    lengths = dict(zip(enumerate_elements(s3), (0, 1, 1, 1, 2, 1)))
+    return s3, LengthMetric(s3, lengths)
+
+
+@pytest.mark.parametrize(
+    "make_case,side",
+    [
+        (corrupted_hamming(elementary_abelian_2(2), (0, 0), (1, 1)), "left"),
+        # The first failing (g, h) is witnessed by g^-1 but not by h^-1.
+        (corrupted_hamming(symmetric(3), (1, 2, 3), (2, 3, 1)), "left"),
+        (make_left_invariant_only_metric, "right"),
+        (asymmetric_length_metric, "right"),
+    ],
+    ids=["c22-corrupted", "s3-corrupted", "s3-left-invariant-only", "s3-asymmetric-length"],
+)
+def test_corrupted_metric_fails_with_counterexample(make_case, side):
+    spec, bad = make_case()
+    report = check_invariance(spec, bad, mode="bi")
+    assert not report.passed and report.exhaustive
+    assert report.checked == spec.order ** 3
+    assert report.counterexample[0] == side
+    _, f, g, h = report.counterexample
     if side == "left":
-        lhs = bad.distance(groups.multiply(c22, f, g), groups.multiply(c22, f, h))
+        lhs = bad.distance(groups.multiply(spec, f, g), groups.multiply(spec, f, h))
     else:
-        lhs = bad.distance(groups.multiply(c22, g, f), groups.multiply(c22, h, f))
+        lhs = bad.distance(groups.multiply(spec, g, f), groups.multiply(spec, h, f))
     assert lhs != bad.distance(g, h)
 
 
+@pytest.mark.parametrize("mode", ["left", "right", "bi"])
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        lambda: (symmetric(3), hamming_metric(symmetric(3))),
+        corrupted_hamming(symmetric(3), (1, 2, 3), (2, 3, 1)),
+        make_left_invariant_only_metric,
+        asymmetric_length_metric,
+    ],
+    ids=["s3-hamming", "s3-corrupted", "s3-left-invariant-only", "s3-asymmetric-length"],
+)
+def test_exhaustive_check_matches_loop_over_all_triples(make_case, mode):
+    spec, metric = make_case()
+    mul, d = partial(groups.multiply, spec), metric.distance
+    expected = all(
+        (mode == "right" or d(mul(f, g), mul(f, h)) == d(g, h))
+        and (mode == "left" or d(mul(g, f), mul(h, f)) == d(g, h))
+        for f, g, h in product(enumerate_elements(spec), repeat=3)
+    )
+    assert check_invariance(spec, metric, mode=mode).passed == expected
+
+
 def test_sampled_invariance_above_threshold():
-    s5 = symmetric(5)
-    report = check_invariance(s5, hamming_metric(s5), mode="bi", trials=500,
-                              exhaustive_threshold=100)
-    assert report.passed and not report.exhaustive and report.checked == 500
+    s6 = symmetric(6)
+    report = check_invariance(s6, hamming_metric(s6), mode="bi")
+    assert report.passed and not report.exhaustive and report.checked == 1000
 
 
 def test_invariance_mode_validation():

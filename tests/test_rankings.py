@@ -62,11 +62,6 @@ def test_ranking_to_permutation_examples():
     assert ranking_to_permutation((3, 2, 1)) == (3, 2, 1)
 
 
-def test_ranking_to_permutation_with_reference():
-    # reference order (2, 1, 3): position 1 holds item 2, ranked 3rd
-    assert ranking_to_permutation((3, 1, 2), reference=(2, 1, 3)) == (3, 2, 1)
-
-
 def test_aggregate_merges_duplicates():
     ds = parse_rankings("A,B,C\n3,1,2\n3,1,2\n1,2,3")
     samples = aggregate(ds)
