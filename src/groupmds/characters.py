@@ -223,9 +223,6 @@ class ClassFunction:
     def value(self, class_label) -> Scalar:
         return self.values[class_label]
 
-    def value_at(self, g) -> Scalar:
-        return self.values[groups.class_label_of(self.group, g)]
-
 
 def character_class_function(spec: GroupSpec, label) -> ClassFunction:
     classes = groups.conjugacy_classes(spec)

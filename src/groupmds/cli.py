@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import characters, dense, groups, metrics, rankings, spectral, verify
@@ -155,6 +156,8 @@ def _read_embedding_csv(path):
         try:
             coords = [float(row[i]) for i in coord_cols]
             weight = float(row[weight_col]) if weight_col is not None else 1.0
+            if not all(map(math.isfinite, [*coords, weight])):
+                raise ValueError("non-finite value")
         except (ValueError, IndexError):
             raise ValueError(f"malformed embedding row: {','.join(row)!r}")
         points.append((coords, weight))

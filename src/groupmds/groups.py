@@ -28,6 +28,9 @@ import numpy as np
 from .errors import InvalidElementError, TooLargeError
 
 DEFAULT_ENUMERATION_CAP = 50_000
+# Largest multiplication table, in bytes, that multiplication_table builds:
+# S_7 (102 MB) and (C_2)^14 fit, S_8 (6.5 GB) does not.
+TABLE_MAX_BYTES = 2 ** 30
 
 SYMMETRIC = "symmetric"
 ELEMENTARY_ABELIAN_2 = "elementary-abelian-2"
@@ -388,14 +391,51 @@ def cycle_notation(g: Tuple[int, ...]) -> str:
 def multiplication_table(spec: GroupSpec):
     """(elements, table, inverse_index) with table[i, j] the index of
     ``elements[i] * elements[j]``. Cached per spec; results must be treated
-    as read-only."""
+    as read-only.
+
+    Raises :class:`TooLargeError` before allocating when the int32 table
+    would exceed :data:`TABLE_MAX_BYTES`.
+    """
     elements = enumerate_elements(spec)
-    index = {g: i for i, g in enumerate(elements)}
     m = len(elements)
-    table = np.empty((m, m), dtype=np.int32)
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            table[i, j] = index[multiply(spec, g, h)]
+    if m * m * 4 > TABLE_MAX_BYTES:
+        raise TooLargeError(
+            f"{spec.text} needs a {m * m * 4}-byte multiplication table, above the "
+            f"table bound {TABLE_MAX_BYTES} bytes",
+            cap=TABLE_MAX_BYTES,
+        )
+    idx = np.arange(m, dtype=np.int32)
+    if spec.kind == SYMMETRIC:
+        # Row i holds g[h] for g = elements[i] and every h, 0-based; each
+        # product is looked up by its base-n code (n^n entries, 3.3 MB at
+        # S_7). Row by row keeps the temporaries at m x n.
+        n = spec.size
+        arr = np.array(elements, dtype=np.int64).reshape(m, n) - 1
+        weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        rank = np.empty(n ** n, dtype=np.int32)
+        rank[arr @ weights] = idx
+        table = np.empty((m, m), dtype=np.int32)
+        for i in range(m):
+            table[i] = rank[arr[i][arr] @ weights]
+    elif spec.kind == ELEMENTARY_ABELIAN_2:
+        # An element's index is its bits read as a binary number.
+        table = np.bitwise_xor.outer(idx, idx)
+    else:
+        table = np.add.outer(idx, idx)
+        table %= m
     # The identity is enumerated first, so g's inverse is the column where
     # g's row reaches index 0.
     return elements, table, table.argmin(axis=1).astype(np.int32)
+
+
+@lru_cache(maxsize=8)
+def class_index(spec: GroupSpec):
+    """(labels, index): the class labels in :func:`conjugacy_classes` order
+    and, for each enumerated element, the position of its class. Cached per
+    spec; results must be treated as read-only."""
+    elements = enumerate_elements(spec)
+    if spec.kind != SYMMETRIC:
+        return elements, np.arange(len(elements))
+    labels = partitions_of(spec.size)
+    position = {label: i for i, label in enumerate(labels)}
+    return labels, np.array([position[cycle_type(g)] for g in elements])

@@ -241,9 +241,10 @@ def closed_form_sn(n: int) -> SpectralSummary:
 def convolution_matrix(spec: GroupSpec, mu: ClassFunction) -> "np.ndarray":
     """The matrix with entry (h, g) = mu(h g^-1) over the enumeration
     order; equals the non-centered kernel -(1/2) D o D entrywise."""
-    elements, table, inv = groups.multiplication_table(spec)
-    values = np.array([float(mu.value_at(g)) for g in elements], dtype=float)
-    return values[table[:, inv]]
+    _, table, inv = groups.multiplication_table(spec)
+    labels, index = groups.class_index(spec)
+    values = np.array([float(mu.value(label)) for label in labels], dtype=float)
+    return values[index][table[:, inv]]
 
 
 @dataclass(frozen=True, eq=False)

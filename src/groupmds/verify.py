@@ -96,9 +96,12 @@ def spectrum_match_deviation(summary, dec, rel_tol: float = 1e-8):
 
 def exact_trace_identity(spec: GroupSpec, metric, summary) -> bool:
     """sum(lambda * mult) == (1/(2|G|)) sum_{g,h} d(g,h)^2, both exact."""
-    dm = metrics.build_distance_matrix(spec, metric)
+    return _trace_identity_holds(metrics.build_distance_matrix(spec, metric), summary)
+
+
+def _trace_identity_holds(dm, summary) -> bool:
     total_sq = int(np.sum(dm.values.astype(np.int64) ** 2))
-    rhs = Fraction(total_sq, 2 * spec.order)
+    rhs = Fraction(total_sq, 2 * dm.spec.order)
     lhs = normalize_scalar(summary.trace())
     return lhs == rhs
 
@@ -120,7 +123,7 @@ def oracle_equivalence_report(
         )
     )
 
-    trace_ok = exact_trace_identity(spec, metric, summary)
+    trace_ok = _trace_identity_holds(dm, summary)
     checks.append(
         CheckResult("trace-identity", trace_ok, None, "exact rational equality")
     )

@@ -217,6 +217,18 @@ def test_plot_non_positive_weight_is_usage_error(tmp_path, capsys, weights):
     assert err == "error: weights must be positive\n"
 
 
+@pytest.mark.parametrize("row", ["0,a,inf,0.0,0.0,1.0", "0,a,4,nan,0.0,1.0",
+                                 "0,a,4,0.0,-inf,1.0"],
+                         ids=["inf-weight", "nan-coordinate", "minus-inf-coordinate"])
+def test_plot_non_finite_value_is_usage_error(tmp_path, capsys, row):
+    csv_file = tmp_path / "toy.csv"
+    csv_file.write_text(TOY_CSV.format(4, 4, 4) + row + "\n")
+    code, out, err = run_cli(capsys, "plot", "--input", str(csv_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed embedding row: {row!r}\n"
+
+
 def test_plot_byte_deterministic(tmp_path, capsys):
     ranking_file = tmp_path / "r.txt"
     embed_file = tmp_path / "e.csv"

@@ -2,6 +2,7 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -160,6 +161,38 @@ def test_multiplication_table_inverse_index(spec):
     assert all(table[i, inv[i]] == 0 for i in range(len(elements)))
 
 
+TABLE_SPECS = ([symmetric(n) for n in range(1, 6)]
+               + [elementary_abelian_2(k) for k in range(1, 8)]
+               + [cyclic(n) for n in (1, 2, 7, 60, 120)])
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: s.text)
+def test_multiplication_table_matches_multiply(spec):
+    elements, table, _ = groups.multiplication_table(spec)
+    index = {g: i for i, g in enumerate(elements)}
+    reference = np.array([[index[multiply(spec, g, h)] for h in elements] for g in elements],
+                         dtype=np.int32)
+    assert table.dtype == np.int32
+    assert np.array_equal(table, reference)
+
+
+def test_s6_table_is_a_latin_square_bordered_by_the_identity():
+    _, table, _ = groups.multiplication_table(symmetric(6))
+    identity = np.arange(720)
+    assert np.array_equal(table[0], identity)
+    assert np.array_equal(table[:, 0], identity)
+    assert all(np.array_equal(np.sort(row), identity) for row in table)
+    assert all(np.array_equal(np.sort(col), identity) for col in table.T)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS + [symmetric(1), symmetric(6)], ids=lambda s: s.text)
+def test_class_index_matches_class_label_of(spec):
+    labels, index = groups.class_index(spec)
+    assert labels == tuple(c.label for c in conjugacy_classes(spec))
+    assert [labels[i] for i in index] == [groups.class_label_of(spec, g)
+                                          for g in enumerate_elements(spec)]
+
+
 def test_enumerate_c22_binary_order():
     assert enumerate_elements(elementary_abelian_2(2)) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -195,17 +228,30 @@ OVER_CAP_CALLS = [
     pytest.param(lambda: spectral.isotypic_projector(S9, Partition((8, 1))),
                  id="isotypic_projector-S9"),
 ]
+# Orders under the enumeration cap whose int32 table is over the byte bound.
+OVER_TABLE_BOUND_CALLS = [
+    pytest.param(lambda: groups.multiplication_table(symmetric(8)),
+                 id="multiplication_table-S8"),
+    pytest.param(lambda: groups.multiplication_table(elementary_abelian_2(15)),
+                 id="multiplication_table-C2^15"),
+    pytest.param(lambda: groups.multiplication_table(cyclic(40000)),
+                 id="multiplication_table-C40000"),
+]
 
 
-@pytest.mark.parametrize("call", OVER_CAP_CALLS)
-def test_every_listing_entry_point_refuses_over_cap_input_quickly(call):
-    # One guard, checked where elements, classes or irreducibles are listed,
-    # must trip before any of the work that the listing would feed.
+@pytest.mark.parametrize("call,cap", [
+    *[pytest.param(p.values[0], groups.DEFAULT_ENUMERATION_CAP, id=p.id) for p in OVER_CAP_CALLS],
+    *[pytest.param(p.values[0], groups.TABLE_MAX_BYTES, id=p.id) for p in OVER_TABLE_BOUND_CALLS],
+])
+def test_every_listing_entry_point_refuses_over_cap_input_quickly(call, cap):
+    # The guards, checked where elements, classes or irreducibles are listed
+    # and before the table is allocated, must trip before any of the work
+    # that the listing would feed.
     start = time.perf_counter()
     with pytest.raises(TooLargeError) as excinfo:
         call()
     assert time.perf_counter() - start < 2.0
-    assert excinfo.value.cap == groups.DEFAULT_ENUMERATION_CAP
+    assert excinfo.value.cap == cap
 
 
 # --- conjugacy classes -------------------------------------------------------
