@@ -1,8 +1,8 @@
 """Exact character tables for the three supported group families.
 
-The (C_2)^k table is the Walsh-Hadamard matrix, S_n rows come from the
-rim-hook recursion and are plain integers, and C_n entries are exact roots
-of unity. Orthogonality holds as an equality of rationals, not to a
+The (C_2)^k table is the Walsh-Hadamard matrix, S_n columns come from
+power-sum sweeps (multiplying by p_r adds rim hooks) and are plain integers,
+and C_n entries are exact roots of unity. Orthogonality holds as an equality of rationals, not to a
 tolerance.
 """
 

@@ -2,9 +2,13 @@
 
 Irreducible representations are labeled by integer partitions (S_n),
 subsets of {1..k} ((C_2)^k, with position 1 the leftmost bit), and
-frequencies 0..n-1 (C_n). Symmetric-group character values come from the
-Murnaghan-Nakayama recursion, memoized on (partition, cycle type); the
-abelian values are signs and roots of unity. Everything here is exact:
+frequencies 0..n-1 (C_n). Symmetric-group characters come from power-sum
+sweeps: chi_lambda(rho) is the coefficient of s_lambda in the power sum
+p_rho, and multiplying by p_r adds rim hooks (the Murnaghan-Nakayama rule
+read forwards), so one sweep over the cycle types gives a whole column of
+the table or, by Horner's rule, every row sum of a decomposition at once.
+The abelian values are signs and roots of unity, reduced modulo the
+cyclotomic polynomial through one integer matrix. Everything here is exact:
 integers, Fractions, or :class:`~groupmds.exact.Cyclotomic` values, so
 orthogonality and reconstruction identities can be asserted as equalities
 rather than to a tolerance.
@@ -15,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Mapping, Tuple
+
+import numpy as np
 
 from . import groups
 from .errors import InvalidElementError
@@ -25,7 +30,8 @@ from .exact import (
     Scalar,
     conj_scalar,
     normalize_scalar,
-    scalar_is_zero,
+    reduce_powers,
+    reduction_matrix,
 )
 from .groups import GroupSpec, Partition
 
@@ -100,34 +106,90 @@ def _validate_class_label(spec: GroupSpec, class_label) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Murnaghan-Nakayama recursion, via beta-sets (first-column hook lengths).
-# Removing a length-r rim hook from the partition with beta-set B is
-# subtracting r from some b in B while keeping the entries distinct; the
-# sign is (-1)^(number of beta entries jumped over).
+# Power-sum sweeps on beta-sets. A partition of at most n with parts
+# l_1 >= l_2 >= ... is stored as the bitmask of its n-entry beta-set
+# {l_i + n - i : i = 1..n}, zero parts included. Multiplying s_mu by p_r
+# adds every size-r rim hook to mu: move one bead b to the empty position
+# b + r, with sign (-1)^(beads jumped over).
 
 
-@lru_cache(maxsize=None)
-def _mn_character(lam: Tuple[int, ...], rho: Tuple[int, ...]) -> int:
-    if not lam:
-        return 1 if not rho else 0
-    if not rho:
-        return 1 if not lam else 0
-    r = rho[0]
-    rest = rho[1:]
-    m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    bset = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((bset - {b}) | {nb}, reverse=True)
-        new_lam = tuple(new_beta[i] - (m - 1 - i) for i in range(m))
-        new_lam = tuple(p for p in new_lam if p > 0)
-        total += (-1) ** height * _mn_character(new_lam, rest)
-    return total
+def _beta_mask(parts: Tuple[int, ...], n: int) -> int:
+    mask = (1 << (n - len(parts))) - 1
+    for i, p in enumerate(parts):
+        mask |= 1 << (p + n - 1 - i)
+    return mask
+
+
+def _hook_adder(n: int):
+    """add(mask, r) -> [(mask after adding one r-hook, sign), ...], memoized
+    for the lifetime of the returned function only."""
+    memo = {}
+
+    def add(mask: int, r: int):
+        key = (mask, r)
+        out = memo.get(key)
+        if out is None:
+            out = []
+            beads = mask
+            while beads:
+                low = beads & -beads
+                beads ^= low
+                if not mask & low << r:
+                    jumped = mask >> low.bit_length() & ((1 << (r - 1)) - 1)
+                    out.append((mask ^ low ^ low << r, -1 if jumped.bit_count() & 1 else 1))
+            memo[key] = out
+        return out
+
+    return add
+
+
+def _add_times_power_sum(acc: dict, vec: dict, r: int, add) -> dict:
+    """acc += p_r * vec, on Schur expansions {mask: coefficient}."""
+    for mask, v in vec.items():
+        for new, sign in add(mask, r):
+            acc[new] = acc.get(new, 0) + sign * v
+    return acc
+
+
+def _nonzero(vec: dict) -> dict:
+    return {mask: v for mask, v in vec.items() if v}
+
+
+def _sn_columns(n: int) -> dict:
+    """{cycle type: {mask: chi}}: every column of the S_n table from one
+    walk down the trie of cycle types (parts descending), each prefix's
+    power-sum product shared by the classes below it."""
+    add = _hook_adder(n)
+    columns = {}
+
+    def walk(prefix, vec, remaining):
+        if not remaining:
+            columns[prefix] = vec
+            return
+        for r in range(min(prefix[-1] if prefix else n, remaining), 0, -1):
+            walk(prefix + (r,), _nonzero(_add_times_power_sum({}, vec, r, add)), remaining - r)
+
+    walk((), {_beta_mask((), n): 1}, n)
+    return columns
+
+
+def _sn_row_sums(n: int, weights: Mapping) -> dict:
+    """{mask of lambda: sum_rho w_rho chi_lambda(rho)}, the Schur expansion
+    of sum_rho w_rho p_rho for weights keyed by cycle type (parts tuple),
+    by Horner's rule over the trie of cycle types:
+    value(prefix) = sum_r p_r value(prefix + (r,)), a leaf holding its weight."""
+    add = _hook_adder(n)
+
+    def horner(prefix, remaining):
+        if not remaining:
+            w = weights.get(prefix, 0)
+            return {_beta_mask((), n): w} if w else {}
+        acc: dict = {}
+        for r in range(min(prefix[-1] if prefix else n, remaining), 0, -1):
+            _add_times_power_sum(acc, horner(prefix + (r,), remaining - r), r, add)
+        return _nonzero(acc)
+
+    return horner((), n)
 
 
 def character_value(spec: GroupSpec, label, class_label) -> Scalar:
@@ -139,7 +201,12 @@ def character_value(spec: GroupSpec, label, class_label) -> Scalar:
     _validate_label(spec, label)
     _validate_class_label(spec, class_label)
     if spec.kind == groups.SYMMETRIC:
-        return _mn_character(label.parts, class_label.parts)
+        n = spec.size
+        add = _hook_adder(n)
+        column = {_beta_mask((), n): 1}
+        for r in class_label.parts:
+            column = _nonzero(_add_times_power_sum({}, column, r, add))
+        return column.get(_beta_mask(label.parts, n), 0)
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
         return -1 if sum(class_label[s - 1] for s in label) % 2 else 1
     n = spec.size
@@ -207,9 +274,20 @@ def character_table(spec: GroupSpec) -> CharacterTable:
     """The full exact character table in deterministic row/column order."""
     labels = irreducible_labels(spec)
     classes = groups.conjugacy_classes(spec)
-    values = tuple(
-        tuple(character_value(spec, lab, cls.label) for cls in classes) for lab in labels
-    )
+    n = spec.size
+    if spec.kind == groups.SYMMETRIC:
+        columns = _sn_columns(n)
+        values = tuple(
+            tuple(columns[cls.label.parts].get(mask, 0) for cls in classes)
+            for mask in (_beta_mask(lab.parts, n) for lab in labels)
+        )
+    elif spec.kind == groups.CYCLIC:
+        roots = [normalize_scalar(Cyclotomic.root(n, e)) for e in range(n)]
+        values = tuple(tuple(roots[lab * a % n] for a in range(n)) for lab in labels)
+    else:
+        values = tuple(
+            tuple(character_value(spec, lab, cls.label) for cls in classes) for lab in labels
+        )
     return CharacterTable(group=spec, labels=labels, classes=classes, values=values)
 
 
@@ -250,14 +328,6 @@ class DecompositionResult:
     def coefficient(self, label) -> Scalar:
         return self.coefficients[label]
 
-    def reconstruct(self, class_label) -> Scalar:
-        spec = self.group
-        total: Scalar = Fraction(0)
-        for label, coeff in self.coefficients.items():
-            if not scalar_is_zero(coeff):
-                total = total + coeff * character_value(spec, label, class_label)
-        return normalize_scalar(total)
-
 
 def fwht(values) -> list:
     """In-order fast Walsh-Hadamard transform; returns a new list with
@@ -291,9 +361,10 @@ def _power_terms(value: Scalar):
     return [(0, value)] if value else []
 
 
-def _row_sums(f: ClassFunction, order: int, denom: int):
-    """Yield (label, sums) with sums[e] the coefficient of zeta^e in
-    |G| * denom * <f, chi_label>; the row product is the per-kind part."""
+def _power_sums(f: ClassFunction, labels, order: int, denom: int):
+    """One sequence per power of zeta, indexed like ``labels``: entry i of
+    sequence e is the coefficient of zeta^e in |G| * denom * <f, chi_label_i>.
+    The row product is the per-kind part."""
     spec = f.group
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
         # One FWHT per power, filled straight from the values.
@@ -301,27 +372,28 @@ def _row_sums(f: ClassFunction, order: int, denom: int):
         for g, value in f.values.items():
             for e, c in _power_terms(value):
                 vectors[e][_bitvector_index(g)] = int(c * denom)
-        walsh = [fwht(v) for v in vectors]
-        for label in irreducible_labels(spec):
-            yield label, [w[subset_bit_value(spec, label)] for w in walsh]
-        return
-    # On C_n and S_n each conj(chi_label) value is a monomial: zeta^(-j a)
-    # at frequency j, or the integer Murnaghan-Nakayama value.
-    weighted = [
-        (cls.label,
-         [(e, cls.size * int(c * denom)) for e, c in _power_terms(f.values[cls.label])])
-        for cls in groups.conjugacy_classes(spec)
-    ]
-    for label in irreducible_labels(spec):
-        sums = [0] * order
-        for cl, terms in weighted:
-            if spec.kind == groups.CYCLIC:
-                shift, chi = -label * cl, 1
-            else:
-                shift, chi = 0, _mn_character(label.parts, cl.parts)
-            for e, c in terms:
-                sums[(e + shift) % order] += chi * c
-        yield label, sums
+        return [[w[subset_bit_value(spec, label)] for label in labels]
+                for w in map(fwht, vectors)]
+    classes = groups.conjugacy_classes(spec)
+    if spec.kind == groups.SYMMETRIC:
+        # One Horner sweep per power, weighted by class size.
+        weights = [{} for _ in range(order)]
+        for cls in classes:
+            for e, c in _power_terms(f.values[cls.label]):
+                weights[e][cls.label.parts] = cls.size * int(c * denom)
+        masks = [_beta_mask(label.parts, spec.size) for label in labels]
+        return [[sweep.get(m, 0) for m in masks]
+                for sweep in (_sn_row_sums(spec.size, w) for w in weights)]
+    # C_n: conj(chi_j)(a) = zeta^(-j a), so a term c zeta^e of f(a) lands on
+    # the power e - j a of label j, one distinct power per label.
+    terms = [(cls.label, e, int(c * denom))
+             for cls in classes for e, c in _power_terms(f.values[cls.label])]
+    fits = sum(abs(c) for _, _, c in terms) < 2 ** 63
+    sums = np.zeros((order, len(labels)), dtype=np.int64 if fits else object)
+    j = np.arange(len(labels))
+    for a, e, c in terms:
+        sums[(e - j * a) % order, j] += c
+    return sums
 
 
 def decompose_class_function(f: ClassFunction) -> DecompositionResult:
@@ -331,10 +403,15 @@ def decompose_class_function(f: ClassFunction) -> DecompositionResult:
     once, by their common denominator, to integer coefficients on the powers
     of zeta_N (N = n on C_n, else the values' cyclotomic order, 1 when all
     are rational). Each character row is summed against the class-weighted
-    coefficients and divided by |G| times the denominator once at the end.
-    Only the row product depends on the kind: the fast Walsh-Hadamard
-    transform for (C_2)^k (O(k 2^k)), collecting zeta^(e - j a) powers for
-    C_n, and the Murnaghan-Nakayama row over one class list for S_n.
+    coefficients, the sums of every label are reduced modulo Phi_N in one
+    product with the reduction matrix, and each is divided by |G| times the
+    denominator once at the end. Only the row product depends on the kind:
+    the fast Walsh-Hadamard transform for (C_2)^k (O(k 2^k)), collecting
+    zeta^(e - j a) powers for C_n, and one Horner power-sum sweep over the
+    cycle types for S_n.
+
+    Raises :class:`TooLargeError` before allocating when the labels x powers
+    sums or the reduction matrix would exceed ``groups.TABLE_MAX_BYTES``.
     """
     spec = f.group
     orders = {v.order for v in f.values.values() if isinstance(v, Cyclotomic)}
@@ -343,10 +420,21 @@ def decompose_class_function(f: ClassFunction) -> DecompositionResult:
         raise InvalidElementError(f"values on {spec.text} must all lie in Q(zeta_{order})")
     denom = math.lcm(*(c.denominator for v in f.values.values() for _, c in _power_terms(v)))
     scale = spec.order * denom
+    labels = irreducible_labels(spec)
+    groups.check_bytes(len(labels) * order * 8, f"the row sums of {spec.text}")
+    if order == 1:
+        (sums,) = _power_sums(f, labels, order, denom)
+        return DecompositionResult(spec, {
+            label: Fraction(int(s), scale) for label, s in zip(labels, sums)
+        })
+    reduction_matrix(order)  # its byte guard, before the sums are allocated
+    sums = _power_sums(f, labels, order, denom)
+    canon = reduce_powers(sums, order).T.tolist()
+    rows = np.transpose(sums).tolist()
     return DecompositionResult(spec, {
-        label: Fraction(sums[0], scale) if order == 1
-        else normalize_scalar(Cyclotomic(order, [Fraction(s, scale) for s in sums]))
-        for label, sums in _row_sums(f, order, denom)
+        label: normalize_scalar(Cyclotomic(order, [Fraction(s, scale) for s in row],
+                                           canon=tuple(Fraction(c, scale) for c in reduced)))
+        for label, row, reduced in zip(labels, rows, canon)
     })
 
 

@@ -110,7 +110,11 @@ def cmd_chartable(parser, args) -> int:
             file=sys.stderr,
         )
         return EXIT_GUARD
-    table = characters.character_table(spec)
+    try:
+        table = characters.character_table(spec)
+    except TooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     text = table.to_csv() if args.format == "csv" else table.to_text()
     _emit(text, args.out)
     return EXIT_OK

@@ -10,7 +10,6 @@ provided.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -50,13 +49,6 @@ def double_center(distance_matrix) -> MdsKernel:
     col_mean = sq.mean(axis=0, keepdims=True)
     grand_mean = sq.mean()
     return MdsKernel(matrix=-0.5 * (sq - row_mean - col_mean + grand_mean), centered=True)
-
-
-def noncentered_kernel(distance_matrix) -> MdsKernel:
-    """-(1/2) D o D, no centering; exact in floating point for integer
-    distances."""
-    d = _as_matrix(distance_matrix)
-    return MdsKernel(matrix=-0.5 * d * d, centered=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,14 +165,6 @@ def full_rank_pseudo_embedding(dec: SpectralDecomposition) -> EmbeddingResult:
     return pseudo_embedding(dec, dec.nonzero_count())
 
 
-def pseudo_distance_sq(emb: EmbeddingResult, i: int, j: int) -> float:
-    """Squared pseudo-distance between rows i and j: positive-block squared
-    distance minus negative-block squared distance."""
-    p, _ = emb.signature
-    diff = emb.coordinates[i] - emb.coordinates[j]
-    return float(np.sum(diff[:p] ** 2) - np.sum(diff[p:] ** 2))
-
-
 def pseudo_distance_sq_matrix(emb: EmbeddingResult) -> np.ndarray:
     p, _ = emb.signature
     signs = np.ones(emb.k)
@@ -198,14 +182,6 @@ def strain(dec: SpectralDecomposition, k: int) -> float:
         raise ValueError("k must be between 0 and n")
     tail = dec.eigenvalues[k:]
     return float(np.sum(tail * tail))
-
-
-def spectrum_to_json(dec: SpectralDecomposition) -> str:
-    doc = {
-        "eigenvalues": [float(v) for v in dec.eigenvalues],
-        "zero_threshold": dec.zero_threshold,
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def embedding_to_csv(emb: EmbeddingResult) -> str:

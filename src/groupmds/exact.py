@@ -5,7 +5,9 @@ float pairs would wreck the exact-equality checks the character layer
 promises. A :class:`Cyclotomic` holds rational coefficients on the power
 basis zeta^0..zeta^(n-1). That basis is redundant, so equality,
 rationality, and hashing all go through a canonical form reduced modulo
-the n-th cyclotomic polynomial.
+the n-th cyclotomic polynomial. The reduction is one integer matrix per n
+(:func:`reduction_matrix`): row e holds zeta^e on the basis
+zeta^0..zeta^(phi(n)-1), so reducing many values is one matrix product.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple, Union
 
+import numpy as np
+
+from .groups import check_bytes
+
 Scalar = Union[int, Fraction, "Cyclotomic"]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _divisors(n: int):
@@ -55,7 +62,56 @@ def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
 
 
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    """phi(n), the degree of Phi_n, by trial division."""
+    phi, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return phi - phi // rest if rest > 1 else phi
+
+
+@lru_cache(maxsize=4)
+def reduction_matrix(n: int) -> np.ndarray:
+    """The n x phi(n) matrix whose row e holds zeta_n^e on the basis
+    zeta^0..zeta^(phi(n)-1), that is x^e modulo Phi_n: small integers,
+    stored as float64 so products run through BLAS. Cached per n; read only.
+    Raises :class:`TooLargeError` before allocating a matrix above
+    :data:`groups.TABLE_MAX_BYTES`."""
+    deg = euler_phi(n)
+    check_bytes(n * deg * 8, f"the reduction matrix of Q(zeta_{n})")
+    phi_poly = cyclotomic_polynomial(n)
+    # x^deg = -(Phi_n - x^deg), so each row is the previous one shifted up a
+    # power, with the coefficient that leaves the basis folded back.
+    fold = -np.array(phi_poly[:deg], dtype=np.float64)
+    r = np.zeros((n, deg))
+    r[:deg] = np.eye(deg)
+    for e in range(deg, n):
+        r[e, 1:] = r[e - 1, :-1]
+        r[e] += r[e - 1, -1] * fold
+    # Row deg is fold itself, so entries below 2^26 keep every intermediate
+    # value of the recurrence an integer below 2^53, which float64 holds
+    # exactly.
+    if np.abs(r).max() >= 2 ** 26:
+        raise ArithmeticError(f"reduction matrix of Q(zeta_{n}) is past exact float64 range")
+    r.setflags(write=False)
+    return r
+
+
+def reduce_powers(coeffs, n: int) -> np.ndarray:
+    """Exact reduction modulo Phi_n of integer coefficients on
+    zeta^0..zeta^(n-1), laid out along the first axis (a vector, or one
+    column per value): ``reduction_matrix(n).T @ coeffs`` as integers.
+    While max|coeffs| * n * max|R| < 2^53 every partial sum is an integer
+    that float64 holds exactly, so the product runs in float64; past that
+    it runs on Python integers (object dtype)."""
+    r = reduction_matrix(n)
+    a = coeffs if isinstance(coeffs, np.ndarray) else np.array(coeffs, dtype=object)
+    if int(np.abs(a).max(initial=0)) * n * int(np.abs(r).max()) < 2 ** 53:
+        return (r.T @ a.astype(np.float64)).astype(np.int64)
+    return r.T.astype(np.int64).astype(object) @ a.astype(object)
 
 
 class Cyclotomic:
@@ -63,19 +119,24 @@ class Cyclotomic:
 
     __slots__ = ("order", "coeffs", "_canon")
 
-    def __init__(self, order: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    def __init__(self, order: int, coeffs, canon=None):
+        """``canon``, when given, must be the reduced form of ``coeffs``
+        (see :meth:`canonical`); callers that reduced many values in one
+        product pass it so nothing is reduced twice."""
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(coeffs) != order:
             raise ValueError("need one coefficient per power of the root")
         self.order = order
         self.coeffs = coeffs
-        self._canon = None
+        self._canon = canon
 
     @classmethod
     def root(cls, order: int, exponent: int) -> "Cyclotomic":
+        e = exponent % order
         coeffs = [_ZERO] * order
-        coeffs[exponent % order] = Fraction(1)
-        return cls(order, coeffs)
+        coeffs[e] = _ONE
+        return cls(order, coeffs,
+                   canon=tuple(map(Fraction, reduction_matrix(order)[e].astype(np.int64).tolist())))
 
     @classmethod
     def zero(cls, order: int) -> "Cyclotomic":
@@ -118,11 +179,9 @@ class Cyclotomic:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            out = Cyclotomic(self.order, [a * f for a in self.coeffs])
-            if self._canon is not None:
-                # Reduction modulo Phi_n is linear, so the scaled form is exact.
-                out._canon = tuple(c * f for c in self._canon)
-            return out
+            # Reduction modulo Phi_n is linear, so the scaled form is exact.
+            canon = None if self._canon is None else tuple(c * f for c in self._canon)
+            return Cyclotomic(self.order, [a * f for a in self.coeffs], canon=canon)
         if isinstance(other, Cyclotomic) and other.order == self.order:
             n = self.order
             out = [_ZERO] * n
@@ -147,15 +206,9 @@ class Cyclotomic:
     def canonical(self) -> Tuple[Fraction, ...]:
         """Coefficients on the basis zeta^0..zeta^(phi(n)-1) of Q(zeta_n)."""
         if self._canon is None:
-            phi_poly = cyclotomic_polynomial(self.order)
-            deg = len(phi_poly) - 1
-            rem = list(self.coeffs)
-            for i in range(len(rem) - 1, deg - 1, -1):
-                c = rem[i]
-                if c:
-                    for j, pc in enumerate(phi_poly):
-                        rem[i - deg + j] -= c * pc
-            self._canon = tuple(rem[:deg])
+            denom = math.lcm(*(c.denominator for c in self.coeffs))
+            ints = [c.numerator * (denom // c.denominator) for c in self.coeffs]
+            self._canon = tuple(Fraction(c, denom) for c in reduce_powers(ints, self.order).tolist())
         return self._canon
 
     def is_rational(self) -> bool:

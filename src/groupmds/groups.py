@@ -196,6 +196,16 @@ def check_size(spec: GroupSpec, count: int, what: str) -> None:
         )
 
 
+def check_bytes(nbytes: int, what: str) -> None:
+    """The byte guard: raise :class:`TooLargeError` before allocating
+    ``what``, an array of ``nbytes`` bytes, above :data:`TABLE_MAX_BYTES`."""
+    if nbytes > TABLE_MAX_BYTES:
+        raise TooLargeError(
+            f"{what} needs {nbytes} bytes, above the table bound {TABLE_MAX_BYTES} bytes",
+            cap=TABLE_MAX_BYTES,
+        )
+
+
 def enumerate_elements(spec: GroupSpec) -> Tuple[GroupElement, ...]:
     """All elements in deterministic lexicographic order, the identity
     first.
@@ -346,27 +356,6 @@ def element_text(spec: GroupSpec, g: GroupElement) -> str:
     return str(g)
 
 
-def parse_element(spec: GroupSpec, text: str) -> GroupElement:
-    """Inverse of :func:`element_text`."""
-    text = text.strip()
-    if spec.kind == SYMMETRIC:
-        try:
-            g = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise InvalidElementError(f"cannot parse permutation from {text!r}")
-    elif spec.kind == ELEMENTARY_ABELIAN_2:
-        if any(c not in "01" for c in text):
-            raise InvalidElementError(f"cannot parse bit vector from {text!r}")
-        g = tuple(int(c) for c in text)
-    else:
-        try:
-            g = int(text)
-        except ValueError:
-            raise InvalidElementError(f"cannot parse residue from {text!r}")
-    validate_element(spec, g)
-    return g
-
-
 def cycle_notation(g: Tuple[int, ...]) -> str:
     """Display form of a permutation as cycles, fixed points omitted; "e" for
     the identity. Used only in human-facing output."""
@@ -398,12 +387,7 @@ def multiplication_table(spec: GroupSpec):
     """
     elements = enumerate_elements(spec)
     m = len(elements)
-    if m * m * 4 > TABLE_MAX_BYTES:
-        raise TooLargeError(
-            f"{spec.text} needs a {m * m * 4}-byte multiplication table, above the "
-            f"table bound {TABLE_MAX_BYTES} bytes",
-            cap=TABLE_MAX_BYTES,
-        )
+    check_bytes(m * m * 4, f"the multiplication table of {spec.text}")
     idx = np.arange(m, dtype=np.int32)
     if spec.kind == SYMMETRIC:
         # Row i holds g[h] for g = elements[i] and every h, 0-based; each

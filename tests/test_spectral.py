@@ -301,7 +301,7 @@ def test_convolution_matrix_equals_noncentered_kernel_exactly(spec):
     mu = mu_from_metric(spec, metric)
     conv = convolution_matrix(spec, mu)
     dm = build_distance_matrix(spec, metric)
-    assert np.array_equal(conv, dense.noncentered_kernel(dm).matrix)
+    assert np.array_equal(conv, -0.5 * dm.values * dm.values)
 
 
 # --- isotypic projectors -----------------------------------------------------------
