@@ -19,7 +19,6 @@ from groupmds import (
     spectrum_via_characters,
     symmetric,
 )
-from groupmds.exact import scalar_text
 from groupmds.metrics import default_metric
 from groupmds.verify import spectrum_match_deviation
 
@@ -32,7 +31,7 @@ for spec in (symmetric(5), elementary_abelian_2(6), cyclic(12)):
     for entry in summary.entries:
         labels = ", ".join(str(sorted(l)) if isinstance(l, frozenset) else str(l)
                            for l in entry.labels)
-        print(f"  lambda = {scalar_text(entry.eigenvalue):>24}   "
+        print(f"  lambda = {entry.eigenvalue!s:>24}   "
               f"multiplicity {entry.multiplicity:>4}   from {labels}")
     print(f"  (+ the trivial direction, removed by centering)")
 

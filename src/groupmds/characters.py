@@ -28,7 +28,6 @@ from .errors import InvalidElementError
 from .exact import (
     Cyclotomic,
     Scalar,
-    conj_scalar,
     normalize_scalar,
     reduce_powers,
     reduction_matrix,
@@ -298,9 +297,6 @@ class ClassFunction:
     group: GroupSpec
     values: Mapping
 
-    def value(self, class_label) -> Scalar:
-        return self.values[class_label]
-
 
 def character_class_function(spec: GroupSpec, label) -> ClassFunction:
     classes = groups.conjugacy_classes(spec)
@@ -314,7 +310,7 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> Scalar:
     spec = f1.group
     total: Scalar = Fraction(0)
     for cls in groups.conjugacy_classes(spec):
-        total = total + cls.size * (f1.value(cls.label) * conj_scalar(f2.value(cls.label)))
+        total = total + cls.size * (f1.values[cls.label] * f2.values[cls.label].conjugate())
     return normalize_scalar(total * Fraction(1, spec.order))
 
 
@@ -324,9 +320,6 @@ class DecompositionResult:
 
     group: GroupSpec
     coefficients: Dict
-
-    def coefficient(self, label) -> Scalar:
-        return self.coefficients[label]
 
 
 def fwht(values) -> list:

@@ -37,17 +37,15 @@ def _emit(text: str, out_path):
 
 
 def _group_from_args(parser, args) -> groups.GroupSpec:
-    if args.group == "sn":
-        if args.n is None:
-            parser.error("--group sn requires --n")
-        return groups.symmetric(args.n)
-    if args.group == "c2k":
-        if args.k is None:
-            parser.error("--group c2k requires --k")
-        return groups.elementary_abelian_2(args.k)
-    if args.n is None:
-        parser.error("--group cyclic requires --n")
-    return groups.cyclic(args.n)
+    flag = "k" if args.group == "c2k" else "n"
+    size = getattr(args, flag)
+    if size is None:
+        parser.error(f"--group {args.group} requires --{flag}")
+    build = {"sn": groups.symmetric, "c2k": groups.elementary_abelian_2, "cyclic": groups.cyclic}
+    try:
+        return build[args.group](size)
+    except ValueError as exc:
+        parser.error(f"--{flag} {size}: {exc}")
 
 
 def _metric_from_args(parser, spec, args):
@@ -93,9 +91,6 @@ def cmd_spectrum(parser, args) -> int:
             doc["dense_match"] = ok
     except UnsupportedClosedFormError as exc:
         parser.error(str(exc))
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -110,11 +105,7 @@ def cmd_chartable(parser, args) -> int:
             file=sys.stderr,
         )
         return EXIT_GUARD
-    try:
-        table = characters.character_table(spec)
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    table = characters.character_table(spec)
     text = table.to_csv() if args.format == "csv" else table.to_text()
     _emit(text, args.out)
     return EXIT_OK
@@ -135,9 +126,6 @@ def cmd_embed(parser, args) -> int:
     samples = rankings.aggregate(dataset)
     try:
         emb = rankings.embed_dataset(samples, dataset.n_items, args.dims, mode=args.mode)
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     except ValueError as exc:
         parser.error(str(exc))
     _emit(dense.embedding_to_csv(emb), args.out)
@@ -201,11 +189,7 @@ def cmd_plot(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     spec = _group_from_args(parser, args)
     metric = _metric_from_args(parser, spec, args)
-    try:
-        report = verify.oracle_equivalence_report(spec, metric, cap=args.cap)
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    report = verify.oracle_equivalence_report(spec, metric, cap=args.cap)
     if args.dump_distances:
         dm = metrics.build_distance_matrix(spec, metric)
         with open(args.dump_distances, "w", encoding="utf-8") as fh:
@@ -295,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(parser, args)
+    try:
+        return args.handler(parser, args)
+    except TooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
 
 
 if __name__ == "__main__":

@@ -70,9 +70,6 @@ class SpectralDecomposition:
     def positive_indices(self) -> np.ndarray:
         return np.where(self.eigenvalues > self.zero_threshold)[0]
 
-    def negative_indices(self) -> np.ndarray:
-        return np.where(self.eigenvalues < -self.zero_threshold)[0]
-
     def nonzero_count(self) -> int:
         return int(np.sum(np.abs(self.eigenvalues) > self.zero_threshold))
 

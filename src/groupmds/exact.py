@@ -8,6 +8,10 @@ rationality, and hashing all go through a canonical form reduced modulo
 the n-th cyclotomic polynomial. The reduction is one integer matrix per n
 (:func:`reduction_matrix`): row e holds zeta^e on the basis
 zeta^0..zeta^(phi(n)-1), so reducing many values is one matrix product.
+
+Exact values are ``int``, ``Fraction`` or :class:`Cyclotomic`, and callers
+use all three alike through ``float()``, ``complex()``, ``str()``,
+``.conjugate()`` and ``== 0``.
 """
 
 from __future__ import annotations
@@ -138,10 +142,6 @@ class Cyclotomic:
         return cls(order, coeffs,
                    canon=tuple(map(Fraction, reduction_matrix(order)[e].astype(np.int64).tolist())))
 
-    @classmethod
-    def zero(cls, order: int) -> "Cyclotomic":
-        return cls(order, [_ZERO] * order)
-
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
@@ -222,7 +222,7 @@ class Cyclotomic:
             raise ValueError(f"{self} is not rational")
         return self.canonical()[0]
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         n = self.order
         re = 0.0
         im = 0.0
@@ -234,8 +234,8 @@ class Cyclotomic:
                 im += cf * math.sin(angle)
         return complex(re, im)
 
-    def to_float(self) -> float:
-        z = self.to_complex()
+    def __float__(self) -> float:
+        z = complex(self)
         if abs(z.imag) > 1e-9 * (1.0 + abs(z.real)):
             raise ValueError(f"{self} is not real")
         return z.real
@@ -291,39 +291,9 @@ def normalize_scalar(x: Scalar) -> Scalar:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def conj_scalar(x: Scalar) -> Scalar:
-    if isinstance(x, Cyclotomic):
-        return x.conjugate()
-    return x
-
-
-def scalar_is_zero(x: Scalar) -> bool:
-    if isinstance(x, Cyclotomic):
-        return x.is_zero()
-    return x == 0
-
-
-def scalar_float(x: Scalar) -> float:
-    """Real floating value; raises if a cyclotomic is not real."""
-    if isinstance(x, Cyclotomic):
-        return x.to_float()
-    return float(x)
-
-
 def scalar_sign(x: Scalar) -> int:
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
     if x.is_zero():
         return 0
-    value = x.to_float()
-    return 1 if value > 0 else -1
-
-
-def scalar_text(x: Scalar) -> str:
-    """Exact text form: "p/q" (or "p") for rationals, a symbolic sum of
-    powers of z{n} for irrational cyclotomics."""
-    if isinstance(x, Cyclotomic):
-        if x.is_rational():
-            return str(x.as_fraction())
-        return str(x)
-    return str(Fraction(x))
+    return 1 if float(x) > 0 else -1

@@ -58,9 +58,6 @@ class Metric:
         delta = abs(g - h)
         return min(delta, self.group.size - delta)
 
-    def distance_to_identity(self, g: GroupElement) -> int:
-        return self.distance(g, self.group.identity())
-
 
 def hamming_metric(spec: GroupSpec) -> Metric:
     """The Hamming metric matching ``spec`` (permutation or bit-vector form)."""
@@ -108,17 +105,27 @@ class DistanceMatrix:
 
 
 def build_distance_matrix(spec: GroupSpec, metric) -> DistanceMatrix:
-    """Full distance matrix d(x_i, x_j) over the enumeration order."""
+    """Full distance matrix d(x_i, x_j) over the enumeration order.
+
+    Raises :class:`TooLargeError` before allocating when the int64 matrix
+    would exceed :data:`groups.TABLE_MAX_BYTES`.
+    """
     elements = groups.enumerate_elements(spec)
     m = len(elements)
+    groups.check_bytes(m * m * 8, f"the distance matrix of {spec.text}")
     if isinstance(metric, Metric) and spec.kind == groups.CYCLIC:
         arr = np.arange(spec.size, dtype=np.int64)
         delta = np.abs(arr[:, None] - arr[None, :])
         values = np.minimum(delta, spec.size - delta)
     elif isinstance(metric, Metric):
-        # Hamming on permutations and on bit vectors alike.
-        arr = np.array(elements, dtype=np.int64)
-        values = (arr[:, None, :] != arr[None, :, :]).sum(axis=2)
+        # Hamming on permutations and on bit vectors alike, one coordinate
+        # at a time into one reused m x m bool: an m x m x n temporary would
+        # be 13 GB on S_8, and a fresh bool per coordinate leaves freed heap
+        # resident for the later dense stages.
+        values = np.zeros((m, m), dtype=np.int64)
+        differ = np.empty((m, m), dtype=bool)
+        for coord in np.array(elements, dtype=np.int64).T:
+            values += np.not_equal.outer(coord, coord, out=differ)
     else:
         # Generic path for metric-like objects (corrupted/test metrics).
         values = np.empty((m, m), dtype=np.int64)

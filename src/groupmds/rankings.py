@@ -129,14 +129,11 @@ def _standard_block_embedding(
     mean = (w[:, None] * x).sum(axis=0) / w.sum()
     centered = x - mean
     cov = (centered.T * w) @ centered / w.sum()
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    order = np.argsort(eigenvalues)[::-1]
+    dec = dense.eigendecompose(cov)
     dims = min(dims, x.shape[1])
-    axes = eigenvectors[:, order[:dims]]
-    coords = centered @ axes
     return EmbeddingResult(
-        coordinates=coords,
-        eigenvalues=tuple(float(eigenvalues[i]) for i in order[:dims]),
+        coordinates=centered @ dec.eigenvectors[:, :dims],
+        eigenvalues=tuple(float(v) for v in dec.eigenvalues[:dims]),
         signature=(dims, 0),
         row_labels=tuple(",".join(str(i) for i in s.permutation) for s in samples),
         weights=tuple(s.weight for s in samples),

@@ -15,7 +15,6 @@ dominant (standard-representation) block without touching the full group.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -27,14 +26,7 @@ import numpy as np
 from . import characters, groups, metrics
 from .characters import ClassFunction, label_text
 from .errors import NotBiInvariantError, TooLargeError, UnsupportedClosedFormError
-from .exact import (
-    Scalar,
-    normalize_scalar,
-    scalar_float,
-    scalar_is_zero,
-    scalar_sign,
-    scalar_text,
-)
+from .exact import Scalar, normalize_scalar, scalar_sign
 from .groups import GroupSpec, Partition
 
 # Random conjugates on which mu_from_metric re-checks each non-singleton
@@ -63,7 +55,6 @@ class SpectralSummary:
     group: GroupSpec
     metric_kind: str
     entries: Tuple[SpectralEntry, ...]
-    trivial_discarded: bool = True
 
     @property
     def rank(self) -> int:
@@ -95,19 +86,16 @@ class SpectralSummary:
             "metric": self.metric_kind,
             "entries": [
                 {
-                    "eigenvalue": scalar_text(e.eigenvalue),
-                    "eigenvalue_float": scalar_float(e.eigenvalue),
+                    "eigenvalue": str(e.eigenvalue),
+                    "eigenvalue_float": float(e.eigenvalue),
                     "multiplicity": e.multiplicity,
                     "labels": [label_text(self.group, lab) for lab in e.labels],
                     "sign": e.sign,
                 }
                 for e in self.entries
             ],
-            "trivial_discarded": self.trivial_discarded,
+            "trivial_discarded": True,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 def mu_from_metric(spec: GroupSpec, metric) -> ClassFunction:
@@ -159,7 +147,7 @@ def _build_summary(spec: GroupSpec, metric_kind: str, rows, zero_multiplicity: i
         SpectralEntry(lam, mult, tuple(labels), "positive" if scalar_sign(lam) > 0 else "negative")
         for lam, (mult, labels) in merged.items()
     ]
-    entries.sort(key=lambda e: -scalar_float(e.eigenvalue))
+    entries.sort(key=lambda e: -float(e.eigenvalue))
     if zero_multiplicity:
         entries.append(SpectralEntry(Fraction(0), zero_multiplicity, tuple(zero_labels), "zero"))
     return SpectralSummary(group=spec, metric_kind=metric_kind, entries=tuple(entries))
@@ -188,7 +176,7 @@ def spectrum_via_characters(spec: GroupSpec, metric) -> SpectralSummary:
         if label == trivial:
             continue
         dim = characters.dimension(spec, label)
-        if scalar_is_zero(coeff):
+        if coeff == 0:
             zero_labels.append(label)
             zero_mult += dim * dim
         else:
@@ -243,7 +231,7 @@ def convolution_matrix(spec: GroupSpec, mu: ClassFunction) -> "np.ndarray":
     order; equals the non-centered kernel -(1/2) D o D entrywise."""
     _, table, inv = groups.multiplication_table(spec)
     labels, index = groups.class_index(spec)
-    values = np.array([float(mu.value(label)) for label in labels], dtype=float)
+    values = np.array([float(mu.values[label]) for label in labels], dtype=float)
     return values[index][table[:, inv]]
 
 

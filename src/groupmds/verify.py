@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dense, metrics, spectral
 from .errors import TooLargeError
-from .exact import normalize_scalar, scalar_float
+from .exact import normalize_scalar
 from .groups import GroupSpec
 
 DEFAULT_VERIFY_CAP = 720
@@ -87,7 +87,7 @@ def spectrum_match_deviation(summary, dec, rel_tol: float = 1e-8):
     counts = [e.multiplicity for e in summary.entries]
     if sum(counts) + 1 != len(dec.eigenvalues):
         return float("inf"), False
-    values = [scalar_float(e.eigenvalue) for e in summary.entries]
+    values = [float(e.eigenvalue) for e in summary.entries]
     predicted = np.sort(np.append(np.repeat(values, counts), 0.0))[::-1]
     max_dev = float(np.max(np.abs(predicted - dec.eigenvalues)))
     scale = max(1.0, float(np.max(np.abs(predicted))))
@@ -162,7 +162,7 @@ def oracle_equivalence_report(
         p = proj.matrix
         total += p
         proj_dev = max(proj_dev, float(np.max(np.abs(p @ p - p))))
-        lam = scalar_float(eigenvalues.get(label, 0))
+        lam = float(eigenvalues.get(label, 0))
         eig_dev = max(eig_dev, float(np.max(np.abs(p @ kernel.matrix - lam * p))))
     scale = max(1.0, float(np.max(np.abs(dec.eigenvalues))) if dec.size else 1.0)
     family = "all labels" if full_family else f"{len(labels)} sampled labels"

@@ -63,9 +63,18 @@ def test_spectrum_with_dense_verification(capsys):
     assert doc["dense_max_deviation"] < 1e-8
 
 
-def test_spectrum_invalid_combination_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "spectrum", "--group", "cyclic", "--n", "6",
-                         "--metric", "hamming")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--group", "cyclic", "--n", "6", "--metric", "hamming"],
+        ["spectrum", "--group", "sn", "--n", "0"],
+        ["chartable", "--group", "c2k", "--k", "-1"],
+        ["verify", "--group", "cyclic", "--n", "0"],
+    ],
+    ids=["hamming-on-cyclic", "sn-n0", "c2k-k-1", "cyclic-n0"],
+)
+def test_spectrum_invalid_combination_is_usage_error(capsys, argv):
+    code, _, _ = run_cli(capsys, *argv)
     assert code == 2
 
 
@@ -262,6 +271,21 @@ def test_verify_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--group", "sn", "--n", "7")
     assert code == 3
     assert "720" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--group", "sn", "--n", "8", "--cap", "40320"],
+        ["spectrum", "--group", "c2k", "--k", "15", "--verify", "--cap", "40000"],
+    ],
+    ids=["verify-sn8", "spectrum-verify-c2k15"],
+)
+def test_dense_request_over_the_byte_bound_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: the distance matrix of ")
 
 
 def test_verify_dump_distances(tmp_path, capsys):

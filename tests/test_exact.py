@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +10,7 @@ from groupmds.exact import (
     cyclotomic_polynomial,
     euler_phi,
     normalize_scalar,
-    scalar_float,
     scalar_sign,
-    scalar_text,
 )
 
 
@@ -44,7 +44,7 @@ def test_root_identities():
     assert Cyclotomic.root(4, 2) == -1
     # the sum of all n-th roots of unity vanishes
     for n in (3, 5, 6, 12):
-        total = Cyclotomic.zero(n)
+        total = Cyclotomic(n, [0] * n)
         for e in range(n):
             total = total + Cyclotomic.root(n, e)
         assert total.is_zero()
@@ -62,13 +62,39 @@ def test_conjugation_and_rationality():
 
 
 def test_to_float_matches_trig():
-    import math
-
     z = Cyclotomic.root(12, 1)
     real = z + z.conjugate()  # 2 cos(pi/6) = sqrt(3)
-    assert real.to_float() == pytest.approx(math.sqrt(3), abs=1e-12)
-    with pytest.raises(ValueError):
-        (z - z.conjugate()).to_float()  # purely imaginary
+    assert float(real) == pytest.approx(math.sqrt(3), abs=1e-12)
+    for nonreal in (z - z.conjugate(), Cyclotomic.root(3, 1), Cyclotomic.root(4, 1) * 5):
+        with pytest.raises(ValueError, match="not real"):
+            float(nonreal)
+
+
+@pytest.mark.parametrize("n, e", [(1, 0), (2, 1), (4, 1), (5, 2), (12, 7), (60, 13)])
+def test_root_converts_like_the_trigonometric_value(n, e):
+    root = complex(Cyclotomic.root(n, e))
+    assert root == pytest.approx(cmath.exp(2j * math.pi * e / n), abs=1e-12)
+    real = Cyclotomic.root(n, e) + Cyclotomic.root(n, -e)
+    assert float(real) == pytest.approx(2 * math.cos(2 * math.pi * e / n), abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [7, -3, 0, Fraction(5, 4), Fraction(-9, 2)])
+def test_rationals_convert_through_the_builtins(value):
+    assert float(value) == value
+    assert complex(value) == complex(float(value), 0.0)
+    assert value.conjugate() == value
+
+
+@pytest.mark.parametrize("value", [Fraction(7, 3), Fraction(-5, 2), Fraction(0), Fraction(-4)])
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_text_of_a_rational_cyclotomic_is_the_fraction_text(value, n):
+    # Adding 3 * (sum of all n-th roots), which is 0, spreads the value over
+    # every power, so the text has to come from the reduced form.
+    roots = sum(Cyclotomic.root(n, e) for e in range(n))
+    spread = Cyclotomic(n, [value] + [0] * (n - 1)) + roots * 3
+    assert str(spread) == str(value)
+    assert float(spread) == pytest.approx(float(value), abs=1e-12)
+    assert (spread == 0) == (value == 0)
 
 
 def test_scalar_helpers():
@@ -76,9 +102,9 @@ def test_scalar_helpers():
     assert scalar_sign(0) == 0
     z = Cyclotomic.root(12, 1)
     assert scalar_sign(z + z.conjugate()) == 1
-    assert scalar_text(Fraction(3, 2)) == "3/2"
-    assert scalar_text(Fraction(20)) == "20"
-    assert scalar_float(Fraction(1, 4)) == 0.25
+    assert str(Fraction(3, 2)) == "3/2"
+    assert str(Fraction(20)) == "20"
+    assert float(Fraction(1, 4)) == 0.25
 
 
 def test_mixed_arithmetic_with_fractions():
@@ -93,7 +119,7 @@ def test_text_form_of_irrational_value():
     z = Cyclotomic.root(12, 1)
     sqrt3 = z + z.conjugate()
     # canonical basis of Q(zeta_12) rewrites zeta^11 as powers below phi(12)=4
-    assert scalar_text(sqrt3) == "2*z12 - z12^3"
+    assert str(sqrt3) == "2*z12 - z12^3"
 
 
 @pytest.mark.parametrize("factor", [Fraction(-5, 3), 2, 0, Fraction(1, 7)])

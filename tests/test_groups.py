@@ -243,6 +243,15 @@ OVER_TABLE_BOUND_CALLS = [
     pytest.param(lambda: spectral.spectrum_via_characters(
         cyclic(40000), metrics.circular_arc_metric(cyclic(40000))),
         id="spectrum_via_characters-C40000"),
+    pytest.param(lambda: metrics.build_distance_matrix(
+        symmetric(8), metrics.hamming_metric(symmetric(8))),
+        id="build_distance_matrix-S8"),
+    pytest.param(lambda: metrics.build_distance_matrix(
+        elementary_abelian_2(15), metrics.hamming_metric(elementary_abelian_2(15))),
+        id="build_distance_matrix-C2^15"),
+    pytest.param(lambda: metrics.build_distance_matrix(
+        cyclic(40000), metrics.circular_arc_metric(cyclic(40000))),
+        id="build_distance_matrix-C40000"),
 ]
 
 

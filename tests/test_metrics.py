@@ -62,10 +62,10 @@ def test_distance_of_element_to_itself(spec, metric):
 
 def test_distance_to_identity_examples():
     s4 = symmetric(4)
-    assert hamming_metric(s4).distance_to_identity((2, 1, 4, 3)) == 4
+    assert hamming_metric(s4).distance((2, 1, 4, 3), s4.identity()) == 4
     c24 = elementary_abelian_2(4)
-    assert hamming_metric(c24).distance_to_identity((0, 1, 1, 0)) == 2
-    assert hamming_metric(s4).distance_to_identity(s4.identity()) == 0
+    assert hamming_metric(c24).distance((0, 1, 1, 0), c24.identity()) == 2
+    assert hamming_metric(s4).distance(s4.identity(), s4.identity()) == 0
 
 
 def test_circular_arc_distance():

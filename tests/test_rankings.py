@@ -19,6 +19,7 @@ from groupmds.rankings import (
     ranking_to_permutation,
     synthesize_rankings,
 )
+from groupmds.spectral import standard_rep_coordinates
 
 
 def test_parse_basic():
@@ -122,6 +123,20 @@ def test_embed_standard_runs_at_sushi_scale():
 def test_embed_standard_single_point_is_origin():
     emb = embed_dataset([PermutationSample((1, 2, 3, 4, 5), 9)], 5, 3, mode="standard")
     assert np.max(np.abs(emb.coordinates)) == 0.0
+
+
+def test_embed_standard_axes_have_a_positive_largest_entry():
+    # The axis signs must come from the data, not from the LAPACK build.
+    # Axis j is proportional to centered^T (w * coords[:, j]) with a positive
+    # factor (the total weight times its eigenvalue), so its sign is checkable.
+    samples = aggregate(synthesize_rankings(10, 5000, seed=1))
+    emb = embed_dataset(samples, 10, 3, mode="standard")
+    x = np.stack([standard_rep_coordinates(s.permutation, 10) for s in samples])
+    w = np.array([s.weight for s in samples], dtype=float)
+    centered = x - (w[:, None] * x).sum(axis=0) / w.sum()
+    for j in range(emb.coordinates.shape[1]):
+        axis = centered.T @ (w * emb.coordinates[:, j])
+        assert axis[np.argmax(np.abs(axis))] > 0
 
 
 def test_embed_argument_validation():

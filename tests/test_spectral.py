@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from groupmds import characters, dense, groups, metrics, verify
 from groupmds.errors import NotBiInvariantError, UnsupportedClosedFormError
-from groupmds.exact import scalar_float
 from groupmds.groups import Partition, cyclic, elementary_abelian_2, symmetric
 from groupmds.metrics import (
     build_distance_matrix,
@@ -42,16 +40,16 @@ def entry_map(summary):
 def test_mu_values_s4():
     s4 = symmetric(4)
     mu = mu_from_metric(s4, hamming_metric(s4))
-    assert mu.value(Partition((2, 1, 1))) == Fraction(-2)
-    assert mu.value(Partition((1, 1, 1, 1))) == 0
-    assert mu.value(Partition((4,))) == Fraction(-8)  # 4-cycles move all points
+    assert mu.values[Partition((2, 1, 1))] == Fraction(-2)
+    assert mu.values[Partition((1, 1, 1, 1))] == 0
+    assert mu.values[Partition((4,))] == Fraction(-8)  # 4-cycles move all points
 
 
 def test_mu_values_c23():
     c23 = elementary_abelian_2(3)
     mu = mu_from_metric(c23, hamming_metric(c23))
-    assert mu.value((1, 1, 1)) == Fraction(-9, 2)
-    assert mu.value((0, 0, 0)) == 0
+    assert mu.values[(1, 1, 1)] == Fraction(-9, 2)
+    assert mu.values[(0, 0, 0)] == 0
 
 
 class LengthMetric:
@@ -147,7 +145,7 @@ def test_spectrum_c4_against_dft_oracle():
     dft = np.fft.fft(mu_vec)  # lambda_j = sum_a mu(a) exp(-2 pi i j a / n)
     assert np.max(np.abs(dft.imag)) < 1e-12
     predicted = sorted(
-        scalar_float(e.eigenvalue) for e in summary.entries for _ in e.labels
+        float(e.eigenvalue) for e in summary.entries for _ in e.labels
     )
     assert np.allclose(sorted(dft.real[1:]), predicted, atol=1e-10)
 
@@ -170,7 +168,6 @@ def test_spectrum_multiplicity_is_squared_dimension_s5():
 def test_spectrum_census(spec):
     summary = spectrum_via_characters(spec, default_metric(spec))
     assert summary.accounted_dimension == spec.order
-    assert summary.trivial_discarded
 
 
 # --- closed forms ----------------------------------------------------------------
@@ -349,7 +346,7 @@ def test_projector_eigen_relation_all_labels_s4():
             lam = 0.0  # centering wipes the trivial block
         else:
             dim = characters.dimension(s4, label)
-            lam = scalar_float(decomp.coefficients[label]) * s4.order / dim
+            lam = float(decomp.coefficients[label]) * s4.order / dim
         assert np.max(np.abs(proj.matrix @ kernel.matrix - lam * proj.matrix)) <= 1e-8
 
 
@@ -500,7 +497,7 @@ def test_trace_identity_spot_values():
 
 def test_summary_json_schema():
     s4 = symmetric(4)
-    doc = json.loads(spectrum_via_characters(s4, hamming_metric(s4)).to_json())
+    doc = spectrum_via_characters(s4, hamming_metric(s4)).to_json_dict()
     assert doc["group"] == "symmetric(4)"
     assert doc["metric"] == "hamming-permutation"
     assert doc["trivial_discarded"] is True
