@@ -85,8 +85,10 @@ def cmd_spectrum(parser, args) -> int:
             summary = spectral.spectrum_via_characters(spec, metric)
         doc = summary.to_json_dict()
         if args.verify:
-            _, _, dec = verify.dense_oracle(spec, metric, args.cap)
-            deviation, ok = verify.spectrum_match_deviation(summary, dec)
+            _, kernel = verify.dense_oracle(spec, metric, args.cap)
+            deviation, ok = verify.spectrum_match_deviation(
+                summary, dense.kernel_eigenvalues(kernel)
+            )
             doc["dense_max_deviation"] = deviation
             doc["dense_match"] = ok
     except UnsupportedClosedFormError as exc:
@@ -191,9 +193,8 @@ def cmd_verify(parser, args) -> int:
     metric = _metric_from_args(parser, spec, args)
     report = verify.oracle_equivalence_report(spec, metric, cap=args.cap)
     if args.dump_distances:
-        dm = metrics.build_distance_matrix(spec, metric)
         with open(args.dump_distances, "w", encoding="utf-8") as fh:
-            fh.write(dm.to_csv())
+            fh.write(report.distances.to_csv())
     _emit("\n".join(report.lines()) + "\n", args.out)
     return EXIT_OK if report.passed else 1
 

@@ -1,11 +1,12 @@
 """Classical multidimensional scaling on arbitrary finite metric spaces.
 
 This is the brute-force pipeline every character-predicted spectrum is
-checked against: square the distances entrywise, double-center, take the
-full eigendecomposition, and read embeddings off the eigenpairs. Both the
-Euclidean (positive eigenvalues only) and the pseudo-Euclidean embedding
-(positive block plus negative block, squared distances subtract) are
-provided.
+checked against: square the distances entrywise and double-center, then
+either take the eigenvalues alone (``kernel_eigenvalues``, all the
+spectrum check reads) or the full eigendecomposition (``eigendecompose``)
+and read embeddings off the eigenpairs. Both the Euclidean (positive
+eigenvalues only) and the pseudo-Euclidean embedding (positive block plus
+negative block, squared distances subtract) are provided.
 """
 
 from __future__ import annotations
@@ -42,13 +43,18 @@ def _as_matrix(distance_matrix) -> np.ndarray:
 
 def double_center(distance_matrix) -> MdsKernel:
     """-(1/2) H (D o D) H with H the centering projection; the entrywise
-    square is applied before centering."""
+    square is applied before centering. The input is never written to:
+    the square is the one fresh array, and it is centered in place."""
     d = _as_matrix(distance_matrix)
     sq = d * d
     row_mean = sq.mean(axis=1, keepdims=True)
     col_mean = sq.mean(axis=0, keepdims=True)
     grand_mean = sq.mean()
-    return MdsKernel(matrix=-0.5 * (sq - row_mean - col_mean + grand_mean), centered=True)
+    sq -= row_mean
+    sq -= col_mean
+    sq += grand_mean
+    sq *= -0.5
+    return MdsKernel(matrix=sq, centered=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,17 +80,29 @@ class SpectralDecomposition:
         return int(np.sum(np.abs(self.eigenvalues) > self.zero_threshold))
 
 
+def _symmetric(kernel) -> np.ndarray:
+    """The kernel's matrix, symmetrized; a ValueError when it is not
+    symmetric within :data:`SYMMETRY_REL_TOL` of its largest entry."""
+    m = kernel.matrix if isinstance(kernel, MdsKernel) else np.asarray(kernel, dtype=float)
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    if scale and float(np.max(np.abs(m - m.T))) > SYMMETRY_REL_TOL * scale:
+        raise ValueError("kernel is not symmetric within tolerance")
+    return (m + m.T) / 2.0
+
+
+def kernel_eigenvalues(kernel) -> np.ndarray:
+    """Eigenvalues of a symmetric kernel in descending order, without
+    eigenvectors: all that a spectrum comparison reads."""
+    return np.linalg.eigvalsh(_symmetric(kernel))[::-1]
+
+
 def eigendecompose(kernel) -> SpectralDecomposition:
     """Eigendecompose a symmetric kernel.
 
     Eigenvalues come back in descending order. Each eigenvector is sign-fixed
     so its largest-magnitude entry (lowest index on ties) is positive.
     """
-    m = kernel.matrix if isinstance(kernel, MdsKernel) else np.asarray(kernel, dtype=float)
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if scale and float(np.max(np.abs(m - m.T))) > SYMMETRY_REL_TOL * scale:
-        raise ValueError("kernel is not symmetric within tolerance")
-    eigenvalues, eigenvectors = np.linalg.eigh((m + m.T) / 2.0)
+    eigenvalues, eigenvectors = np.linalg.eigh(_symmetric(kernel))
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]
     eigenvectors = eigenvectors[:, order]

@@ -114,9 +114,14 @@ def build_distance_matrix(spec: GroupSpec, metric) -> DistanceMatrix:
     m = len(elements)
     groups.check_bytes(m * m * 8, f"the distance matrix of {spec.text}")
     if isinstance(metric, Metric) and spec.kind == groups.CYCLIC:
-        arr = np.arange(spec.size, dtype=np.int64)
-        delta = np.abs(arr[:, None] - arr[None, :])
-        values = np.minimum(delta, spec.size - delta)
+        # min(|i - j|, n - |i - j|) filled into the one int64 matrix; the
+        # only temporary is the m x m bool mask of the long arcs.
+        n = spec.size
+        arr = np.arange(n, dtype=np.int64)
+        values = np.subtract.outer(arr, arr, out=np.empty((m, m), dtype=np.int64))
+        np.abs(values, out=values)
+        np.subtract(values, n, out=values, where=values > n // 2)
+        np.abs(values, out=values)
     elif isinstance(metric, Metric):
         # Hamming on permutations and on bit vectors alike, one coordinate
         # at a time into one reused m x m bool: an m x m x n temporary would

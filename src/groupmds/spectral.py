@@ -228,7 +228,14 @@ def closed_form_sn(n: int) -> SpectralSummary:
 
 def convolution_matrix(spec: GroupSpec, mu: ClassFunction) -> "np.ndarray":
     """The matrix with entry (h, g) = mu(h g^-1) over the enumeration
-    order; equals the non-centered kernel -(1/2) D o D entrywise."""
+    order; equals the non-centered kernel -(1/2) D o D entrywise.
+
+    Raises :class:`TooLargeError` before the table is built when the
+    group is over the enumeration cap or the float64 result would exceed
+    :data:`groups.TABLE_MAX_BYTES`.
+    """
+    groups.check_size(spec, spec.order, "elements")
+    groups.check_bytes(spec.order * spec.order * 8, f"the convolution matrix of {spec.text}")
     _, table, inv = groups.multiplication_table(spec)
     labels, index = groups.class_index(spec)
     values = np.array([float(mu.values[label]) for label in labels], dtype=float)

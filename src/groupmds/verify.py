@@ -2,7 +2,9 @@
 MDS pipeline, packaged so the CLI and the test suite run the same checks.
 
 For a (group, metric) pair of manageable order this builds the full
-distance matrix, centers and eigendecomposes it, and then verifies:
+distance matrix and centers it. ``spectrum --verify`` then needs only the
+kernel's eigenvalues (``dense.kernel_eigenvalues``); the full report
+eigendecomposes the kernel and verifies:
 
 * the predicted eigenvalues, expanded by multiplicity and sorted, match
   the sorted dense spectrum one by one;
@@ -41,6 +43,7 @@ class VerificationReport:
     group: GroupSpec
     metric_kind: str
     checks: tuple
+    distances: metrics.DistanceMatrix  # the matrix the dense checks ran on
 
     @property
     def passed(self) -> bool:
@@ -57,8 +60,8 @@ class VerificationReport:
 
 
 def dense_oracle(spec: GroupSpec, metric, cap: int):
-    """(distance matrix, centered kernel, eigendecomposition) of the dense
-    MDS pipeline on ``spec``.
+    """(distance matrix, centered kernel) of the dense MDS pipeline on
+    ``spec``; each caller decomposes the kernel as far as it reads it.
 
     Raises :class:`TooLargeError` before building anything when the group
     order exceeds ``cap``.
@@ -68,28 +71,29 @@ def dense_oracle(spec: GroupSpec, metric, cap: int):
             f"{spec.text} has order {spec.order}, above the verification cap {cap}", cap=cap
         )
     dm = metrics.build_distance_matrix(spec, metric)
-    kernel = dense.double_center(dm)
-    return dm, kernel, dense.eigendecompose(kernel)
+    return dm, dense.double_center(dm)
 
 
 def spectrum_match_deviation(summary, dec, rel_tol: float = 1e-8):
     """Compare the predicted spectrum with the dense one, eigenvalue by
     eigenvalue.
 
+    ``dec`` is a decomposition or the descending eigenvalues themselves.
     The predicted entries are expanded by multiplicity, with one extra zero
     for the trivial direction that centering removes, and sorted descending
-    like ``dec.eigenvalues``. By Weyl's inequality each sorted dense
-    eigenvalue then lies within the kernel's rounding error of its
-    predicted counterpart, however close distinct eigenvalues are, so no
-    clustering is needed. Returns (max absolute deviation, ok); a length
-    mismatch gives (inf, False).
+    like them. By Weyl's inequality each sorted dense eigenvalue then lies
+    within the kernel's rounding error of its predicted counterpart,
+    however close distinct eigenvalues are, so no clustering is needed.
+    Returns (max absolute deviation, ok); a length mismatch gives
+    (inf, False).
     """
+    eigenvalues = getattr(dec, "eigenvalues", dec)
     counts = [e.multiplicity for e in summary.entries]
-    if sum(counts) + 1 != len(dec.eigenvalues):
+    if sum(counts) + 1 != len(eigenvalues):
         return float("inf"), False
     values = [float(e.eigenvalue) for e in summary.entries]
     predicted = np.sort(np.append(np.repeat(values, counts), 0.0))[::-1]
-    max_dev = float(np.max(np.abs(predicted - dec.eigenvalues)))
+    max_dev = float(np.max(np.abs(predicted - eigenvalues)))
     scale = max(1.0, float(np.max(np.abs(predicted))))
     return max_dev, max_dev <= rel_tol * scale
 
@@ -109,7 +113,8 @@ def _trace_identity_holds(dm, summary) -> bool:
 def oracle_equivalence_report(
     spec: GroupSpec, metric, cap: int = DEFAULT_VERIFY_CAP
 ) -> VerificationReport:
-    dm, kernel, dec = dense_oracle(spec, metric, cap)
+    dm, kernel = dense_oracle(spec, metric, cap)
+    dec = dense.eigendecompose(kernel)
     summary = spectral.spectrum_via_characters(spec, metric)
     checks = []
 
@@ -190,4 +195,6 @@ def oracle_equivalence_report(
             )
         )
 
-    return VerificationReport(group=spec, metric_kind=summary.metric_kind, checks=tuple(checks))
+    return VerificationReport(
+        group=spec, metric_kind=summary.metric_kind, checks=tuple(checks), distances=dm
+    )

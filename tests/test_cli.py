@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupmds import cli
+from groupmds import cli, dense, groups, metrics
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +61,16 @@ def test_spectrum_with_dense_verification(capsys):
     doc = json.loads(out)
     assert doc["dense_match"] is True
     assert doc["dense_max_deviation"] < 1e-8
+
+
+def test_spectrum_verify_reads_eigenvalues_only(capsys, monkeypatch):
+    def no_eigenvectors(kernel):
+        raise AssertionError("spectrum --verify must not compute eigenvectors")
+
+    monkeypatch.setattr(dense, "eigendecompose", no_eigenvectors)
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "c2k", "--k", "5", "--verify")
+    assert code == 0
+    assert json.loads(out)["dense_match"] is True
 
 
 @pytest.mark.parametrize(
@@ -296,6 +306,25 @@ def test_verify_dump_distances(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "00,01,10,11"
     assert lines[1] == "0,1,1,2"
+
+
+def test_verify_dump_distances_reuses_the_report_matrix(tmp_path, capsys, monkeypatch):
+    built = []
+    build = metrics.build_distance_matrix
+
+    def counting_build(spec, metric):
+        built.append(spec.text)
+        return build(spec, metric)
+
+    monkeypatch.setattr(metrics, "build_distance_matrix", counting_build)
+    target = tmp_path / "d.csv"
+    code, _, _ = run_cli(capsys, "verify", "--group", "sn", "--n", "5",
+                         "--dump-distances", str(target))
+    assert code == 0
+    # One for the dense oracle, one inside the exhaustive invariance check.
+    assert len(built) == 2
+    spec = groups.symmetric(5)
+    assert target.read_text() == build(spec, metrics.hamming_metric(spec)).to_csv()
 
 
 def test_verify_cap_trips_before_dumping_distances(tmp_path, capsys):

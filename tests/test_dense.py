@@ -11,10 +11,11 @@ from groupmds.dense import (
     eigendecompose,
     embedding_to_csv,
     full_rank_pseudo_embedding,
+    kernel_eigenvalues,
     pseudo_embedding,
     strain,
 )
-from groupmds.groups import elementary_abelian_2, symmetric
+from groupmds.groups import cyclic, elementary_abelian_2, symmetric
 from groupmds.metrics import build_distance_matrix, hamming_metric
 
 
@@ -54,6 +55,19 @@ def test_double_center_matches_projection_matrices():
     h = centering_matrix(7)
     expected = -0.5 * h @ (d * d) @ h
     assert np.allclose(double_center(d).matrix, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [symmetric(5), elementary_abelian_2(6), cyclic(61)],
+                         ids=lambda spec: spec.text)
+def test_double_center_in_place_equals_the_formula(spec):
+    d = build_distance_matrix(spec, metrics.default_metric(spec)).values.astype(float)
+    before = d.copy()
+    sq = d * d
+    row = sq.mean(axis=1, keepdims=True)
+    col = sq.mean(axis=0, keepdims=True)
+    expected = -0.5 * (sq - row - col + sq.mean())
+    assert np.array_equal(double_center(d).matrix, expected)
+    assert np.array_equal(d, before)  # the float input is not written to
 
 
 def test_c22_kernel_trace():
@@ -111,6 +125,28 @@ def test_eigendecompose_rejects_asymmetric():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
         eigendecompose(bad)
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(lambda: kernel_of(symmetric(4)), id="S4"),
+    pytest.param(lambda: kernel_of(symmetric(5)), id="S5"),
+    pytest.param(lambda: kernel_of(elementary_abelian_2(6)), id="C2^6"),
+    pytest.param(lambda: kernel_of(cyclic(12)), id="C12"),
+    pytest.param(lambda: double_center(PATH_D), id="path"),
+])
+def test_kernel_eigenvalues_match_the_full_decomposition(kernel):
+    kernel = kernel()
+    values = kernel_eigenvalues(kernel)
+    expected = eigendecompose(kernel).eigenvalues
+    radius = float(np.max(np.abs(expected)))
+    assert values.shape == expected.shape
+    assert np.max(np.abs(values - expected)) <= 1e-10 * radius
+
+
+def test_kernel_eigenvalues_rejects_asymmetric():
+    bad = np.array([[0.0, 1.0], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        kernel_eigenvalues(bad)
 
 
 def test_sign_convention_deterministic():

@@ -252,6 +252,9 @@ OVER_TABLE_BOUND_CALLS = [
     pytest.param(lambda: metrics.build_distance_matrix(
         cyclic(40000), metrics.circular_arc_metric(cyclic(40000))),
         id="build_distance_matrix-C40000"),
+    # The (C_2)^14 table fits the bound; its float64 convolution matrix does not.
+    pytest.param(lambda: spectral.isotypic_projector(elementary_abelian_2(14), frozenset()),
+                 id="isotypic_projector-C2^14"),
 ]
 
 

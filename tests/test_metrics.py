@@ -118,6 +118,31 @@ def test_distance_matrix_invariants(spec, metric):
         assert dm.values[i, j] <= dm.values[i, k] + dm.values[k, j]
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 61, 2000])
+def test_circular_arc_matrix_matches_the_arc_formula(n):
+    spec = cyclic(n)
+    values = build_distance_matrix(spec, circular_arc_metric(spec)).values
+    delta = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    expected = np.minimum(delta, n - delta).astype(np.int64)
+    assert values.dtype == np.int64 and values.flags.c_contiguous
+    assert values.tobytes() == expected.tobytes()
+
+
+def test_circular_arc_matrix_is_built_in_place():
+    import tracemalloc
+
+    spec = cyclic(2000)
+    metric = circular_arc_metric(spec)
+    enumerate_elements(spec)
+    tracemalloc.start()
+    try:
+        values = build_distance_matrix(spec, metric).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * values.nbytes
+
+
 def test_distance_matrix_csv_header():
     c22 = elementary_abelian_2(2)
     dm = build_distance_matrix(c22, hamming_metric(c22))
