@@ -101,12 +101,11 @@ def cmd_chartable(parser, args) -> int:
     spec = _group_from_args(parser, args)
     n_classes = groups.conjugacy_class_count(spec)
     if n_classes > args.max_classes:
-        print(
-            f"error: {spec.text} has {n_classes} conjugacy classes, above the "
-            f"guard {args.max_classes}",
-            file=sys.stderr,
+        raise TooLargeError(
+            f"{spec.text} has {n_classes} conjugacy classes, above the guard "
+            f"{args.max_classes}",
+            cap=args.max_classes,
         )
-        return EXIT_GUARD
     table = characters.character_table(spec)
     text = table.to_csv() if args.format == "csv" else table.to_text()
     _emit(text, args.out)

@@ -22,11 +22,9 @@ SYMMETRY_REL_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class MdsKernel:
-    """A symmetric kernel matrix; ``centered`` records whether the
-    double-centering projection has been applied."""
+    """A double-centered symmetric kernel matrix."""
 
     matrix: np.ndarray
-    centered: bool
 
     @property
     def size(self) -> int:
@@ -54,7 +52,7 @@ def double_center(distance_matrix) -> MdsKernel:
     sq -= col_mean
     sq += grand_mean
     sq *= -0.5
-    return MdsKernel(matrix=sq, centered=True)
+    return MdsKernel(matrix=sq)
 
 
 @dataclass(frozen=True, eq=False)

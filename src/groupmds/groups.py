@@ -66,11 +66,7 @@ class GroupSpec:
         return self.size
 
     def identity(self) -> GroupElement:
-        if self.kind == SYMMETRIC:
-            return tuple(range(1, self.size + 1))
-        if self.kind == ELEMENTARY_ABELIAN_2:
-            return (0,) * self.size
-        return 0
+        return next(_iter_elements(self))
 
     @property
     def text(self) -> str:
@@ -214,32 +210,40 @@ def enumerate_elements(spec: GroupSpec) -> Tuple[GroupElement, ...]:
     enumeration cap.
     """
     check_size(spec, spec.order, "elements")
+    return tuple(_iter_elements(spec))
+
+
+def _iter_elements(spec: GroupSpec) -> Iterator[GroupElement]:
+    # The one enumeration order; its first item is the identity.
     if spec.kind == SYMMETRIC:
-        return tuple(_iter_permutations(range(1, spec.size + 1)))
+        return _iter_permutations(range(1, spec.size + 1))
     if spec.kind == ELEMENTARY_ABELIAN_2:
-        return tuple(_iter_product((0, 1), repeat=spec.size))
-    return tuple(range(spec.size))
+        return _iter_product((0, 1), repeat=spec.size)
+    return iter(range(spec.size))
+
+
+def _cycles(g: Tuple[int, ...]):
+    """The cycles of a permutation, fixed points included, each listed from
+    its smallest point, in order of that point."""
+    seen = [False] * len(g)
+    cycles = []
+    for start in range(1, len(g) + 1):
+        cyc = []
+        i = start
+        while not seen[i - 1]:
+            seen[i - 1] = True
+            cyc.append(i)
+            i = g[i - 1]
+        if cyc:
+            cycles.append(cyc)
+    return cycles
 
 
 def cycle_type(g: Tuple[int, ...]) -> Partition:
     """Cycle lengths of a permutation, as a partition (descending)."""
-    n = len(g)
-    if sorted(g) != list(range(1, n + 1)):
+    if sorted(g) != list(range(1, len(g) + 1)):
         raise InvalidElementError(f"{g!r} is not a permutation")
-    seen = [False] * n
-    lengths = []
-    for start in range(1, n + 1):
-        if seen[start - 1]:
-            continue
-        length = 0
-        i = start
-        while not seen[i - 1]:
-            seen[i - 1] = True
-            i = g[i - 1]
-            length += 1
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return Partition(tuple(lengths))
+    return Partition(tuple(sorted(map(len, _cycles(g)), reverse=True)))
 
 
 @lru_cache(maxsize=None)
@@ -359,21 +363,8 @@ def element_text(spec: GroupSpec, g: GroupElement) -> str:
 def cycle_notation(g: Tuple[int, ...]) -> str:
     """Display form of a permutation as cycles, fixed points omitted; "e" for
     the identity. Used only in human-facing output."""
-    n = len(g)
-    seen = [False] * n
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start - 1] or g[start - 1] == start:
-            seen[start - 1] = True
-            continue
-        cyc = []
-        i = start
-        while not seen[i - 1]:
-            seen[i - 1] = True
-            cyc.append(i)
-            i = g[i - 1]
-        cycles.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(cycles) if cycles else "e"
+    cycles = ["(" + " ".join(map(str, cyc)) + ")" for cyc in _cycles(g) if len(cyc) > 1]
+    return "".join(cycles) or "e"
 
 
 @lru_cache(maxsize=8)

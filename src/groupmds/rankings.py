@@ -119,9 +119,7 @@ def aggregate(dataset: RankingDataset) -> Tuple[PermutationSample, ...]:
     )
 
 
-def _standard_block_embedding(
-    samples: Sequence[PermutationSample], n: int, dims: int
-) -> EmbeddingResult:
+def _standard_block_embedding(samples: Sequence[PermutationSample], n: int, dims: int):
     from .spectral import standard_rep_coordinates
 
     x = np.stack([standard_rep_coordinates(s.permutation, n) for s in samples])
@@ -131,13 +129,13 @@ def _standard_block_embedding(
     cov = (centered.T * w) @ centered / w.sum()
     dec = dense.eigendecompose(cov)
     dims = min(dims, x.shape[1])
-    return EmbeddingResult(
-        coordinates=centered @ dec.eigenvectors[:, :dims],
-        eigenvalues=tuple(float(v) for v in dec.eigenvalues[:dims]),
-        signature=(dims, 0),
-        row_labels=tuple(",".join(str(i) for i in s.permutation) for s in samples),
-        weights=tuple(s.weight for s in samples),
-    )
+    coordinates = centered @ dec.eigenvectors[:, :dims]
+    eigenvalues = dec.eigenvalues[:dims].copy()
+    # Axes past the positive ones span rounding noise: they carry zeros.
+    positive = len(dec.positive_indices())
+    coordinates[:, positive:] = 0.0
+    eigenvalues[positive:] = 0.0
+    return coordinates, eigenvalues, False
 
 
 def embed_dataset(
@@ -149,7 +147,8 @@ def embed_dataset(
     observed rows. ``standard`` (n >= 4) computes direct coordinates in
     the dominant representation block per permutation and reduces to
     ``dims`` coordinates along the weighted principal axes of the observed
-    cloud, never enumerating the group.
+    cloud, never enumerating the group; axes beyond the cloud's positive
+    variance hold zeros.
     """
     if dims < 1:
         raise ValueError("dims must be >= 1")
@@ -165,25 +164,23 @@ def embed_dataset(
                 cap=DENSE_MODE_MAX_ITEMS,
             )
         spec = groups.symmetric(n)
-        metric = metrics.hamming_metric(spec)
-        dm = metrics.build_distance_matrix(spec, metric)
-        dec = dense.eigendecompose(dense.double_center(dm))
-        full = dense.classical_embedding(dec, dims)
+        dm = metrics.build_distance_matrix(spec, metrics.hamming_metric(spec))
+        full = dense.classical_embedding(dense.eigendecompose(dense.double_center(dm)), dims)
         index = {g: i for i, g in enumerate(dm.labels)}
-        rows = [index[s.permutation] for s in samples]
-        return EmbeddingResult(
-            coordinates=full.coordinates[rows],
-            eigenvalues=full.eigenvalues,
-            signature=full.signature,
-            truncated=full.truncated,
-            row_labels=tuple(
-                ",".join(str(i) for i in s.permutation) for s in samples
-            ),
-            weights=tuple(s.weight for s in samples),
-        )
-    if n < 4:
+        coordinates = full.coordinates[[index[s.permutation] for s in samples]]
+        eigenvalues, truncated = full.eigenvalues, full.truncated
+    elif n < 4:
         raise ValueError("standard mode requires n >= 4")
-    return _standard_block_embedding(samples, n, dims)
+    else:
+        coordinates, eigenvalues, truncated = _standard_block_embedding(samples, n, dims)
+    return EmbeddingResult(
+        coordinates=coordinates,
+        eigenvalues=tuple(float(v) for v in eigenvalues),
+        signature=(coordinates.shape[1], 0),
+        truncated=truncated,
+        row_labels=tuple(",".join(str(i) for i in s.permutation) for s in samples),
+        weights=tuple(s.weight for s in samples),
+    )
 
 
 def synthesize_rankings(n_items: int, n_rows: int, seed: int) -> RankingDataset:

@@ -278,8 +278,8 @@ def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
         rank = len(merged)
     else:
         dim = characters.dimension(spec, label)
-        coeff = {cls.label: float(characters.character_value(spec, label, cls.label)) * dim
-                 / spec.order for cls in groups.conjugacy_classes(spec)}
+        chi = characters.character_class_function(spec, label).values
+        coeff = {c: float(v) * dim / spec.order for c, v in chi.items()}
         labels = (label,)
         rank = dim * dim
     matrix = convolution_matrix(spec, ClassFunction(spec, coeff))

@@ -440,6 +440,20 @@ def test_kernel_matches_inner_products_past_int64(spec, order):
     assert decompose_class_function(f).coefficients == loop_decomposition(f)
 
 
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_c2k_kernel_ignores_the_order_of_the_class_function_keys(k):
+    # The FWHT is filled in enumeration order, not in the dict's order.
+    spec = elementary_abelian_2(k)
+    rng = random.Random(46)
+    ordered = {g: random_rational(rng) for g in groups.enumerate_elements(spec)}
+    keys = list(ordered)
+    rng.shuffle(keys)
+    shuffled = {g: ordered[g] for g in keys}
+    expected = decompose_class_function(ClassFunction(spec, ordered)).coefficients
+    assert decompose_class_function(ClassFunction(spec, shuffled)).coefficients == expected
+    assert expected == loop_decomposition(ClassFunction(spec, ordered))
+
+
 def test_kernel_rejects_values_from_two_cyclotomic_fields():
     s3 = symmetric(3)
     values = {c.label: Cyclotomic.root(3, 1) for c in groups.conjugacy_classes(s3)}

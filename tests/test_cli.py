@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -118,9 +119,19 @@ def test_chartable_s3_text(capsys):
 def test_chartable_class_guard(capsys):
     code, _, err = run_cli(capsys, "chartable", "--group", "sn", "--n", "30")
     assert code == 3
-    assert "5604" in err
+    assert err == "error: symmetric(30) has 5604 conjugacy classes, above the guard 200\n"
     code, out, _ = run_cli(capsys, "chartable", "--group", "sn", "--n", "9")
     assert code == 0
+
+
+def test_spectrum_refuses_cyclic_coefficients_over_the_byte_bound_quickly(capsys):
+    # C_3000 would return 3000 x (3000 + phi(3000)) exact Fractions, about
+    # 1.3 GB; the guard trips before the kernel allocates anything.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", "--group", "cyclic", "--n", "3000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "the exact coefficients of cyclic(3000)" in err
 
 
 def test_embed_and_plot_pipeline(tmp_path, capsys):

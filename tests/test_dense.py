@@ -39,7 +39,6 @@ PATH_D = np.abs(PATH_POSITIONS[:, None] - PATH_POSITIONS[None, :])
 def test_double_center_two_points():
     kernel = double_center(np.array([[0.0, 2.0], [2.0, 0.0]]))
     assert np.allclose(kernel.matrix, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-14)
-    assert kernel.centered
 
 
 def test_double_center_zero_matrix():

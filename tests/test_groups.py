@@ -43,6 +43,44 @@ def brute_force_inverse(spec, g):
     raise AssertionError("no inverse found")
 
 
+def walk_cycle_type(g):
+    """Reference: the separate cycle-length walk cycle_type once had."""
+    n = len(g)
+    seen = [False] * n
+    lengths = []
+    for start in range(1, n + 1):
+        if seen[start - 1]:
+            continue
+        length = 0
+        i = start
+        while not seen[i - 1]:
+            seen[i - 1] = True
+            i = g[i - 1]
+            length += 1
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return Partition(tuple(lengths))
+
+
+def walk_cycle_notation(g):
+    """Reference: the separate walk cycle_notation once had."""
+    n = len(g)
+    seen = [False] * n
+    cycles = []
+    for start in range(1, n + 1):
+        if seen[start - 1] or g[start - 1] == start:
+            seen[start - 1] = True
+            continue
+        cyc = []
+        i = start
+        while not seen[i - 1]:
+            seen[i - 1] = True
+            cyc.append(i)
+            i = g[i - 1]
+        cycles.append("(" + " ".join(str(x) for x in cyc) + ")")
+    return "".join(cycles) if cycles else "e"
+
+
 def brute_partitions(n):
     out = set()
 
@@ -147,11 +185,22 @@ def test_enumerate_s3():
 
 
 @pytest.mark.parametrize(
-    "spec", [symmetric(1), symmetric(5), elementary_abelian_2(1), elementary_abelian_2(4),
-             cyclic(1), cyclic(9)], ids=lambda s: s.text)
+    "spec", [symmetric(1), symmetric(2), symmetric(5), symmetric(7),
+             elementary_abelian_2(1), elementary_abelian_2(4), elementary_abelian_2(10),
+             cyclic(1), cyclic(2), cyclic(9), cyclic(500)], ids=lambda s: s.text)
 def test_enumeration_lists_the_identity_first(spec):
     # The inverse index and the invariance check read row and column 0.
-    assert enumerate_elements(spec)[0] == spec.identity()
+    e = spec.identity()
+    assert enumerate_elements(spec)[0] == e
+    assert all(multiply(spec, e, g) == g == multiply(spec, g, e)
+               for g in enumerate_elements(spec)[:50])
+
+
+def test_identity_of_a_group_over_the_enumeration_cap():
+    # identity() reads one element, so it needs no enumeration guard.
+    assert symmetric(20).identity() == tuple(range(1, 21))
+    assert elementary_abelian_2(40).identity() == (0,) * 40
+    assert cyclic(10 ** 9).identity() == 0
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.text)
@@ -236,13 +285,16 @@ OVER_TABLE_BOUND_CALLS = [
                  id="multiplication_table-C2^15"),
     pytest.param(lambda: groups.multiplication_table(cyclic(40000)),
                  id="multiplication_table-C40000"),
-    # The 40000 x 16000 reduction matrix of Q(zeta_40000) and the 40000 x 40000
-    # row sums of the C_40000 kernel.
+    # The 40000 x 16000 reduction matrix of Q(zeta_40000), and the exact
+    # coefficients the C_40000 and C_3000 kernels would return.
     pytest.param(lambda: characters.character_table(cyclic(40000)),
                  id="character_table-C40000"),
     pytest.param(lambda: spectral.spectrum_via_characters(
         cyclic(40000), metrics.circular_arc_metric(cyclic(40000))),
         id="spectrum_via_characters-C40000"),
+    pytest.param(lambda: spectral.spectrum_via_characters(
+        cyclic(3000), metrics.circular_arc_metric(cyclic(3000))),
+        id="spectrum_via_characters-C3000"),
     pytest.param(lambda: metrics.build_distance_matrix(
         symmetric(8), metrics.hamming_metric(symmetric(8))),
         id="build_distance_matrix-S8"),
@@ -392,6 +444,13 @@ def test_element_text_roundtrip():
                 assert tuple(int(c) for c in text) == g
             else:
                 assert int(text) == g
+
+
+def test_cycle_walks_match_the_separate_references_on_s1_to_s6():
+    for n in range(1, 7):
+        for g in enumerate_elements(symmetric(n)):
+            assert cycle_type(g) == walk_cycle_type(g)
+            assert groups.cycle_notation(g) == walk_cycle_notation(g)
 
 
 def test_cycle_notation_display():

@@ -125,6 +125,17 @@ def test_embed_standard_single_point_is_origin():
     assert np.max(np.abs(emb.coordinates)) == 0.0
 
 
+def test_embed_standard_axes_past_the_positive_variance_are_exact_zeros():
+    # At n = 4 the block has rank (n-1)^2 = 9 of the 16 columns; eigh fills
+    # the other 7 with rounding noise, which must not reach the output.
+    samples = aggregate(synthesize_rankings(4, 500, seed=3))
+    emb = embed_dataset(samples, 4, 16, mode="standard")
+    assert emb.coordinates.shape == (len(samples), 16)
+    assert np.all(np.abs(emb.coordinates[:, :9]).max(axis=0) > 0.1)
+    assert np.all(emb.coordinates[:, 9:] == 0.0)
+    assert emb.eigenvalues[9:] == (0.0,) * 7
+
+
 def test_embed_standard_axes_have_a_positive_largest_entry():
     # The axis signs must come from the data, not from the LAPACK build.
     # Axis j is proportional to centered^T (w * coords[:, j]) with a positive

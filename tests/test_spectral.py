@@ -403,6 +403,19 @@ def test_oracle_equivalence(spec):
     assert report.passed, "\n".join(report.lines())
 
 
+@pytest.mark.parametrize("n", [90, 500])
+def test_cyclic_arc_spectra_under_the_coefficient_bound_match_the_dft(n):
+    # The byte guard on the exact coefficients admits these sizes, and the
+    # exact spectrum still equals the DFT of mu.
+    spec = cyclic(n)
+    summary = spectrum_via_characters(spec, circular_arc_metric(spec))
+    a = np.arange(n)
+    lam = np.fft.fft(-np.minimum(a, n - a) ** 2 / 2.0).real
+    dense_values = np.sort(np.append(lam[1:], 0.0))[::-1]
+    deviation, ok = verify.spectrum_match_deviation(summary, dense_values)
+    assert ok, deviation
+
+
 def test_spectrum_match_separates_close_cyclic_eigenvalues():
     # Distinct arc eigenvalues of C_720 lie 1.45e-9 of the spectral radius
     # apart, below rel_tol; a match over clusters merged them.
