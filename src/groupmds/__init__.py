@@ -16,7 +16,6 @@ from .dense import (
     eigendecompose,
     embedding_to_csv,
     full_rank_pseudo_embedding,
-    pseudo_embedding,
     strain,
 )
 from .errors import (

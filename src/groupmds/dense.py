@@ -154,14 +154,11 @@ def classical_embedding(dec: SpectralDecomposition, k: int) -> EmbeddingResult:
     )
 
 
-def pseudo_embedding(dec: SpectralDecomposition, k: int) -> EmbeddingResult:
-    """Pseudo-Euclidean embedding on the k largest-|eigenvalue| nonzero
-    directions, positive block first."""
+def full_rank_pseudo_embedding(dec: SpectralDecomposition) -> EmbeddingResult:
+    """Pseudo-Euclidean embedding on every nonzero direction, positive
+    block first, each block by descending |eigenvalue|."""
     nonzero = np.where(np.abs(dec.eigenvalues) > dec.zero_threshold)[0]
-    if k > len(nonzero):
-        raise ValueError(f"k={k} exceeds the {len(nonzero)} nonzero eigenvalues")
-    by_magnitude = nonzero[np.argsort(-np.abs(dec.eigenvalues[nonzero]), kind="stable")]
-    kept = by_magnitude[:k]
+    kept = nonzero[np.argsort(-np.abs(dec.eigenvalues[nonzero]), kind="stable")]
     kept_vals = dec.eigenvalues[kept]
     pos_kept = kept[kept_vals > 0]
     neg_kept = kept[kept_vals < 0]
@@ -172,10 +169,6 @@ def pseudo_embedding(dec: SpectralDecomposition, k: int) -> EmbeddingResult:
         eigenvalues=tuple(float(v) for v in dec.eigenvalues[ordered]),
         signature=(len(pos_kept), len(neg_kept)),
     )
-
-
-def full_rank_pseudo_embedding(dec: SpectralDecomposition) -> EmbeddingResult:
-    return pseudo_embedding(dec, dec.nonzero_count())
 
 
 def pseudo_distance_sq_matrix(emb: EmbeddingResult) -> np.ndarray:
@@ -213,8 +206,8 @@ def embedding_to_csv(emb: EmbeddingResult) -> str:
     writer.writerow(header)
     labels = emb.row_labels if emb.row_labels is not None else tuple(str(i) for i in range(n))
     weights = emb.weights if emb.weights is not None else (1,) * n
-    for i in range(n):
-        row = [i, labels[i], weights[i]]
-        row.extend(repr(float(v)) for v in emb.coordinates[i])
-        writer.writerow(row)
+    writer.writerows(
+        [i, label, weight, *map(repr, coords)]
+        for i, (label, weight, coords) in enumerate(zip(labels, weights, emb.coordinates.tolist()))
+    )
     return buf.getvalue()

@@ -5,14 +5,18 @@ File format (UTF-8 text): the first line holds comma-separated item
 labels; each following non-empty line holds comma-separated 1-based item
 indices in rank order, with an optional ``;count`` suffix for
 pre-aggregated rows; ``#`` starts a comment line.
+
+A dataset is held as arrays: one ``(rows × n)`` int64 array of rankings
+and one vector of counts. Every stage from parsing to embedding works on
+whole arrays, so no per-row Python object is built on the way.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -29,10 +33,21 @@ class RankingRecord:
     count: int = 1
 
 
-@dataclass(frozen=True)
+def _count_array(counts) -> np.ndarray:
+    """Counts as int64, or as Python ints when their sum would pass int64,
+    so that summed weights stay exact."""
+    fits = sum(counts) <= np.iinfo(np.int64).max
+    return np.array(counts, dtype=np.int64 if fits else object)
+
+
+@dataclass(frozen=True, eq=False)
 class RankingDataset:
+    """``rankings`` holds one row of item indices per ranking, in rank
+    order; ``counts`` holds each row's count."""
+
     items: Tuple[str, ...]
-    records: Tuple[RankingRecord, ...]
+    rankings: np.ndarray  # (rows, n) int64
+    counts: np.ndarray  # (rows,)
 
     @property
     def n_items(self) -> int:
@@ -40,7 +55,14 @@ class RankingDataset:
 
     @property
     def total_count(self) -> int:
-        return sum(r.count for r in self.records)
+        return int(self.counts.sum())
+
+    @property
+    def records(self) -> Tuple[RankingRecord, ...]:
+        return tuple(
+            RankingRecord(ranking=tuple(row), count=count)
+            for row, count in zip(self.rankings.tolist(), self.counts.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -49,10 +71,62 @@ class PermutationSample:
     weight: int
 
 
+@dataclass(frozen=True, eq=False)
+class AggregatedSamples(Sequence):
+    """Distinct permutations, one row each in lexicographic order, with
+    their summed weights; a sequence of :class:`PermutationSample`."""
+
+    permutations: np.ndarray  # (k, n) int64
+    weights: np.ndarray  # (k,)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return AggregatedSamples(self.permutations[i], self.weights[i])
+        return PermutationSample(tuple(self.permutations[i].tolist()), int(self.weights[i]))
+
+    def __iter__(self) -> Iterator[PermutationSample]:
+        for perm, weight in zip(self.permutations.tolist(), self.weights.tolist()):
+            yield PermutationSample(tuple(perm), weight)
+
+
+def _full_rankings(entries: list, n: int, line_nos: list) -> np.ndarray:
+    """The rows read so far as a (rows × n) int64 array; a
+    :class:`RankingParseError` on the first row that is not a full
+    ranking of 1..n."""
+    try:
+        rows = np.array(entries, dtype=np.int64).reshape(-1, n)
+    except OverflowError:  # an entry past int64 is out of range anyway
+        rows = np.array(entries, dtype=object).reshape(-1, n)
+    bad = np.flatnonzero((np.sort(rows, axis=1) != np.arange(1, n + 1)).any(axis=1))
+    if bad.size:
+        line_no = line_nos[bad[0]]
+        raise RankingParseError(
+            f"line {line_no}: not a full ranking of 1..{n}", line_number=line_no
+        )
+    return rows
+
+
 def parse_rankings(text: str) -> RankingDataset:
-    """Parse the documented ranking format; errors carry 1-based line numbers."""
+    """Parse the documented ranking format; errors carry 1-based line numbers.
+
+    One pass over the lines checks the header, each count and each row's
+    width; whether every row is a full ranking is one array test at the
+    end. A fault met in the pass is raised only after the rows before it
+    pass that test, so the first offending line is the one reported.
+    """
     items: Optional[Tuple[str, ...]] = None
-    records = []
+    entries: list = []  # row-major, n per row
+    counts: list = []
+    line_nos: list = []
+
+    def fault(line_no: int, message: str) -> RankingParseError:
+        if line_nos:
+            _full_rankings(entries, n, line_nos)
+        return RankingParseError(f"line {line_no}: {message}", line_number=line_no)
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -60,10 +134,9 @@ def parse_rankings(text: str) -> RankingDataset:
         if items is None:
             labels = tuple(part.strip() for part in line.split(","))
             if any(not lab for lab in labels):
-                raise RankingParseError(
-                    f"line {line_no}: empty item label in header", line_number=line_no
-                )
+                raise fault(line_no, "empty item label in header")
             items = labels
+            n = len(items)
             continue
         count = 1
         body = line
@@ -72,60 +145,78 @@ def parse_rankings(text: str) -> RankingDataset:
             try:
                 count = int(suffix.strip())
             except ValueError:
-                raise RankingParseError(
-                    f"line {line_no}: bad count suffix {suffix.strip()!r}", line_number=line_no
-                )
+                raise fault(line_no, f"bad count suffix {suffix.strip()!r}")
             if count < 1:
-                raise RankingParseError(
-                    f"line {line_no}: count must be positive", line_number=line_no
-                )
+                raise fault(line_no, "count must be positive")
         try:
-            ranking = tuple(int(part) for part in body.split(","))
+            ranking = list(map(int, body.split(",")))
         except ValueError:
-            raise RankingParseError(
-                f"line {line_no}: non-integer entry", line_number=line_no
-            )
-        if len(ranking) != len(items):
-            raise RankingParseError(
-                f"line {line_no}: expected {len(items)} entries, got {len(ranking)}",
-                line_number=line_no,
-            )
-        if sorted(ranking) != list(range(1, len(items) + 1)):
-            raise RankingParseError(
-                f"line {line_no}: not a full ranking of 1..{len(items)}",
-                line_number=line_no,
-            )
-        records.append(RankingRecord(ranking=ranking, count=count))
+            raise fault(line_no, "non-integer entry")
+        if len(ranking) != n:
+            raise fault(line_no, f"expected {n} entries, got {len(ranking)}")
+        entries.extend(ranking)
+        counts.append(count)
+        line_nos.append(line_no)
     if items is None:
         raise RankingParseError("empty input: no item header line", line_number=1)
-    return RankingDataset(items=items, records=tuple(records))
+    rankings = _full_rankings(entries, n, line_nos)
+    return RankingDataset(items=items, rankings=rankings, counts=_count_array(counts))
 
 
-def ranking_to_permutation(ranking: Sequence[int]) -> Tuple[int, ...]:
+def ranking_to_permutation(ranking):
     """The permutation taking item order to the ranked order: g(i) = rank
-    position of item i."""
-    rank_of = {item: pos for pos, item in enumerate(ranking, start=1)}
-    return tuple(rank_of[item] for item in range(1, len(ranking) + 1))
+    position of item i. One ranking gives a tuple; a (k × n) array of
+    rankings gives the (k × n) int64 array of their permutations. A row
+    that is not a full ranking of 1..n raises ValueError."""
+    given = np.asarray(ranking, dtype=np.int64)
+    rows = np.atleast_2d(given)
+    k, n = rows.shape
+    perm = np.zeros_like(rows)
+    in_range = not rows.size or (rows.min() >= 1 and rows.max() <= n)
+    if in_range:
+        perm[np.arange(k)[:, None], rows - 1] = np.arange(1, n + 1)
+    if not (in_range and perm.all()):  # a zero left is an item never ranked
+        raise ValueError(f"not a full ranking of 1..{n}")
+    return perm if given.ndim == 2 else tuple(perm[0].tolist())
 
 
-def aggregate(dataset: RankingDataset) -> Tuple[PermutationSample, ...]:
+def aggregate(dataset: RankingDataset) -> AggregatedSamples:
     """Distinct permutations with summed counts, lexicographic order."""
-    weights: Counter = Counter()
-    for record in dataset.records:
-        weights[ranking_to_permutation(record.ranking)] += record.count
-    return tuple(
-        PermutationSample(permutation=perm, weight=weights[perm])
-        for perm in sorted(weights)
+    perms = ranking_to_permutation(dataset.rankings)
+    order = np.lexsort(perms.T[::-1])  # the first column is the primary key
+    perms = perms[order]
+    starts = np.ones(len(perms), dtype=bool)
+    starts[1:] = (perms[1:] != perms[:-1]).any(axis=1)
+    starts = np.flatnonzero(starts)
+    return AggregatedSamples(
+        permutations=perms[starts],
+        weights=np.add.reduceat(dataset.counts[order], starts),
     )
 
 
-def _standard_block_embedding(samples: Sequence[PermutationSample], n: int, dims: int):
+def _as_arrays(samples) -> AggregatedSamples:
+    if isinstance(samples, AggregatedSamples):
+        return samples
+    return AggregatedSamples(
+        permutations=np.array([s.permutation for s in samples], dtype=np.int64),
+        weights=_count_array([s.weight for s in samples]),
+    )
+
+
+def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
     from .spectral import standard_rep_coordinates
 
-    x = np.stack([standard_rep_coordinates(s.permutation, n) for s in samples])
-    w = np.array([s.weight for s in samples], dtype=float)
+    # The k × n^2 block and its two same-size temporaries, then the
+    # n^2 × n^2 covariance and three same-size copies inside eigendecompose.
+    k = len(samples)
+    groups.check_bytes(
+        8 * (3 * k * n * n + 4 * n ** 4),
+        f"the standard-block embedding of {k} permutations of {n} items",
+    )
+    x = standard_rep_coordinates(samples.permutations, n)
+    w = samples.weights.astype(float)
     mean = (w[:, None] * x).sum(axis=0) / w.sum()
-    centered = x - mean
+    centered = np.subtract(x, mean, out=x)  # in place: one k × n^2 copy fewer
     cov = (centered.T * w) @ centered / w.sum()
     dec = dense.eigendecompose(cov)
     dims = min(dims, x.shape[1])
@@ -138,17 +229,17 @@ def _standard_block_embedding(samples: Sequence[PermutationSample], n: int, dims
     return coordinates, eigenvalues, False
 
 
-def embed_dataset(
-    samples: Sequence[PermutationSample], n: int, dims: int, mode: str = "dense"
-) -> EmbeddingResult:
-    """Embed the observed permutations.
+def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingResult:
+    """Embed the observed permutations: ``samples`` is what :func:`aggregate`
+    returns or any sequence of :class:`PermutationSample`.
 
     ``dense`` (n <= 7) runs full MDS on all of S_n and selects the
     observed rows. ``standard`` (n >= 4) computes direct coordinates in
     the dominant representation block per permutation and reduces to
     ``dims`` coordinates along the weighted principal axes of the observed
     cloud, never enumerating the group; axes beyond the cloud's positive
-    variance hold zeros.
+    variance hold zeros. Standard mode raises :class:`TooLargeError`
+    before it allocates more than :data:`groups.TABLE_MAX_BYTES`.
     """
     if dims < 1:
         raise ValueError("dims must be >= 1")
@@ -156,6 +247,7 @@ def embed_dataset(
         raise ValueError(f"mode must be dense or standard, not {mode!r}")
     if not samples:
         raise ValueError("no samples to embed")
+    samples = _as_arrays(samples)
     if mode == "dense":
         if n > DENSE_MODE_MAX_ITEMS:
             raise TooLargeError(
@@ -167,7 +259,8 @@ def embed_dataset(
         dm = metrics.build_distance_matrix(spec, metrics.hamming_metric(spec))
         full = dense.classical_embedding(dense.eigendecompose(dense.double_center(dm)), dims)
         index = {g: i for i, g in enumerate(dm.labels)}
-        coordinates = full.coordinates[[index[s.permutation] for s in samples]]
+        rows = [index[tuple(p)] for p in samples.permutations.tolist()]
+        coordinates = full.coordinates[rows]
         eigenvalues, truncated = full.eigenvalues, full.truncated
     elif n < 4:
         raise ValueError("standard mode requires n >= 4")
@@ -178,8 +271,8 @@ def embed_dataset(
         eigenvalues=tuple(float(v) for v in eigenvalues),
         signature=(coordinates.shape[1], 0),
         truncated=truncated,
-        row_labels=tuple(",".join(str(i) for i in s.permutation) for s in samples),
-        weights=tuple(s.weight for s in samples),
+        row_labels=tuple(",".join(map(str, p)) for p in samples.permutations.tolist()),
+        weights=tuple(samples.weights.tolist()),
     )
 
 
@@ -190,19 +283,21 @@ def synthesize_rankings(n_items: int, n_rows: int, seed: int) -> RankingDataset:
         raise ValueError("need at least 2 items")
     rng = random.Random(seed)
     items = tuple(f"item{i}" for i in range(1, n_items + 1))
-    records = []
+    entries = []
     ranking = list(range(1, n_items + 1))
     for _ in range(n_rows):
         rng.shuffle(ranking)
-        records.append(RankingRecord(ranking=tuple(ranking), count=1))
-    return RankingDataset(items=items, records=tuple(records))
+        entries.extend(ranking)
+    return RankingDataset(
+        items=items,
+        rankings=np.array(entries, dtype=np.int64).reshape(n_rows, n_items),
+        counts=np.ones(n_rows, dtype=np.int64),
+    )
 
 
 def dataset_to_text(dataset: RankingDataset) -> str:
     lines = [",".join(dataset.items)]
-    for record in dataset.records:
-        row = ",".join(str(i) for i in record.ranking)
-        if record.count != 1:
-            row += f";{record.count}"
-        lines.append(row)
+    for row, count in zip(dataset.rankings.tolist(), dataset.counts.tolist()):
+        line = ",".join(map(str, row))
+        lines.append(line if count == 1 else f"{line};{count}")
     return "\n".join(lines) + "\n"

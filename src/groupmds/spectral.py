@@ -286,14 +286,18 @@ def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
     return IsotypicProjector(labels=labels, matrix=matrix, rank=rank)
 
 
-def standard_rep_coordinates(g: Tuple[int, ...], n: int) -> np.ndarray:
+def standard_rep_coordinates(g, n: int) -> np.ndarray:
     """Direct coordinates of a permutation in the dominant block, length
-    n^2, no group enumeration. For any two permutations the squared
-    Euclidean distance of these vectors is (2n - 3) * hamming(g, h)."""
-    if len(g) != n:
+    n^2, no group enumeration; a (k × n) array of permutations gives their
+    (k × n^2) array. For any two permutations the squared Euclidean
+    distance of these vectors is (2n - 3) * hamming(g, h)."""
+    given = np.asarray(g, dtype=np.int64)
+    if given.shape[-1] != n:
         raise ValueError("permutation length does not match n")
+    perms = np.atleast_2d(given)
+    k = perms.shape[0]
     scale = math.sqrt((2.0 * n - 3.0) / 2.0)
-    coords = np.full((n, n), -scale / n)
-    for j, image in enumerate(g):
-        coords[image - 1, j] += scale
-    return coords.reshape(n * n)
+    coords = np.full((k, n, n), -scale / n)
+    # coords[r, g_r(j) - 1, j] += scale, one unbuffered add per entry
+    np.add.at(coords, (np.arange(k)[:, None], perms - 1, np.arange(n)), scale)
+    return coords.reshape(k, n * n) if given.ndim == 2 else coords.reshape(n * n)

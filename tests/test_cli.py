@@ -175,6 +175,20 @@ def test_embed_standard_sushi_scale(tmp_path, capsys):
     assert sum(int(r[2]) for r in rows) == 5000
 
 
+def test_embed_standard_refuses_a_block_over_the_byte_bound_quickly(tmp_path, capsys):
+    # 2000 distinct rankings of 200 items: the 2000 x 40000 block alone is
+    # 640 MB per copy, and the 40000^2 covariance 12.8 GB.
+    ranking_file = tmp_path / "wide.txt"
+    run_cli(capsys, "synthesize", "--items", "200", "--rows", "2000",
+            "--seed", "3", "--out", str(ranking_file))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "embed", "--input", str(ranking_file),
+                             "--mode", "standard")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the standard-block embedding of 2000 permutations of 200 items")
+
+
 def test_embed_dims_zero_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "embed", "--input", "whatever.txt", "--dims", "0")
     assert code == 2

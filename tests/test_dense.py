@@ -12,7 +12,6 @@ from groupmds.dense import (
     embedding_to_csv,
     full_rank_pseudo_embedding,
     kernel_eigenvalues,
-    pseudo_embedding,
     strain,
 )
 from groupmds.groups import cyclic, elementary_abelian_2, symmetric
@@ -203,7 +202,7 @@ def test_classical_embedding_distances_match_euclidean_input():
 
 def test_pseudo_embedding_signatures():
     dec = eigendecompose(kernel_of(elementary_abelian_2(2)))
-    emb = pseudo_embedding(dec, 3)
+    emb = full_rank_pseudo_embedding(dec)
     assert emb.signature == (2, 1)
 
     dec4 = eigendecompose(kernel_of(symmetric(4)))
@@ -219,15 +218,9 @@ def test_pseudo_embedding_equals_classical_when_all_positive():
     dec = eigendecompose(double_center(PATH_D))
     k = len(dec.positive_indices())
     classical = classical_embedding(dec, k)
-    pseudo = pseudo_embedding(dec, k)
+    pseudo = full_rank_pseudo_embedding(dec)
     assert pseudo.signature == (k, 0)
     assert np.allclose(pseudo.coordinates, classical.coordinates, atol=1e-12)
-
-
-def test_pseudo_embedding_k_guard():
-    dec = eigendecompose(kernel_of(elementary_abelian_2(2)))
-    with pytest.raises(ValueError):
-        pseudo_embedding(dec, 4)  # only 3 nonzero eigenvalues
 
 
 def pseudo_distance_sq(emb, i, j):
@@ -302,7 +295,7 @@ def test_strain_equals_frobenius_error_of_truncation():
 
 def test_embedding_csv_layout():
     dec = eigendecompose(kernel_of(elementary_abelian_2(2)))
-    emb = pseudo_embedding(dec, 3)
+    emb = full_rank_pseudo_embedding(dec)
     lines = embedding_to_csv(emb).splitlines()
     assert lines[0] == "id,label,weight,x1:+,x2:+,x3:-"
     first = lines[1].split(",")

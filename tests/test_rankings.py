@@ -1,17 +1,23 @@
+import csv
+import io
+import math
 import random
 import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupmds import dense
+from groupmds import dense, groups
 from groupmds.errors import RankingParseError, TooLargeError
 from groupmds.groups import symmetric
 from groupmds.metrics import build_distance_matrix, hamming_metric
 from groupmds.rankings import (
     PermutationSample,
+    RankingRecord,
     aggregate,
     dataset_to_text,
     embed_dataset,
@@ -61,6 +67,12 @@ def test_ranking_to_permutation_examples():
     assert ranking_to_permutation((3, 1, 2)) == (2, 3, 1)
     assert ranking_to_permutation((1, 2, 3, 4)) == (1, 2, 3, 4)
     assert ranking_to_permutation((3, 2, 1)) == (3, 2, 1)
+
+
+@pytest.mark.parametrize("ranking", [(0, 1, 2), (1, 1, 3), (1, 2, 4), [[1, 2, 3], [2, 2, 1]]])
+def test_ranking_to_permutation_refuses_what_is_not_a_full_ranking(ranking):
+    with pytest.raises(ValueError, match="not a full ranking of 1..3"):
+        ranking_to_permutation(ranking)
 
 
 def test_aggregate_merges_duplicates():
@@ -196,3 +208,297 @@ def test_synthesize_roundtrip():
     parsed = parse_rankings(dataset_to_text(ds))
     assert parsed.items == ds.items
     assert parsed.records == ds.records
+
+
+# --- per-row references ------------------------------------------------------
+#
+# The per-line parser, the Counter aggregation, the per-row block coordinates
+# and the per-row CSV writer that the array pipeline replaced, kept verbatim
+# in substance so that the array code is checked against them.
+
+
+def reference_parse(text):
+    """(items, records) by the per-line parser."""
+    items = None
+    records = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if items is None:
+            labels = tuple(part.strip() for part in line.split(","))
+            if any(not lab for lab in labels):
+                raise RankingParseError(
+                    f"line {line_no}: empty item label in header", line_number=line_no
+                )
+            items = labels
+            continue
+        count = 1
+        body = line
+        if ";" in line:
+            body, _, suffix = line.partition(";")
+            try:
+                count = int(suffix.strip())
+            except ValueError:
+                raise RankingParseError(
+                    f"line {line_no}: bad count suffix {suffix.strip()!r}", line_number=line_no
+                )
+            if count < 1:
+                raise RankingParseError(
+                    f"line {line_no}: count must be positive", line_number=line_no
+                )
+        try:
+            ranking = tuple(int(part) for part in body.split(","))
+        except ValueError:
+            raise RankingParseError(f"line {line_no}: non-integer entry", line_number=line_no)
+        if len(ranking) != len(items):
+            raise RankingParseError(
+                f"line {line_no}: expected {len(items)} entries, got {len(ranking)}",
+                line_number=line_no,
+            )
+        if sorted(ranking) != list(range(1, len(items) + 1)):
+            raise RankingParseError(
+                f"line {line_no}: not a full ranking of 1..{len(items)}", line_number=line_no
+            )
+        records.append(RankingRecord(ranking=ranking, count=count))
+    if items is None:
+        raise RankingParseError("empty input: no item header line", line_number=1)
+    return items, tuple(records)
+
+
+def reference_permutation(ranking):
+    rank_of = {item: pos for pos, item in enumerate(ranking, start=1)}
+    return tuple(rank_of[item] for item in range(1, len(ranking) + 1))
+
+
+def reference_aggregate(records):
+    weights = Counter()
+    for record in records:
+        weights[reference_permutation(record.ranking)] += record.count
+    return [PermutationSample(permutation=perm, weight=weights[perm]) for perm in sorted(weights)]
+
+
+def reference_block_coordinates(g, n):
+    scale = math.sqrt((2.0 * n - 3.0) / 2.0)
+    coords = np.full((n, n), -scale / n)
+    for j, image in enumerate(g):
+        coords[image - 1, j] += scale
+    return coords.reshape(n * n)
+
+
+def reference_embedding_csv(text, dims, mode):
+    items, records = reference_parse(text)
+    n = len(items)
+    samples = reference_aggregate(records)
+    if mode == "standard":
+        x = np.stack([reference_block_coordinates(s.permutation, n) for s in samples])
+        w = np.array([s.weight for s in samples], dtype=float)
+        mean = (w[:, None] * x).sum(axis=0) / w.sum()
+        centered = x - mean
+        cov = (centered.T * w) @ centered / w.sum()
+        dec = dense.eigendecompose(cov)
+        coordinates = centered @ dec.eigenvectors[:, :min(dims, x.shape[1])]
+        coordinates[:, len(dec.positive_indices()):] = 0.0
+        p = coordinates.shape[1]
+    else:
+        spec = symmetric(n)
+        dm = build_distance_matrix(spec, hamming_metric(spec))
+        full = dense.classical_embedding(dense.eigendecompose(dense.double_center(dm)), dims)
+        index = {g: i for i, g in enumerate(dm.labels)}
+        coordinates = full.coordinates[[index[s.permutation] for s in samples]]
+        p = full.signature[0]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "label", "weight"]
+                    + [f"x{c + 1}:{'+' if c < p else '-'}" for c in range(coordinates.shape[1])])
+    for i, s in enumerate(samples):
+        row = [i, ",".join(str(v) for v in s.permutation), s.weight]
+        row.extend(repr(float(v)) for v in coordinates[i])
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def mallows_text(n, rows, theta, seed):
+    """A repeated-insertion Mallows sample around the identity ranking,
+    every seventh row carrying a count suffix."""
+    rng = random.Random(seed)
+    lines = [",".join(f"item{i}" for i in range(1, n + 1))]
+    for r in range(rows):
+        ranking = []
+        for i in range(1, n + 1):
+            weights = [math.exp(-theta * (i - 1 - j)) for j in range(i)]
+            ranking.insert(rng.choices(range(i), weights)[0], i)
+        line = ",".join(map(str, ranking))
+        lines.append(line if r % 7 else f"{line};{r % 5 + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        result = parse(text)
+    except RankingParseError as exc:
+        return ("error", str(exc), exc.line_number)
+    return ("ok", result)
+
+
+FAULTS = ("bad count", "zero count", "non-integer", "out of range", "wrong width",
+          "repeated item")
+
+
+@st.composite
+def ranking_files(draw):
+    """(text, faults): a ranking file with comments, blank lines, spaces and
+    count suffixes, and 0-3 injected faults; an entry of 2^66 does not fit
+    in int64."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.permutations(range(1, n + 1)), max_size=25))
+    counts = draw(st.lists(
+        st.one_of(st.none(), st.integers(1, 40), st.integers(2 ** 62, 2 ** 64)),
+        min_size=len(rows), max_size=len(rows)))
+    bodies = [[str(v) for v in row] for row in rows]
+    suffixes = [None if c is None else str(c) for c in counts]
+    faults = draw(st.lists(
+        st.tuples(st.sampled_from(FAULTS), st.integers(0, 10 ** 6)),
+        max_size=3 if rows else 0))
+    for fault, at in faults:
+        i = at % len(rows)
+        if fault == "bad count":
+            suffixes[i] = draw(st.sampled_from(["x", "", "1.5", "2 3"]))
+        elif fault == "zero count":
+            suffixes[i] = draw(st.sampled_from(["0", "-3", " -1 "]))
+        elif fault == "non-integer":
+            bodies[i] = bodies[i] or [""]
+            bodies[i][at % len(bodies[i])] = draw(st.sampled_from(["a", "", "1.0", "2x"]))
+        elif fault == "out of range" and bodies[i]:
+            bodies[i][at % len(bodies[i])] = draw(st.sampled_from(
+                ["0", "-1", str(n + 1), str(2 ** 66)]))
+        elif fault == "wrong width":
+            bodies[i] = bodies[i][:-1] if at % 2 else bodies[i] + [str(at % (n + 2))]
+        elif len(bodies[i]) >= 2:
+            bodies[i][1] = bodies[i][0]
+    lines = [draw(st.sampled_from(["", "# a comment", "   "])) for _ in range(draw(st.integers(0, 2)))]
+    lines.append(",".join(f"i{j}" for j in range(n)))
+    for body, suffix in zip(bodies, suffixes):
+        for _ in range(draw(st.integers(0, 1))):
+            lines.append(draw(st.sampled_from(["", "# between", "  # indented"])))
+        line = draw(st.sampled_from([",", ", ", " ,"])).join(body)
+        lines.append(line if suffix is None else f"{line};{suffix}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), faults
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking_files())
+def test_parse_and_aggregate_match_the_per_line_references(case):
+    text, _ = case
+    expected = parse_outcome(reference_parse, text)
+    got = parse_outcome(parse_rankings, text)
+    if expected[0] == "error":
+        assert got == expected
+        return
+    items, records = expected[1]
+    ds = got[1]
+    assert (ds.items, ds.records) == (items, records)
+    assert ds.total_count == sum(r.count for r in records)
+    assert list(aggregate(ds)) == reference_aggregate(records)
+
+
+def test_the_first_offending_line_wins_over_a_later_fault():
+    # Line 3 repeats an item; line 4 has the wrong width, found first in the pass.
+    with pytest.raises(RankingParseError) as excinfo:
+        parse_rankings("A,B,C\n1,2,3\n2,2,1\n1,2\n")
+    assert (str(excinfo.value), excinfo.value.line_number) == (
+        "line 3: not a full ranking of 1..3", 3)
+
+
+def test_counts_past_int64_stay_exact():
+    big = 2 ** 63
+    ds = parse_rankings(f"A,B\n1,2;{big}\n2,1;3\n1,2;{big}\n")
+    assert ds.total_count == 2 * big + 3
+    assert [(s.permutation, s.weight) for s in aggregate(ds)] == [((1, 2), 2 * big), ((2, 1), 3)]
+
+
+# --- array kernels -------------------------------------------------------------
+
+
+def test_standard_rep_coordinates_of_an_array_stack_the_per_row_calls():
+    rows = np.array([ranking_to_permutation(tuple(r)) for r in
+                     synthesize_rankings(7, 200, seed=4).rankings.tolist()])
+    block = standard_rep_coordinates(rows, 7)
+    assert block.shape == (200, 49)
+    assert np.array_equal(block, np.stack([standard_rep_coordinates(tuple(g), 7) for g in rows]))
+    assert np.array_equal(block, np.stack([reference_block_coordinates(g, 7) for g in rows]))
+
+
+def test_ranking_to_permutation_of_an_array_matches_the_per_row_results():
+    rankings = synthesize_rankings(6, 300, seed=5).rankings
+    perms = ranking_to_permutation(rankings)
+    assert perms.shape == (300, 6)
+    assert perms.tolist() == [list(reference_permutation(r)) for r in rankings.tolist()]
+    assert [ranking_to_permutation(tuple(r)) for r in rankings.tolist()] == [
+        tuple(p) for p in perms.tolist()]
+
+
+@pytest.mark.parametrize("n,seed", [(4, 1), (5, 2), (6, 3)])
+@pytest.mark.parametrize("mode", ["standard", "dense"])
+def test_embedding_csv_is_byte_identical_to_the_per_row_reference(n, seed, mode):
+    text = mallows_text(n, 300, 0.7, seed)
+    ds = parse_rankings(text)
+    emb = embed_dataset(aggregate(ds), n, 3, mode=mode)
+    assert dense.embedding_to_csv(emb) == reference_embedding_csv(text, 3, mode)
+
+
+def test_embed_accepts_a_plain_list_of_samples():
+    samples = aggregate(synthesize_rankings(6, 400, seed=6))
+    for mode in ("standard", "dense"):
+        from_arrays = embed_dataset(samples, 6, 3, mode=mode)
+        from_list = embed_dataset(list(samples), 6, 3, mode=mode)
+        assert np.array_equal(from_arrays.coordinates, from_list.coordinates)
+        assert from_arrays.row_labels == from_list.row_labels
+        assert from_arrays.weights == from_list.weights
+
+
+def test_aggregated_samples_index_slice_and_iterate_alike():
+    samples = aggregate(parse_rankings("A,B,C\n3,1,2\n3,1,2;4\n1,2,3\n"))
+    listed = list(samples)
+    assert listed == [PermutationSample((1, 2, 3), 1), PermutationSample((2, 3, 1), 5)]
+    assert [samples[i] for i in range(len(samples))] == listed
+    assert samples[-1] == listed[-1]
+    assert list(samples[1:]) == listed[1:]
+
+
+def test_the_quantities_the_benchmark_hooks_read_keep_their_meaning():
+    text = "A,B,C\n# c\n3,1,2\n3,1,2;4\n\n1,2,3;2\n"
+    ds = parse_rankings(text)
+    assert len(ds.records) == 3  # rows read
+    assert len(aggregate(ds)) == 2  # distinct permutations
+    assert ds.total_count == 7  # count sum
+
+
+# --- standard-mode byte guard --------------------------------------------------
+
+
+def test_standard_mode_refuses_a_block_over_the_byte_bound_before_allocating():
+    # 2000 distinct rankings of 200 items: a 2000 x 40000 block and a
+    # 40000^2 covariance, tens of gigabytes.
+    samples = aggregate(synthesize_rankings(200, 2000, seed=8))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(TooLargeError) as excinfo:
+            embed_dataset(samples, 200, 3, mode="standard")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert excinfo.value.cap == groups.TABLE_MAX_BYTES
+    assert "the standard-block embedding of 2000 permutations of 200 items" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("n,rows", [(10, 50_000), (14, 25_000)])
+def test_standard_mode_admits_files_the_size_of_the_benchmark_inputs(n, rows):
+    # Uniform rows are (almost) all distinct, so these bound the benchmark's
+    # Mallows n = 10 file and its uniform n = 14 file from above.
+    samples = aggregate(synthesize_rankings(n, rows, seed=11))
+    emb = embed_dataset(samples, n, 3, mode="standard")
+    assert emb.coordinates.shape == (len(samples), 3)
