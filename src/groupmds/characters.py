@@ -35,9 +35,14 @@ from .exact import (
 )
 from .groups import GroupSpec, Partition
 
-# Bytes per Fraction coefficient that decompose_class_function returns:
-# the tracemalloc peak of the call over its coefficient count is 110 on
-# C_500 and C_1000 with the arc metric.
+# decompose_class_function counts labels x (N + phi(N)) coefficients at this
+# many bytes each, the figure measured for a Fraction. The call holds labels x
+# N integer row sums and returns phi(N) integers per label; its tracemalloc
+# peak, the reduction matrix included, is 56 bytes per label and reduced
+# coefficient on C_1000 and C_2003 (arc metric), a quarter (prime N) to a
+# seventh (C_1000) of the count. The count stays so that the admitted set
+# (C_2202 yes, C_2203 no) does not grow while nothing bounds the work of a
+# larger call.
 _COEFFICIENT_BYTES = 112
 
 
@@ -343,12 +348,13 @@ def fwht(values) -> list:
     return v
 
 
-def _power_terms(value: Scalar):
-    """(exponent, coefficient) pairs of an exact scalar on the powers of its
-    root of unity; a rational sits on the power 0."""
+def _power_terms(value: Scalar, denom: int):
+    """(exponent, coefficient) pairs of ``denom * value``, integers, on the
+    powers of its root of unity; a rational sits on the power 0."""
     if isinstance(value, Cyclotomic):
-        return [(e, c) for e, c in enumerate(value.coeffs) if c]
-    return [(0, value)] if value else []
+        k = denom // value.den
+        return [(e, c * k) for e, c in enumerate(value.num) if c]
+    return [(0, value.numerator * (denom // value.denominator))] if value else []
 
 
 def _power_sums(f: ClassFunction, labels, order: int, denom: int):
@@ -360,8 +366,8 @@ def _power_sums(f: ClassFunction, labels, order: int, denom: int):
         # One FWHT per power, filled in enumeration order (the binary index).
         vectors = [[0] * spec.order for _ in range(order)]
         for i, g in enumerate(groups.enumerate_elements(spec)):
-            for e, c in _power_terms(f.values[g]):
-                vectors[e][i] = int(c * denom)
+            for e, c in _power_terms(f.values[g], denom):
+                vectors[e][i] = c
         return [[w[subset_bit_value(spec, label)] for label in labels]
                 for w in map(fwht, vectors)]
     classes = groups.conjugacy_classes(spec)
@@ -369,15 +375,15 @@ def _power_sums(f: ClassFunction, labels, order: int, denom: int):
         # One Horner sweep per power, weighted by class size.
         weights = [{} for _ in range(order)]
         for cls in classes:
-            for e, c in _power_terms(f.values[cls.label]):
-                weights[e][cls.label.parts] = cls.size * int(c * denom)
+            for e, c in _power_terms(f.values[cls.label], denom):
+                weights[e][cls.label.parts] = cls.size * c
         masks = [_beta_mask(label.parts, spec.size) for label in labels]
         return [[sweep.get(m, 0) for m in masks]
                 for sweep in (_sn_row_sums(spec.size, w) for w in weights)]
     # C_n: conj(chi_j)(a) = zeta^(-j a), so a term c zeta^e of f(a) lands on
     # the power e - j a of label j, one distinct power per label.
-    terms = [(cls.label, e, int(c * denom))
-             for cls in classes for e, c in _power_terms(f.values[cls.label])]
+    terms = [(cls.label, e, c)
+             for cls in classes for e, c in _power_terms(f.values[cls.label], denom)]
     fits = sum(abs(c) for _, _, c in terms) < 2 ** 63
     sums = np.zeros((order, len(labels)), dtype=np.int64 if fits else object)
     j = np.arange(len(labels))
@@ -394,8 +400,9 @@ def decompose_class_function(f: ClassFunction) -> DecompositionResult:
     of zeta_N (N = n on C_n, else the values' cyclotomic order, 1 when all
     are rational). Each character row is summed against the class-weighted
     coefficients, the sums of every label are reduced modulo Phi_N in one
-    product with the reduction matrix, and each is divided by |G| times the
-    denominator once at the end. Only the row product depends on the kind:
+    product with the reduction matrix (a rational is in Q(zeta_1), reduced
+    the same way), and each label's reduced integers become one value over
+    |G| times the denominator. Only the row product depends on the kind:
     the fast Walsh-Hadamard transform for (C_2)^k (O(k 2^k)), collecting
     zeta^(e - j a) powers for C_n, and one Horner power-sum sweep over the
     cycle types for S_n.
@@ -409,27 +416,17 @@ def decompose_class_function(f: ClassFunction) -> DecompositionResult:
     order = spec.size if spec.kind == groups.CYCLIC else max(orders, default=1)
     if orders - {order}:
         raise InvalidElementError(f"values on {spec.text} must all lie in Q(zeta_{order})")
-    denom = math.lcm(*(c.denominator for v in f.values.values() for _, c in _power_terms(v)))
+    denom = math.lcm(*(v.den if isinstance(v, Cyclotomic) else v.denominator
+                       for v in f.values.values()))
     scale = spec.order * denom
     labels = irreducible_labels(spec)
-    # Each label's value holds a Fraction per power of zeta and per reduced
-    # coefficient; they outweigh the labels x powers integer sums.
-    per_label = 1 if order == 1 else order + euler_phi(order)
-    groups.check_bytes(len(labels) * per_label * _COEFFICIENT_BYTES,
+    groups.check_bytes(len(labels) * (order + euler_phi(order)) * _COEFFICIENT_BYTES,
                        f"the exact coefficients of {spec.text}")
-    if order == 1:
-        (sums,) = _power_sums(f, labels, order, denom)
-        return DecompositionResult(spec, {
-            label: Fraction(int(s), scale) for label, s in zip(labels, sums)
-        })
     reduction_matrix(order)  # its byte guard, before the sums are allocated
-    sums = _power_sums(f, labels, order, denom)
-    canon = reduce_powers(sums, order).T.tolist()
-    rows = np.transpose(sums).tolist()
+    reduced = reduce_powers(_power_sums(f, labels, order, denom), order).T.tolist()
     return DecompositionResult(spec, {
-        label: normalize_scalar(Cyclotomic(order, [Fraction(s, scale) for s in row],
-                                           canon=tuple(Fraction(c, scale) for c in reduced)))
-        for label, row, reduced in zip(labels, rows, canon)
+        label: normalize_scalar(Cyclotomic._reduced(order, row, scale))
+        for label, row in zip(labels, reduced)
     })
 
 

@@ -2,12 +2,14 @@
 
 Character values on cyclic groups are roots of unity; storing them as
 float pairs would wreck the exact-equality checks the character layer
-promises. A :class:`Cyclotomic` holds rational coefficients on the power
-basis zeta^0..zeta^(n-1). That basis is redundant, so equality,
-rationality, and hashing all go through a canonical form reduced modulo
-the n-th cyclotomic polynomial. The reduction is one integer matrix per n
-(:func:`reduction_matrix`): row e holds zeta^e on the basis
-zeta^0..zeta^(phi(n)-1), so reducing many values is one matrix product.
+promises. A :class:`Cyclotomic` holds one representation of its value:
+integer numerators on the reduced basis zeta^0..zeta^(phi(n)-1) over one
+positive denominator, in lowest terms, so equal values have equal fields
+and equality, rationality and hashing read them directly. Reduction modulo
+the n-th cyclotomic polynomial is one integer matrix per n
+(:func:`reduction_matrix`): row e holds zeta^e on the reduced basis, so
+reducing many values is one matrix product. Products and conjugates
+collect integers on zeta^0..zeta^(n-1) and reduce once.
 
 Exact values are ``int``, ``Fraction`` or :class:`Cyclotomic`, and callers
 use all three alike through ``float()``, ``complex()``, ``str()``,
@@ -26,9 +28,6 @@ import numpy as np
 from .groups import check_bytes
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _divisors(n: int):
@@ -119,134 +118,133 @@ def reduce_powers(coeffs, n: int) -> np.ndarray:
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n), zeta_n = exp(2*pi*i/n)."""
+    """An element of Q(zeta_n), zeta_n = exp(2*pi*i/n), held as ``num / den``:
+    one integer per power of the reduced basis zeta^0..zeta^(phi(n)-1) over
+    one positive integer, in lowest terms."""
 
-    __slots__ = ("order", "coeffs", "_canon")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs, canon=None):
-        """``canon``, when given, must be the reduced form of ``coeffs``
-        (see :meth:`canonical`); callers that reduced many values in one
-        product pass it so nothing is reduced twice."""
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+    def __init__(self, order: int, coeffs):
+        """From rational coefficients on zeta^0..zeta^(n-1), one per power."""
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != order:
             raise ValueError("need one coefficient per power of the root")
-        self.order = order
-        self.coeffs = coeffs
-        self._canon = canon
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        value = self._reduced(order, reduce_powers(ints, order).tolist(), den)
+        self.order, self.num, self.den = order, value.num, value.den
+
+    @classmethod
+    def _reduced(cls, order: int, num, den: int) -> "Cyclotomic":
+        """The value num / den: integers on the reduced basis over den > 0."""
+        g = math.gcd(den, *num)
+        value = object.__new__(cls)
+        value.order, value.num, value.den = order, tuple([c // g for c in num]), den // g
+        return value
 
     @classmethod
     def root(cls, order: int, exponent: int) -> "Cyclotomic":
-        e = exponent % order
-        coeffs = [_ZERO] * order
-        coeffs[e] = _ONE
-        return cls(order, coeffs,
-                   canon=tuple(map(Fraction, reduction_matrix(order)[e].astype(np.int64).tolist())))
+        row = reduction_matrix(order)[exponent % order]
+        return cls._reduced(order, row.astype(np.int64).tolist(), 1)
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """Rational coefficients on zeta^0..zeta^(n-1): a root of unity's
+        one power, otherwise the reduced form padded with zeros."""
+        n = self.order
+        if self.den == 1 and max(map(abs, self.num)) < 2 ** 26:
+            hits = np.flatnonzero((reduction_matrix(n) == self.num).all(axis=1))
+            if hits.size:
+                return tuple(Fraction(int(e == hits[0])) for e in range(n))
+        return self.canonical() + (Fraction(0),) * (n - len(self.num))
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                return None
-            return other
+            return other if other.order == self.order else None
         if isinstance(other, (int, Fraction)):
-            coeffs = [_ZERO] * self.order
-            coeffs[0] = Fraction(other)
-            return Cyclotomic(self.order, coeffs)
+            num = [0] * len(self.num)
+            num[0] = other.numerator
+            return Cyclotomic._reduced(self.order, num, other.denominator)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Cyclotomic(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Cyclotomic._reduced(self.order, [x * a + y * b for x, y in zip(self.num, other.num)], den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Cyclotomic(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__sub__(self)
+        return NotImplemented if other is None else other + -self
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-a for a in self.coeffs])
+        return Cyclotomic._reduced(self.order, [-c for c in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            # Reduction modulo Phi_n is linear, so the scaled form is exact.
-            canon = None if self._canon is None else tuple(c * f for c in self._canon)
-            return Cyclotomic(self.order, [a * f for a in self.coeffs], canon=canon)
+            k = other.numerator
+            return Cyclotomic._reduced(self.order, [c * k for c in self.num], self.den * other.denominator)
         if isinstance(other, Cyclotomic) and other.order == self.order:
             n = self.order
-            out = [_ZERO] * n
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % n] += a * b
-            return Cyclotomic(n, out)
+            out = [0] * n
+            for i, a in enumerate(self.num):
+                if a:
+                    for j, b in enumerate(other.num):
+                        if b:
+                            out[(i + j) % n] += a * b
+            return Cyclotomic._reduced(n, reduce_powers(out, n).tolist(), self.den * other.den)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
         n = self.order
-        out = [_ZERO] * n
-        for e, c in enumerate(self.coeffs):
-            out[(-e) % n] += c
-        return Cyclotomic(n, out)
+        out = [0] * n
+        for e, c in enumerate(self.num):
+            out[-e % n] = c
+        return Cyclotomic._reduced(n, reduce_powers(out, n).tolist(), self.den)
 
     def canonical(self) -> Tuple[Fraction, ...]:
         """Coefficients on the basis zeta^0..zeta^(phi(n)-1) of Q(zeta_n)."""
-        if self._canon is None:
-            denom = math.lcm(*(c.denominator for c in self.coeffs))
-            ints = [c.numerator * (denom // c.denominator) for c in self.coeffs]
-            self._canon = tuple(Fraction(c, denom) for c in reduce_powers(ints, self.order).tolist())
-        return self._canon
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.canonical()[1:])
+        return not any(self.num[1:])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.canonical())
+        return not any(self.num)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.canonical()[0]
+        return Fraction(self.num[0], self.den)
 
     def __complex__(self) -> complex:
-        n = self.order
-        re = 0.0
-        im = 0.0
-        for e, c in enumerate(self.coeffs):
-            if c:
-                angle = 2.0 * math.pi * e / n
-                cf = float(c)
-                re += cf * math.cos(angle)
-                im += cf * math.sin(angle)
-        return complex(re, im)
+        powers = np.exp(2j * np.pi * np.arange(len(self.num)) / self.order)
+        return complex(powers @ np.array(self.num, dtype=np.float64)) / self.den
 
     def __float__(self) -> float:
         z = complex(self)
-        if abs(z.imag) > 1e-9 * (1.0 + abs(z.real)):
+        # The evaluation rounds each term, so its error scales with the
+        # coefficients, not with the value; reduced forms at prime orders
+        # cancel heavily.
+        if abs(z.imag) > 1e-9 * (1.0 + sum(map(abs, self.num)) / self.den):
             raise ValueError(f"{self} is not real")
         return z.real
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
             if other.order == self.order:
-                return self.canonical() == other.canonical()
-            if self.is_rational() and other.is_rational():
-                return self.as_fraction() == other.as_fraction()
-            return False
+                return self.num == other.num and self.den == other.den
+            return self.is_rational() and other.is_rational() and self.as_fraction() == other.as_fraction()
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.as_fraction() == other
         return NotImplemented
@@ -254,29 +252,23 @@ class Cyclotomic:
     def __hash__(self):
         if self.is_rational():
             return hash(self.as_fraction())
-        return hash((self.order, self.canonical()))
+        return hash((self.order, self.num, self.den))
 
     def __str__(self):
-        terms = []
-        for e, c in enumerate(self.canonical()):
-            if c == 0:
+        text = ""
+        for e, c in enumerate(self.num):
+            if not c:
                 continue
-            if e == 0:
-                terms.append(str(c))
-            else:
+            g = math.gcd(c, self.den)
+            term = f"{abs(c) // g}" if g == self.den else f"{abs(c) // g}/{self.den // g}"
+            if e:
                 power = f"z{self.order}" if e == 1 else f"z{self.order}^{e}"
-                if c == 1:
-                    terms.append(power)
-                elif c == -1:
-                    terms.append(f"-{power}")
-                else:
-                    terms.append(f"{c}*{power}")
-        if not terms:
-            return "0"
-        text = terms[0]
-        for t in terms[1:]:
-            text += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return text
+                term = power if term == "1" else f"{term}*{power}"
+            if text:
+                text += f" - {term}" if c < 0 else f" + {term}"
+            else:
+                text = f"-{term}" if c < 0 else term
+        return text or "0"
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self})"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from groupmds import characters, groups
-from groupmds.errors import InvalidElementError
+from groupmds.errors import InvalidElementError, TooLargeError
 from groupmds.characters import (
     ClassFunction,
     character_class_function,
@@ -256,8 +256,6 @@ def test_sn_tables_are_integer_valued():
 
 
 def test_table_guard():
-    from groupmds.errors import TooLargeError
-
     with pytest.raises(TooLargeError):
         character_table(elementary_abelian_2(16))
 
@@ -464,6 +462,31 @@ def test_kernel_rejects_values_from_two_cyclotomic_fields():
         decompose_class_function(
             ClassFunction(cyclic(4), {a: Cyclotomic.root(3, a) for a in range(4)})
         )
+
+
+@pytest.mark.parametrize("n, refusal", [
+    (2202, None),
+    (2203, "the exact coefficients of cyclic(2203) needs 1086872080 bytes, "
+           "above the table bound 1073741824 bytes"),
+    (3000, "the exact coefficients of cyclic(3000) needs 1276800000 bytes, "
+           "above the table bound 1073741824 bytes"),
+])
+def test_cyclic_coefficient_guard_admits_the_same_orders(monkeypatch, n, refusal):
+    # The guard still counts labels x (n + phi(n)) coefficients at 112 bytes,
+    # more than the reduced form holds, so no larger C_n is admitted while
+    # nothing bounds the work of the call. Admission stops at the row sums.
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(characters, "_power_sums", admitted)
+    f = ClassFunction(cyclic(n), {a: Fraction(-min(a, n - a) ** 2, 2) for a in range(n)})
+    with pytest.raises(Admitted if refusal is None else TooLargeError) as info:
+        decompose_class_function(f)
+    if refusal is not None:
+        assert str(info.value) == refusal
 
 
 # --- tensor squares ----------------------------------------------------------

@@ -125,8 +125,8 @@ def test_chartable_class_guard(capsys):
 
 
 def test_spectrum_refuses_cyclic_coefficients_over_the_byte_bound_quickly(capsys):
-    # C_3000 would return 3000 x (3000 + phi(3000)) exact Fractions, about
-    # 1.3 GB; the guard trips before the kernel allocates anything.
+    # The guard counts 3000 x (3000 + phi(3000)) exact coefficients at 112
+    # bytes, about 1.3 GB, and trips before the kernel allocates anything.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "spectrum", "--group", "cyclic", "--n", "3000")
     assert time.perf_counter() - start < 1.0

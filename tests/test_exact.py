@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from groupmds.exact import (
@@ -10,22 +11,122 @@ from groupmds.exact import (
     cyclotomic_polynomial,
     euler_phi,
     normalize_scalar,
+    reduce_powers,
     scalar_sign,
 )
 
 
-def long_division_canonical(value):
+def long_division_canonical(n, coeffs):
     """Reference reduction: Fraction long division of the coefficient
-    polynomial by Phi_n, highest power first."""
-    phi_poly = cyclotomic_polynomial(value.order)
+    polynomial on zeta^0..zeta^(n-1) by Phi_n, highest power first."""
+    phi_poly = cyclotomic_polynomial(n)
     deg = len(phi_poly) - 1
-    rem = list(value.coeffs)
+    rem = [Fraction(c) for c in coeffs]
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
             for j, pc in enumerate(phi_poly):
                 rem[i - deg + j] -= c * pc
     return tuple(rem[:deg])
+
+
+class FractionCyclotomic:
+    """Reference: the earlier Cyclotomic, one Fraction per power of the root
+    on zeta^0..zeta^(n-1), reduced to Fractions on first comparison."""
+
+    def __init__(self, order, coeffs):
+        self.order = order
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self._canon = None
+
+    def _coerce(self, other):
+        if isinstance(other, FractionCyclotomic):
+            return other if other.order == self.order else None
+        if isinstance(other, (int, Fraction)):
+            return FractionCyclotomic(self.order, [other] + [0] * (self.order - 1))
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionCyclotomic(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclotomic(self.order, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return self._coerce(other) + -self
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionCyclotomic(self.order, [a * other for a in self.coeffs])
+        n = self.order
+        out = [Fraction(0)] * n
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                if a and b:
+                    out[(i + j) % n] += a * b
+        return FractionCyclotomic(n, out)
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        n = self.order
+        return FractionCyclotomic(n, [self.coeffs[-e % n] for e in range(n)])
+
+    def canonical(self):
+        if self._canon is None:
+            denom = math.lcm(*(c.denominator for c in self.coeffs))
+            ints = [c.numerator * (denom // c.denominator) for c in self.coeffs]
+            self._canon = tuple(Fraction(c, denom) for c in reduce_powers(ints, self.order).tolist())
+        return self._canon
+
+    def is_rational(self):
+        return all(c == 0 for c in self.canonical()[1:])
+
+    def as_fraction(self):
+        return self.canonical()[0]
+
+    def __eq__(self, other):
+        if isinstance(other, FractionCyclotomic):
+            if other.order == self.order:
+                return self.canonical() == other.canonical()
+            return self.is_rational() and other.is_rational() and self.as_fraction() == other.as_fraction()
+        return self.is_rational() and self.as_fraction() == other
+
+    def __hash__(self):
+        if self.is_rational():
+            return hash(self.as_fraction())
+        return hash((self.order, self.canonical()))
+
+    def __str__(self):
+        terms = []
+        for e, c in enumerate(self.canonical()):
+            if c == 0:
+                continue
+            if e == 0:
+                terms.append(str(c))
+            else:
+                power = f"z{self.order}" if e == 1 else f"z{self.order}^{e}"
+                if c == 1:
+                    terms.append(power)
+                elif c == -1:
+                    terms.append(f"-{power}")
+                else:
+                    terms.append(f"{c}*{power}")
+        if not terms:
+            return "0"
+        text = terms[0]
+        for t in terms[1:]:
+            text += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+        return text
+
+    def normalize(self):
+        return self.as_fraction() if self.is_rational() else self
 
 
 def test_cyclotomic_polynomials():
@@ -124,12 +225,11 @@ def test_text_form_of_irrational_value():
 
 @pytest.mark.parametrize("factor", [Fraction(-5, 3), 2, 0, Fraction(1, 7)])
 def test_scaling_a_reduced_value_matches_a_fresh_value(factor):
-    # Multiplying by a rational after canonical() carries the scaled reduced
-    # form along; it must agree with reducing the scaled coefficients afresh.
+    # Scaling multiplies the numerators and the denominator; it must agree
+    # with reducing the scaled coefficients afresh.
     coeffs = [1, 2, 0, 0, 0, 3, 0, Fraction(1, 2), 0, 0, 0, -1]
     for order, raw in ((12, coeffs), (6, [0, 1, 0, 0, 0, 1])):  # the second is 1
         value = Cyclotomic(order, raw)
-        value.canonical()
         fresh = Cyclotomic(order, [Fraction(c) * factor for c in raw])
         for scaled in (value * factor, factor * value):
             assert scaled.canonical() == fresh.canonical()
@@ -137,6 +237,24 @@ def test_scaling_a_reduced_value_matches_a_fresh_value(factor):
             assert hash(scaled) == hash(fresh)
             assert str(scaled) == str(fresh)
             assert normalize_scalar(scaled) == normalize_scalar(fresh)
+
+
+@pytest.mark.parametrize("n", [797, 2003])
+def test_real_value_with_large_coefficients_at_a_prime_order_converts(n):
+    # The circular-arc eigenvalue of C_n nearest 0: its coefficients reach
+    # n^2 / 8 and sum to about n^3 / 24, while the value is below 1, so the
+    # rounding of the evaluation has to be judged against the coefficients.
+    a = np.arange(n)
+    mu = [Fraction(-min(x, n - x) ** 2, 2) for x in range(n)]
+    j = int(np.argmin(np.abs(np.fft.fft(-np.minimum(a, n - a) ** 2 / 2.0).real)))
+    coeffs = [0] * n
+    for x, m in enumerate(mu):
+        coeffs[-j * x % n] = m
+    value = Cyclotomic(n, coeffs)
+    expected = math.fsum(float(m) * math.cos(2 * math.pi * j * x / n) for x, m in enumerate(mu))
+    assert abs(expected) < 1
+    assert float(value) == pytest.approx(expected, abs=1e-12 * sum(abs(m) for m in mu))
+    assert scalar_sign(value) == (1 if expected > 0 else -1)
 
 
 REDUCTION_ORDERS = [*range(1, 61), 90, 105, 210]
@@ -153,16 +271,89 @@ def test_canonical_matches_long_division(n):
     # Numerators past 2^53 take the Python-integer product, not float64.
     vectors.append([Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 9)) for _ in range(n)])
     for coeffs in vectors:
-        value = Cyclotomic(n, coeffs)
-        assert value.canonical() == long_division_canonical(value)
+        assert Cyclotomic(n, coeffs).canonical() == long_division_canonical(n, coeffs)
 
 
 @pytest.mark.parametrize("n", REDUCTION_ORDERS)
 def test_root_canonical_form_is_a_fresh_reduction(n):
     for e in range(n):
+        unit = tuple(Fraction(int(k == e)) for k in range(n))
         root = Cyclotomic.root(n, e)
-        fresh = Cyclotomic(n, root.coeffs)
-        assert root._canon == fresh.canonical() == long_division_canonical(fresh)
+        assert root.canonical() == long_division_canonical(n, unit)
+        assert root.coeffs == unit
+
+
+def _parity_values(n):
+    """(Cyclotomic, FractionCyclotomic) pairs of the same seeded values of
+    Q(zeta_n): sparse, dense, numerators past 2^53, a root, a rational
+    spread over every power, and a value equal to the first but written on
+    other powers."""
+    rng = random.Random(1000 + n)
+    raws = [
+        [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) if rng.random() < density else 0
+         for _ in range(n)]
+        for density in (0.2, 1.0)
+    ]
+    raws.append([Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 9))
+                 if rng.random() < 0.3 else 0 for _ in range(n)])
+    raws.append([int(k == rng.randrange(n)) for k in range(n)])
+    raws.append([Fraction(7, 3) + 5 if k == 0 else 5 for k in range(n)])
+    # 3/2 on every power adds 3/2 (1 + z + ... + z^(n-1)), which is 0 for n > 1.
+    raws.append([c + Fraction(3, 2) for c in raws[0]] if n > 1 else raws[0])
+    return [(Cyclotomic(n, raw), FractionCyclotomic(n, raw)) for raw in raws]
+
+
+def _assert_same_value(value, reference):
+    assert isinstance(value, Cyclotomic)
+    assert value.den > 0
+    assert math.gcd(value.den, *value.num) == 1
+    assert len(value.num) == euler_phi(value.order)
+    assert value.canonical() == reference.canonical()
+    assert str(value) == str(reference)
+    assert value.is_rational() == reference.is_rational()
+    normal, expected = normalize_scalar(value), reference.normalize()
+    if isinstance(expected, Fraction):
+        assert type(normal) is Fraction and normal == expected
+        assert hash(value) == hash(reference) == hash(expected)
+    else:
+        assert normal is value
+
+
+@pytest.mark.parametrize("n", REDUCTION_ORDERS)
+def test_arithmetic_matches_the_fraction_reference(n):
+    values = _parity_values(n)
+    scalars = [0, 7, Fraction(-5, 3), Fraction(2 ** 60 + 1, 3)]
+    for x, rx in values:
+        _assert_same_value(x, rx)
+        _assert_same_value(-x, -rx)
+        _assert_same_value(x.conjugate(), rx.conjugate())
+        for q in scalars:
+            _assert_same_value(x * q, rx * q)
+            _assert_same_value(q * x, q * rx)
+            _assert_same_value(x + q, rx + q)
+            _assert_same_value(q - x, q - rx)
+    for (x, rx), (y, ry) in zip(values, values[1:] + values[:1]):
+        _assert_same_value(x + y, rx + ry)
+        _assert_same_value(x - y, rx - ry)
+        _assert_same_value(x * y, rx * ry)
+
+
+@pytest.mark.parametrize("n", REDUCTION_ORDERS)
+def test_equality_and_hash_match_the_fraction_reference(n):
+    values = _parity_values(n)
+    values += [(x - x, rx - rx) for x, rx in values[:1]]
+    values += [(x.conjugate(), rx.conjugate()) for x, rx in values]
+    assert values[0][0] == values[5][0]
+    rationals = [0, 1, Fraction(7, 3), Fraction(22, 3)]
+    for x, rx in values:
+        for q in rationals:
+            assert (x == q) == (rx == q) == (q == x)
+        for y, ry in values:
+            assert (x == y) == (rx == ry)
+            if x == y:
+                # Equal values have equal fields, hence equal hashes.
+                assert (x.num, x.den) == (y.num, y.den)
+                assert hash(x) == hash(y)
 
 
 def test_phi_105_has_a_coefficient_minus_two():

@@ -403,10 +403,11 @@ def test_oracle_equivalence(spec):
     assert report.passed, "\n".join(report.lines())
 
 
-@pytest.mark.parametrize("n", [90, 500])
+@pytest.mark.parametrize("n", [90, 500, 797])
 def test_cyclic_arc_spectra_under_the_coefficient_bound_match_the_dft(n):
     # The byte guard on the exact coefficients admits these sizes, and the
-    # exact spectrum still equals the DFT of mu.
+    # exact spectrum still equals the DFT of mu. At the prime 797 the
+    # smallest eigenvalue is below 1 while its coefficients sum past 10^7.
     spec = cyclic(n)
     summary = spectrum_via_characters(spec, circular_arc_metric(spec))
     a = np.arange(n)
