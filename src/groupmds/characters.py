@@ -35,16 +35,6 @@ from .exact import (
 )
 from .groups import GroupSpec, Partition
 
-# decompose_class_function counts labels x (N + phi(N)) coefficients at this
-# many bytes each, the figure measured for a Fraction. The call holds labels x
-# N integer row sums and returns phi(N) integers per label; its tracemalloc
-# peak, the reduction matrix included, is 56 bytes per label and reduced
-# coefficient on C_1000 and C_2003 (arc metric), a quarter (prime N) to a
-# seventh (C_1000) of the count. The count stays so that the admitted set
-# (C_2202 yes, C_2203 no) does not grow while nothing bounds the work of a
-# larger call.
-_COEFFICIENT_BYTES = 112
-
 
 def irreducible_labels(spec: GroupSpec):
     """Irreducible labels in deterministic order, trivial first.
@@ -53,7 +43,8 @@ def irreducible_labels(spec: GroupSpec):
     value with position 1 as the most significant bit); frequencies ascend.
     Raises :class:`TooLargeError` above the enumeration cap.
     """
-    groups.check_size(spec, groups.conjugacy_class_count(spec), "irreducibles")
+    count = groups.conjugacy_class_count(spec)
+    groups.admit(f"{spec.text} has {count} irreducibles", items=count)
     if spec.kind == groups.SYMMETRIC:
         return groups.partitions_of(spec.size)
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
@@ -279,10 +270,18 @@ class CharacterTable:
 
 
 def character_table(spec: GroupSpec) -> CharacterTable:
-    """The full exact character table in deterministic row/column order."""
+    """The full exact character table in deterministic row/column order.
+
+    Raises :class:`TooLargeError` past the work bound (two steps a cell, for
+    the value and its text, which on C_n walks phi(n) integers, 32 a step;
+    S_n adds its sweep) or, on C_n, the byte bound on the text: cells padded
+    to the widest root, 12 bytes a term, held three times over."""
     labels = irreducible_labels(spec)
-    classes = groups.conjugacy_classes(spec)
     n = spec.size
+    walk = euler_phi(n) // 32 if spec.kind == groups.CYCLIC else 0
+    sweep = n * sum(map(groups.count_partitions, range(n + 1))) if spec.kind == groups.SYMMETRIC else 0
+    groups.admit(f"the character table of {spec.text}", work=len(labels) ** 2 * (2 + walk) + sweep)
+    classes = groups.conjugacy_classes(spec)
     if spec.kind == groups.SYMMETRIC:
         columns = _sn_columns(n)
         values = tuple(
@@ -290,6 +289,8 @@ def character_table(spec: GroupSpec) -> CharacterTable:
             for mask in (_beta_mask(lab.parts, n) for lab in labels)
         )
     elif spec.kind == groups.CYCLIC:
+        terms = int(np.count_nonzero(reduction_matrix(n), axis=1).max())
+        groups.admit(f"the text of the character table of {spec.text}", nbytes=36 * n * n * terms)
         roots = [normalize_scalar(Cyclotomic.root(n, e)) for e in range(n)]
         values = tuple(tuple(roots[lab * a % n] for a in range(n)) for lab in labels)
     else:
@@ -407,9 +408,10 @@ def decompose_class_function(f: ClassFunction) -> DecompositionResult:
     zeta^(e - j a) powers for C_n, and one Horner power-sum sweep over the
     cycle types for S_n.
 
-    Raises :class:`TooLargeError` before allocating when the exact
-    coefficients it returns or the reduction matrix would exceed
-    ``groups.TABLE_MAX_BYTES``.
+    Raises :class:`TooLargeError` before listing or allocating anything past
+    the byte bound, at 56 bytes per reduced integer returned, or the work
+    bound: a step per reduced integer (reduced, scaled, printed) plus, per
+    power, n beads at each of S_n's sum_{s<=n} p(s) trie nodes or a FWHT.
     """
     spec = f.group
     orders = {v.order for v in f.values.values() if isinstance(v, Cyclotomic)}
@@ -419,10 +421,12 @@ def decompose_class_function(f: ClassFunction) -> DecompositionResult:
     denom = math.lcm(*(v.den if isinstance(v, Cyclotomic) else v.denominator
                        for v in f.values.values()))
     scale = spec.order * denom
+    n, count, phi = spec.size, groups.conjugacy_class_count(spec), euler_phi(order)
+    sweep = sum(map(groups.count_partitions, range(n + 1))) if spec.kind == groups.SYMMETRIC else 0
+    fwht = spec.order if spec.kind == groups.ELEMENTARY_ABELIAN_2 else 0
+    groups.admit(f"the exact coefficients of {spec.text}", nbytes=56 * count * phi,
+                 work=order * n * (sweep + fwht) + count * phi)
     labels = irreducible_labels(spec)
-    groups.check_bytes(len(labels) * (order + euler_phi(order)) * _COEFFICIENT_BYTES,
-                       f"the exact coefficients of {spec.text}")
-    reduction_matrix(order)  # its byte guard, before the sums are allocated
     reduced = reduce_powers(_power_sums(f, labels, order, denom), order).T.tolist()
     return DecompositionResult(spec, {
         label: normalize_scalar(Cyclotomic._reduced(order, row, scale))

@@ -25,7 +25,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .groups import check_bytes
+from .groups import admit
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
 
@@ -84,7 +84,7 @@ def reduction_matrix(n: int) -> np.ndarray:
     Raises :class:`TooLargeError` before allocating a matrix above
     :data:`groups.TABLE_MAX_BYTES`."""
     deg = euler_phi(n)
-    check_bytes(n * deg * 8, f"the reduction matrix of Q(zeta_{n})")
+    admit(f"the reduction matrix of Q(zeta_{n})", nbytes=n * deg * 8)
     phi_poly = cyclotomic_polynomial(n)
     # x^deg = -(Phi_n - x^deg), so each row is the previous one shifted up a
     # power, with the coefficient that leaves the basis folded back.

@@ -27,10 +27,14 @@ import numpy as np
 
 from .errors import InvalidElementError, TooLargeError
 
+# The bounds of admit(): items listed, bytes of one array or exact result
+# (S_7's multiplication table fits, S_8's does not), and steps of work, one
+# interpreted operation on one value each, about ten seconds of one core in
+# all; array work is one step per FLOPS_PER_STEP floating-point operations.
 DEFAULT_ENUMERATION_CAP = 50_000
-# Largest multiplication table, in bytes, that multiplication_table builds:
-# S_7 (102 MB) and (C_2)^14 fit, S_8 (6.5 GB) does not.
 TABLE_MAX_BYTES = 2 ** 30
+WORK_MAX = 5_000_000
+FLOPS_PER_STEP = 30_000
 
 SYMMETRIC = "symmetric"
 ELEMENTARY_ABELIAN_2 = "elementary-abelian-2"
@@ -180,26 +184,18 @@ def conjugate_element(spec: GroupSpec, g: GroupElement, h: GroupElement) -> Grou
     return multiply(spec, multiply(spec, h, g), inverse(spec, h))
 
 
-def check_size(spec: GroupSpec, count: int, what: str) -> None:
-    """The one enumeration guard: raise :class:`TooLargeError` before a call
-    on ``spec`` lists ``count`` elements, classes or irreducibles (``what``)
-    above :data:`DEFAULT_ENUMERATION_CAP`."""
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise TooLargeError(
-            f"{spec.text} has {count} {what}, above the enumeration cap "
-            f"{DEFAULT_ENUMERATION_CAP}",
-            cap=DEFAULT_ENUMERATION_CAP,
-        )
-
-
-def check_bytes(nbytes: int, what: str) -> None:
-    """The byte guard: raise :class:`TooLargeError` before allocating
-    ``what``, an array of ``nbytes`` bytes, above :data:`TABLE_MAX_BYTES`."""
-    if nbytes > TABLE_MAX_BYTES:
-        raise TooLargeError(
-            f"{what} needs {nbytes} bytes, above the table bound {TABLE_MAX_BYTES} bytes",
-            cap=TABLE_MAX_BYTES,
-        )
+def admit(what: str, *, items: int = 0, nbytes: int = 0, work: int = 0) -> None:
+    """The one size guard: raise :class:`TooLargeError`, ``cap`` the bound
+    that tripped, before a call lists ``items``, allocates ``nbytes`` or does
+    ``work`` steps over its bound. ``what`` opens the message; for items it
+    states the count ("symmetric(9) has 362880 elements")."""
+    for amount, cap, message, unit in (
+        (items, DEFAULT_ENUMERATION_CAP, f"{what}, above the enumeration cap", ""),
+        (nbytes, TABLE_MAX_BYTES, f"{what} needs {nbytes} bytes, above the table bound", " bytes"),
+        (work, WORK_MAX, f"{what} needs {work} steps, above the work bound", " steps"),
+    ):
+        if amount > cap:
+            raise TooLargeError(f"{message} {cap}{unit}", cap=cap)
 
 
 def enumerate_elements(spec: GroupSpec) -> Tuple[GroupElement, ...]:
@@ -209,7 +205,7 @@ def enumerate_elements(spec: GroupSpec) -> Tuple[GroupElement, ...]:
     Raises :class:`TooLargeError` when the group order exceeds the
     enumeration cap.
     """
-    check_size(spec, spec.order, "elements")
+    admit(f"{spec.text} has {spec.order} elements", items=spec.order)
     return tuple(_iter_elements(spec))
 
 
@@ -322,8 +318,8 @@ def conjugacy_classes(spec: GroupSpec) -> Tuple[ConjugacyClass, ...]:
     order. Raises :class:`TooLargeError` above the enumeration cap.
     """
     if spec.kind == SYMMETRIC:
-        n = spec.size
-        check_size(spec, count_partitions(n), "classes")
+        n, count = spec.size, count_partitions(spec.size)
+        admit(f"{spec.text} has {count} classes", items=count)
         return tuple(
             ConjugacyClass(_cycle_representative(n, p.parts), _class_size(n, p.parts), p)
             for p in partitions_of(n)
@@ -378,7 +374,7 @@ def multiplication_table(spec: GroupSpec):
     """
     elements = enumerate_elements(spec)
     m = len(elements)
-    check_bytes(m * m * 4, f"the multiplication table of {spec.text}")
+    admit(f"the multiplication table of {spec.text}", nbytes=m * m * 4)
     idx = np.arange(m, dtype=np.int32)
     if spec.kind == SYMMETRIC:
         # Row i holds g[h] for g = elements[i] and every h, 0-based; each

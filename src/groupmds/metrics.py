@@ -112,7 +112,7 @@ def build_distance_matrix(spec: GroupSpec, metric) -> DistanceMatrix:
     """
     elements = groups.enumerate_elements(spec)
     m = len(elements)
-    groups.check_bytes(m * m * 8, f"the distance matrix of {spec.text}")
+    groups.admit(f"the distance matrix of {spec.text}", nbytes=m * m * 8)
     if isinstance(metric, Metric) and spec.kind == groups.CYCLIC:
         # min(|i - j|, n - |i - j|) filled into the one int64 matrix; the
         # only temporary is the m x m bool mask of the long arcs.

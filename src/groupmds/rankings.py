@@ -22,9 +22,7 @@ import numpy as np
 
 from . import dense, groups, metrics
 from .dense import EmbeddingResult
-from .errors import RankingParseError, TooLargeError
-
-DENSE_MODE_MAX_ITEMS = 7
+from .errors import RankingParseError
 
 
 @dataclass(frozen=True)
@@ -207,12 +205,12 @@ def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
     from .spectral import standard_rep_coordinates
 
     # The k × n^2 block and its two same-size temporaries, then the
-    # n^2 × n^2 covariance and three same-size copies inside eigendecompose.
+    # n^2 × n^2 covariance and three same-size copies inside eigendecompose;
+    # k n^4 flops for the covariance and n^6 for its eigendecomposition.
     k = len(samples)
-    groups.check_bytes(
-        8 * (3 * k * n * n + 4 * n ** 4),
-        f"the standard-block embedding of {k} permutations of {n} items",
-    )
+    groups.admit(f"the standard-block embedding of {k} permutations of {n} items",
+                 nbytes=8 * (3 * k * n * n + 4 * n ** 4),
+                 work=(k * n ** 4 + n ** 6) // groups.FLOPS_PER_STEP)
     x = standard_rep_coordinates(samples.permutations, n)
     w = samples.weights.astype(float)
     mean = (w[:, None] * x).sum(axis=0) / w.sum()
@@ -233,13 +231,13 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingR
     """Embed the observed permutations: ``samples`` is what :func:`aggregate`
     returns or any sequence of :class:`PermutationSample`.
 
-    ``dense`` (n <= 7) runs full MDS on all of S_n and selects the
-    observed rows. ``standard`` (n >= 4) computes direct coordinates in
-    the dominant representation block per permutation and reduces to
-    ``dims`` coordinates along the weighted principal axes of the observed
-    cloud, never enumerating the group; axes beyond the cloud's positive
-    variance hold zeros. Standard mode raises :class:`TooLargeError`
-    before it allocates more than :data:`groups.TABLE_MAX_BYTES`.
+    ``dense`` runs full MDS on all of S_n and selects the observed rows
+    (the byte bound refuses n = 8, the enumeration cap n >= 9). ``standard``
+    (n >= 4) computes direct coordinates in the dominant representation
+    block per permutation and reduces to ``dims`` coordinates along the
+    weighted principal axes of the observed cloud, never enumerating the
+    group; axes beyond the cloud's positive variance hold zeros. It raises
+    :class:`TooLargeError` before it allocates past the byte or work bound.
     """
     if dims < 1:
         raise ValueError("dims must be >= 1")
@@ -249,12 +247,6 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingR
         raise ValueError("no samples to embed")
     samples = _as_arrays(samples)
     if mode == "dense":
-        if n > DENSE_MODE_MAX_ITEMS:
-            raise TooLargeError(
-                f"dense mode embeds all n! permutations and supports n <= "
-                f"{DENSE_MODE_MAX_ITEMS}; use standard mode for n = {n}",
-                cap=DENSE_MODE_MAX_ITEMS,
-            )
         spec = groups.symmetric(n)
         dm = metrics.build_distance_matrix(spec, metrics.hamming_metric(spec))
         full = dense.classical_embedding(dense.eigendecompose(dense.double_center(dm)), dims)

@@ -104,8 +104,11 @@ def mu_from_metric(spec: GroupSpec, metric) -> ClassFunction:
     Bi-invariance is verified first (exhaustively up to order 120, sampled
     above), and each class representative's distance is re-checked on
     random conjugates rather than trusted; failures raise
-    :class:`NotBiInvariantError` with a counterexample.
+    :class:`NotBiInvariantError` with a counterexample. :class:`TooLargeError`
+    comes first past the work bound: on S_n, p(n) classes x 25 conjugates x n.
     """
+    rechecked = groups.count_partitions(spec.size) if spec.kind == groups.SYMMETRIC else 0
+    groups.admit(f"the class checks of {spec.text}", work=rechecked * _MU_CONJUGATE_CHECKS * spec.size)
     report = metrics.check_invariance(spec, metric, mode="bi")
     if not report.passed:
         side, f, g, h = report.counterexample
@@ -166,8 +169,8 @@ def _uncarried_labels(spec: GroupSpec, rows) -> tuple:
 def spectrum_via_characters(spec: GroupSpec, metric) -> SpectralSummary:
     """Predict the complete centered-kernel spectrum from characters alone.
 
-    Raises :class:`TooLargeError` when the class count exceeds the
-    enumeration cap.
+    Raises :class:`TooLargeError` from :func:`mu_from_metric` or the
+    decomposition, before either lists or allocates anything over a bound.
     """
     sigma = characters.decompose_class_function(mu_from_metric(spec, metric)).coefficients
     trivial = characters.trivial_label(spec)
@@ -231,11 +234,9 @@ def convolution_matrix(spec: GroupSpec, mu: ClassFunction) -> "np.ndarray":
     order; equals the non-centered kernel -(1/2) D o D entrywise.
 
     Raises :class:`TooLargeError` before the table is built when the
-    group is over the enumeration cap or the float64 result would exceed
-    :data:`groups.TABLE_MAX_BYTES`.
+    float64 result would pass the byte bound.
     """
-    groups.check_size(spec, spec.order, "elements")
-    groups.check_bytes(spec.order * spec.order * 8, f"the convolution matrix of {spec.text}")
+    groups.admit(f"the convolution matrix of {spec.text}", nbytes=spec.order * spec.order * 8)
     _, table, inv = groups.multiplication_table(spec)
     labels, index = groups.class_index(spec)
     values = np.array([float(mu.values[label]) for label in labels], dtype=float)

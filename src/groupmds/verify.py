@@ -1,9 +1,11 @@
 """Cross-checks between the character-predicted spectrum and the dense
 MDS pipeline, packaged so the CLI and the test suite run the same checks.
 
-For a (group, metric) pair of manageable order this builds the full
-distance matrix and centers it. ``spectrum --verify`` then needs only the
-kernel's eigenvalues (``dense.kernel_eigenvalues``); the full report
+For a (group, metric) pair within the order cap, the byte bound on the
+distance matrix and the work bound on each m^3 decomposition and product,
+checked before anything dense is built, this builds the full distance
+matrix and centers it. ``spectrum --verify`` then needs only the kernel's
+eigenvalues (``dense.kernel_eigenvalues``); the full report
 eigendecomposes the kernel and verifies:
 
 * the predicted eigenvalues, expanded by multiplicity and sorted, match
@@ -22,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import dense, metrics, spectral
+from . import dense, groups, metrics, spectral
 from .errors import TooLargeError
 from .exact import normalize_scalar
 from .groups import GroupSpec
@@ -63,13 +65,14 @@ def dense_oracle(spec: GroupSpec, metric, cap: int):
     """(distance matrix, centered kernel) of the dense MDS pipeline on
     ``spec``; each caller decomposes the kernel as far as it reads it.
 
-    Raises :class:`TooLargeError` before building anything when the group
-    order exceeds ``cap``.
-    """
-    if spec.order > cap:
-        raise TooLargeError(
-            f"{spec.text} has order {spec.order}, above the verification cap {cap}", cap=cap
-        )
+    Raises :class:`TooLargeError` before building anything when the order
+    m exceeds ``cap``, or the distance matrix or one m^3 decomposition of
+    the kernel passes a bound."""
+    m = spec.order
+    if m > cap:
+        raise TooLargeError(f"{spec.text} has order {m}, above the verification cap {cap}", cap=cap)
+    groups.admit(f"the distance matrix of {spec.text} and its eigenvalues", nbytes=m * m * 8,
+                 work=m ** 3 // groups.FLOPS_PER_STEP)
     dm = metrics.build_distance_matrix(spec, metric)
     return dm, dense.double_center(dm)
 
@@ -113,9 +116,20 @@ def _trace_identity_holds(dm, summary) -> bool:
 def oracle_equivalence_report(
     spec: GroupSpec, metric, cap: int = DEFAULT_VERIFY_CAP
 ) -> VerificationReport:
+    m = spec.order
+    if m > cap:
+        raise TooLargeError(f"{spec.text} has order {m}, above the verification cap {cap}", cap=cap)
+    labels = spectral.projector_labels(spec)
+    # Projector assembly is O(|G|^2) per label; past 128 labels check a
+    # deterministic sample and skip the completeness sum.
+    full_family = len(labels) <= 128
+    if not full_family:
+        labels = labels[::max(1, len(labels) // 16)]
+    groups.admit(f"the distance matrix of {spec.text} and its checks", nbytes=m * m * 8,
+                 work=(1 + 2 * len(labels)) * m ** 3 // groups.FLOPS_PER_STEP)
+    summary = spectral.spectrum_via_characters(spec, metric)
     dm, kernel = dense_oracle(spec, metric, cap)
     dec = dense.eigendecompose(kernel)
-    summary = spectral.spectrum_via_characters(spec, metric)
     checks = []
 
     dev, ok = spectrum_match_deviation(summary, dec)
@@ -152,13 +166,6 @@ def oracle_equivalence_report(
     # Every label but the trivial one (centered to zero) is listed in
     # the summary; a cyclic projector label j carries its pair's value.
     eigenvalues = {label: e.eigenvalue for e in summary.entries for label in e.labels}
-    labels = spectral.projector_labels(spec)
-    # Projector assembly is O(|G|^2) per label; past 128 labels check a
-    # deterministic sample and skip the completeness sum.
-    full_family = len(labels) <= 128
-    if not full_family:
-        step = max(1, len(labels) // 16)
-        labels = labels[::step]
     total = np.zeros((spec.order, spec.order))
     proj_dev = 0.0
     eig_dev = 0.0

@@ -465,16 +465,18 @@ def test_kernel_rejects_values_from_two_cyclotomic_fields():
 
 
 @pytest.mark.parametrize("n, refusal", [
-    (2202, None),
-    (2203, "the exact coefficients of cyclic(2203) needs 1086872080 bytes, "
-           "above the table bound 1073741824 bytes"),
-    (3000, "the exact coefficients of cyclic(3000) needs 1276800000 bytes, "
+    (2236, None),
+    (2237, "the exact coefficients of cyclic(2237) needs 5001932 steps, "
+           "above the work bound 5000000 steps"),
+    (4620, None),
+    (4391, "the exact coefficients of cyclic(4391) needs 1079483440 bytes, "
            "above the table bound 1073741824 bytes"),
 ])
-def test_cyclic_coefficient_guard_admits_the_same_orders(monkeypatch, n, refusal):
-    # The guard still counts labels x (n + phi(n)) coefficients at 112 bytes,
-    # more than the reduced form holds, so no larger C_n is admitted while
-    # nothing bounds the work of the call. Admission stops at the row sums.
+def test_cyclic_decomposition_guard_admits_up_to_the_work_bound(monkeypatch, n, refusal):
+    # One step per reduced integer, n labels x phi(n): the prime C_2237 is
+    # the first C_n refused, and C_4620 (phi = 960) the largest admitted.
+    # At 56 bytes per reduced integer the byte bound refuses from the prime
+    # C_4391 on. Admission stops at the row sums.
     class Admitted(Exception):
         pass
 

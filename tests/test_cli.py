@@ -125,13 +125,44 @@ def test_chartable_class_guard(capsys):
 
 
 def test_spectrum_refuses_cyclic_coefficients_over_the_byte_bound_quickly(capsys):
-    # The guard counts 3000 x (3000 + phi(3000)) exact coefficients at 112
-    # bytes, about 1.3 GB, and trips before the kernel allocates anything.
+    # The guard counts 4391 x phi(4391) reduced integers at 56 bytes, just
+    # over 2^30, and trips before the kernel allocates anything.
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "spectrum", "--group", "cyclic", "--n", "3000")
+    code, out, err = run_cli(capsys, "spectrum", "--group", "cyclic", "--n", "4391")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert "the exact coefficients of cyclic(3000)" in err
+    assert "the exact coefficients of cyclic(4391) needs 1079483440 bytes" in err
+
+
+REFUSED_FOR_WORK = {
+    "chartable-sn30": "chartable --max-classes 50000 --group sn --n 30",
+    "chartable-c2k13": "chartable --max-classes 50000 --group c2k --k 13",
+    "chartable-cyclic2000": "chartable --max-classes 50000 --group cyclic --n 2000",
+    "spectrum-sn41": "spectrum --group sn --n 41",
+    "spectrum-verify-c2k13": "spectrum --group c2k --k 13 --verify --cap 10000",
+    "verify-c2k13": "verify --group c2k --k 13 --cap 10000",
+    "verify-cyclic3000": "verify --group cyclic --n 3000 --cap 5000",
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_FOR_WORK.values(), ids=REFUSED_FOR_WORK.keys())
+def test_requests_over_the_work_bound_are_refused_quickly(capsys, argv):
+    # Each is within the items and byte bounds and would run for a minute or more.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err.endswith(f"above the work bound {groups.WORK_MAX} steps\n")
+
+
+def test_verify_refuses_before_building_the_oracle(capsys, monkeypatch):
+    def no_matrix(spec, metric):
+        raise AssertionError("verify built a distance matrix before its guards")
+
+    monkeypatch.setattr(metrics, "build_distance_matrix", no_matrix)
+    code, out, _ = run_cli(capsys, "verify", "--group", "cyclic", "--n", "3000",
+                           "--cap", "5000")
+    assert (code, out) == (3, "")
 
 
 def test_embed_and_plot_pipeline(tmp_path, capsys):

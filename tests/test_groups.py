@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -266,16 +267,11 @@ OVER_CAP_CALLS = [
     pytest.param(lambda: characters.character_table(elementary_abelian_2(16)),
                  id="character_table-C2^16"),
     pytest.param(lambda: spectral.spectrum_via_characters(
-        symmetric(45), metrics.hamming_metric(symmetric(45))),
-        id="spectrum_via_characters-S45"),
-    pytest.param(lambda: spectral.spectrum_via_characters(
         cyclic(60000), metrics.circular_arc_metric(cyclic(60000))),
         id="spectrum_via_characters-C60000"),
     pytest.param(lambda: metrics.build_distance_matrix(S9, metrics.hamming_metric(S9)),
                  id="build_distance_matrix-S9"),
     pytest.param(lambda: groups.multiplication_table(S9), id="multiplication_table-S9"),
-    pytest.param(lambda: spectral.isotypic_projector(S9, Partition((8, 1))),
-                 id="isotypic_projector-S9"),
 ]
 # Orders under the enumeration cap whose arrays are over the byte bound.
 OVER_TABLE_BOUND_CALLS = [
@@ -285,16 +281,10 @@ OVER_TABLE_BOUND_CALLS = [
                  id="multiplication_table-C2^15"),
     pytest.param(lambda: groups.multiplication_table(cyclic(40000)),
                  id="multiplication_table-C40000"),
-    # The 40000 x 16000 reduction matrix of Q(zeta_40000), and the exact
-    # coefficients the C_40000 and C_3000 kernels would return.
-    pytest.param(lambda: characters.character_table(cyclic(40000)),
-                 id="character_table-C40000"),
+    # The reduced integers the C_40000 kernel would return.
     pytest.param(lambda: spectral.spectrum_via_characters(
         cyclic(40000), metrics.circular_arc_metric(cyclic(40000))),
         id="spectrum_via_characters-C40000"),
-    pytest.param(lambda: spectral.spectrum_via_characters(
-        cyclic(3000), metrics.circular_arc_metric(cyclic(3000))),
-        id="spectrum_via_characters-C3000"),
     pytest.param(lambda: metrics.build_distance_matrix(
         symmetric(8), metrics.hamming_metric(symmetric(8))),
         id="build_distance_matrix-S8"),
@@ -304,25 +294,66 @@ OVER_TABLE_BOUND_CALLS = [
     pytest.param(lambda: metrics.build_distance_matrix(
         cyclic(40000), metrics.circular_arc_metric(cyclic(40000))),
         id="build_distance_matrix-C40000"),
-    # The (C_2)^14 table fits the bound; its float64 convolution matrix does not.
+    # The (C_2)^14 table fits the bound; its float64 convolution matrix does
+    # not, nor S_9's, refused before the elements are listed.
     pytest.param(lambda: spectral.isotypic_projector(elementary_abelian_2(14), frozenset()),
                  id="isotypic_projector-C2^14"),
+    pytest.param(lambda: spectral.isotypic_projector(S9, Partition((8, 1))),
+                 id="isotypic_projector-S9"),
+]
+# Listings and arrays within their bounds whose work is not.
+OVER_WORK_BOUND_CALLS = [
+    pytest.param(lambda: characters.character_table(symmetric(30)), id="character_table-S30"),
+    pytest.param(lambda: characters.character_table(elementary_abelian_2(13)),
+                 id="character_table-C2^13"),
+    pytest.param(lambda: characters.character_table(cyclic(2000)), id="character_table-C2000"),
+    pytest.param(lambda: characters.character_table(cyclic(40000)),
+                 id="character_table-C40000"),
+    pytest.param(lambda: spectral.spectrum_via_characters(
+        symmetric(41), metrics.hamming_metric(symmetric(41))),
+        id="spectrum_via_characters-S41"),
+    pytest.param(lambda: spectral.spectrum_via_characters(
+        symmetric(45), metrics.hamming_metric(symmetric(45))),
+        id="spectrum_via_characters-S45"),
 ]
 
 
 @pytest.mark.parametrize("call,cap", [
     *[pytest.param(p.values[0], groups.DEFAULT_ENUMERATION_CAP, id=p.id) for p in OVER_CAP_CALLS],
     *[pytest.param(p.values[0], groups.TABLE_MAX_BYTES, id=p.id) for p in OVER_TABLE_BOUND_CALLS],
+    *[pytest.param(p.values[0], groups.WORK_MAX, id=p.id) for p in OVER_WORK_BOUND_CALLS],
 ])
 def test_every_listing_entry_point_refuses_over_cap_input_quickly(call, cap):
-    # The guards, checked where elements, classes or irreducibles are listed
-    # and before the table is allocated, must trip before any of the work
-    # that the listing would feed.
+    # The one guard, run on counts computed from the group's parameters,
+    # must trip before any of the work or the arrays it counts: quickly,
+    # and with a small fraction of the byte bound allocated.
+    tracemalloc.start()
     start = time.perf_counter()
-    with pytest.raises(TooLargeError) as excinfo:
-        call()
+    try:
+        with pytest.raises(TooLargeError) as excinfo:
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 2.0
+    assert peak < groups.TABLE_MAX_BYTES // 16
     assert excinfo.value.cap == cap
+
+
+def test_admit_checks_items_then_bytes_then_work():
+    with pytest.raises(TooLargeError) as excinfo:
+        groups.admit("x", items=groups.DEFAULT_ENUMERATION_CAP + 1,
+                     nbytes=groups.TABLE_MAX_BYTES + 1, work=groups.WORK_MAX + 1)
+    assert excinfo.value.cap == groups.DEFAULT_ENUMERATION_CAP
+    with pytest.raises(TooLargeError) as excinfo:
+        groups.admit("x", nbytes=groups.TABLE_MAX_BYTES + 1, work=groups.WORK_MAX + 1)
+    assert excinfo.value.cap == groups.TABLE_MAX_BYTES
+    with pytest.raises(TooLargeError) as excinfo:
+        groups.admit("the work of x", work=groups.WORK_MAX + 1)
+    assert str(excinfo.value) == (f"the work of x needs {groups.WORK_MAX + 1} steps, "
+                                  f"above the work bound {groups.WORK_MAX} steps")
+    groups.admit("x", items=groups.DEFAULT_ENUMERATION_CAP, nbytes=groups.TABLE_MAX_BYTES,
+                 work=groups.WORK_MAX)
 
 
 # --- conjugacy classes -------------------------------------------------------
