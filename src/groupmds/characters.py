@@ -48,12 +48,20 @@ def irreducible_labels(spec: GroupSpec):
     if spec.kind == groups.SYMMETRIC:
         return groups.partitions_of(spec.size)
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        k = spec.size
-        subsets = [frozenset(s + 1 for s in range(k) if bits >> (k - 1 - s) & 1)
-                   for bits in range(2 ** k)]
-        subsets.sort(key=lambda s: label_sort_key(spec, s))
-        return tuple(subsets)
+        from itertools import compress
+
+        # Element i's bits are those of subset i's binary value.
+        positions, bits = range(1, spec.size + 1), groups.enumerate_elements(spec)
+        return tuple(frozenset(compress(positions, bits[i]))
+                     for i in _c2k_label_order(spec.size).tolist())
     return tuple(range(spec.size))
+
+
+def _c2k_label_order(k: int) -> np.ndarray:
+    """The binary values of the (C_2)^k labels in label order: by size
+    (the popcount), then by value."""
+    values = np.arange(2 ** k)
+    return np.lexsort((values, np.bitwise_count(values)))
 
 
 def trivial_label(spec: GroupSpec):
@@ -89,11 +97,21 @@ def _validate_label(spec: GroupSpec, label) -> None:
         if not isinstance(label, Partition) or label.n != spec.size:
             raise InvalidElementError(f"{label!r} does not label an irreducible of {spec.text}")
     elif spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        if not isinstance(label, frozenset) or not label <= set(range(1, spec.size + 1)):
+        if not isinstance(label, frozenset) or not label <= _positions(spec.size):
             raise InvalidElementError(f"{label!r} does not label an irreducible of {spec.text}")
     else:
         if not isinstance(label, int) or not 0 <= label < spec.size:
             raise InvalidElementError(f"{label!r} does not label an irreducible of {spec.text}")
+
+
+_POSITIONS: Dict[int, frozenset] = {}
+
+
+def _positions(k: int) -> frozenset:
+    """{1..k}, built once per k: every (C_2)^k label is checked against it."""
+    if k not in _POSITIONS:
+        _POSITIONS[k] = frozenset(range(1, k + 1))
+    return _POSITIONS[k]
 
 
 def _validate_class_label(spec: GroupSpec, class_label) -> None:
@@ -332,19 +350,24 @@ class DecompositionResult:
     coefficients: Dict
 
 
-def fwht(values) -> list:
-    """In-order fast Walsh-Hadamard transform; returns a new list with
-    out[i] = sum_j (-1)^popcount(i & j) * values[j]."""
-    v = list(values)
-    n = len(v)
+def fwht(values) -> np.ndarray:
+    """In-order fast Walsh-Hadamard transform along the last axis; returns
+    a new array with out[..., i] = sum_j (-1)^popcount(i & j) values[..., j].
+    Integers whose sums could pass int64 are summed as Python integers (an
+    object array), so integer results are exact."""
+    v = np.array(values)
+    n = v.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
+    if v.dtype.kind in "iu" and v.size and max(int(v.max()), -int(v.min())) * n >= 2 ** 63:
+        v = v.astype(object)
     h = 1
     while h < n:
-        for i in range(0, n, h * 2):
-            for j in range(i, i + h):
-                a, b = v[j], v[j + h]
-                v[j], v[j + h] = a + b, a - b
+        pairs = v.reshape(*v.shape[:-1], n // (2 * h), 2, h)
+        a, b = pairs[..., 0, :], pairs[..., 1, :]
+        total = a + b
+        np.subtract(a, b, out=b)
+        a[...] = total
         h *= 2
     return v
 
@@ -364,13 +387,17 @@ def _power_sums(f: ClassFunction, labels, order: int, denom: int):
     The row product is the per-kind part."""
     spec = f.group
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        # One FWHT per power, filled in enumeration order (the binary index).
-        vectors = [[0] * spec.order for _ in range(order)]
+        # One FWHT per power, filled in enumeration order (the binary
+        # index), read in label order.
+        vectors = np.zeros((order, spec.order), dtype=object)
+        total = 0
         for i, g in enumerate(groups.enumerate_elements(spec)):
             for e, c in _power_terms(f.values[g], denom):
-                vectors[e][i] = c
-        return [[w[subset_bit_value(spec, label)] for label in labels]
-                for w in map(fwht, vectors)]
+                vectors[e, i] = c
+                total += abs(c)
+        if total < 2 ** 63:  # no partial sum of a transform passes int64
+            vectors = vectors.astype(np.int64)
+        return fwht(vectors)[:, _c2k_label_order(spec.size)]
     classes = groups.conjugacy_classes(spec)
     if spec.kind == groups.SYMMETRIC:
         # One Horner sweep per power, weighted by class size.
@@ -393,6 +420,25 @@ def _power_sums(f: ClassFunction, labels, order: int, denom: int):
     return sums
 
 
+def admit_decomposition(spec: GroupSpec, order: int) -> None:
+    """Raise :class:`TooLargeError` when decomposing a class function on
+    ``spec`` with values in Q(zeta_order) lists more irreducibles than the
+    enumeration cap or passes the byte bound, at 56 bytes per reduced
+    integer returned, or the work bound: a step per reduced integer
+    (reduced, scaled, printed) plus, per power, k 2^k for a FWHT or 5/2
+    steps for each of the n beads at each of S_n's sum_{s<=n} p(s) trie
+    nodes. The sweep leads an S_n spectrum, whose request took 4.2 to
+    4.9 us a bead end to end at n = 33 to 35, against 2 us a step."""
+    n, count, phi = spec.size, groups.conjugacy_class_count(spec), euler_phi(order)
+    groups.admit(f"{spec.text} has {count} irreducibles", items=count)
+    if spec.kind == groups.SYMMETRIC:
+        per_power = 5 * n * sum(map(groups.count_partitions, range(n + 1))) // 2
+    else:
+        per_power = n * spec.order if spec.kind == groups.ELEMENTARY_ABELIAN_2 else 0
+    groups.admit(f"the exact coefficients of {spec.text}", nbytes=56 * count * phi,
+                 work=order * per_power + count * phi)
+
+
 def decompose_class_function(f: ClassFunction) -> DecompositionResult:
     """sigma_i = <f, chi_i> for every irreducible label, exact.
 
@@ -408,10 +454,8 @@ def decompose_class_function(f: ClassFunction) -> DecompositionResult:
     zeta^(e - j a) powers for C_n, and one Horner power-sum sweep over the
     cycle types for S_n.
 
-    Raises :class:`TooLargeError` before listing or allocating anything past
-    the byte bound, at 56 bytes per reduced integer returned, or the work
-    bound: a step per reduced integer (reduced, scaled, printed) plus, per
-    power, n beads at each of S_n's sum_{s<=n} p(s) trie nodes or a FWHT.
+    Raises :class:`TooLargeError` from :func:`admit_decomposition` before
+    listing or allocating anything.
     """
     spec = f.group
     orders = {v.order for v in f.values.values() if isinstance(v, Cyclotomic)}
@@ -421,17 +465,12 @@ def decompose_class_function(f: ClassFunction) -> DecompositionResult:
     denom = math.lcm(*(v.den if isinstance(v, Cyclotomic) else v.denominator
                        for v in f.values.values()))
     scale = spec.order * denom
-    n, count, phi = spec.size, groups.conjugacy_class_count(spec), euler_phi(order)
-    sweep = sum(map(groups.count_partitions, range(n + 1))) if spec.kind == groups.SYMMETRIC else 0
-    fwht = spec.order if spec.kind == groups.ELEMENTARY_ABELIAN_2 else 0
-    groups.admit(f"the exact coefficients of {spec.text}", nbytes=56 * count * phi,
-                 work=order * n * (sweep + fwht) + count * phi)
+    admit_decomposition(spec, order)
     labels = irreducible_labels(spec)
-    reduced = reduce_powers(_power_sums(f, labels, order, denom), order).T.tolist()
-    return DecompositionResult(spec, {
-        label: normalize_scalar(Cyclotomic._reduced(order, row, scale))
-        for label, row in zip(labels, reduced)
-    })
+    rows = list(map(tuple, reduce_powers(_power_sums(f, labels, order, denom), order).T.tolist()))
+    # One exact value per distinct row, shared by every label that has it.
+    values = {row: normalize_scalar(Cyclotomic._reduced(order, row, scale)) for row in set(rows)}
+    return DecompositionResult(spec, dict(zip(labels, map(values.__getitem__, rows))))
 
 
 def tensor_square_decomposition(spec: GroupSpec, label) -> DecompositionResult:

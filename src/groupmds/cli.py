@@ -85,7 +85,7 @@ def cmd_spectrum(parser, args) -> int:
             summary = spectral.spectrum_via_characters(spec, metric)
         doc = summary.to_json_dict()
         if args.verify:
-            _, kernel = verify.dense_oracle(spec, metric, args.cap)
+            kernel = verify.dense_oracle(spec, metric, args.cap)[1]  # distances not kept
             deviation, ok = verify.spectrum_match_deviation(
                 summary, dense.kernel_eigenvalues(kernel)
             )

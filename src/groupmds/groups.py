@@ -184,6 +184,41 @@ def conjugate_element(spec: GroupSpec, g: GroupElement, h: GroupElement) -> Grou
     return multiply(spec, multiply(spec, h, g), inverse(spec, h))
 
 
+# Array forms, for work on many elements at once: a permutation of S_n is
+# its row of 0-based images, an element of (C_2)^k its enumeration index
+# (its bits read as a binary number, first bit most significant), and an
+# element of C_n its residue. Leading axes index the elements.
+
+
+def random_array_elements(spec: GroupSpec, rng: random.Random, count: int) -> np.ndarray:
+    """``count`` random elements in array form from ``rng.randbytes``: a
+    permutation sorts n random 64-bit keys, an abelian element is one key
+    modulo the order."""
+    width = spec.size if spec.kind == SYMMETRIC else 1
+    keys = np.frombuffer(rng.randbytes(8 * count * width), dtype=np.uint64)
+    if spec.kind == SYMMETRIC:
+        return keys.reshape(count, width).argsort(axis=1)
+    return (keys % np.uint64(spec.order)).astype(np.int64)
+
+
+def compose_arrays(spec: GroupSpec, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``g * h`` on array forms, broadcast over the leading axes."""
+    if spec.kind == SYMMETRIC:
+        return np.take_along_axis(g, h, axis=-1)  # (g*h)(i) = g(h(i))
+    if spec.kind == ELEMENTARY_ABELIAN_2:
+        return g ^ h
+    return (g + h) % spec.size
+
+
+def array_element(spec: GroupSpec, a) -> GroupElement:
+    """The plain element of one array form."""
+    if spec.kind == SYMMETRIC:
+        return tuple(int(i) + 1 for i in a)
+    if spec.kind == ELEMENTARY_ABELIAN_2:
+        return tuple(int(a) >> (spec.size - 1 - s) & 1 for s in range(spec.size))
+    return int(a)
+
+
 def admit(what: str, *, items: int = 0, nbytes: int = 0, work: int = 0) -> None:
     """The one size guard: raise :class:`TooLargeError`, ``cap`` the bound
     that tripped, before a call lists ``items``, allocates ``nbytes`` or does
@@ -198,9 +233,11 @@ def admit(what: str, *, items: int = 0, nbytes: int = 0, work: int = 0) -> None:
             raise TooLargeError(f"{message} {cap}{unit}", cap=cap)
 
 
+@lru_cache(maxsize=8)
 def enumerate_elements(spec: GroupSpec) -> Tuple[GroupElement, ...]:
     """All elements in deterministic lexicographic order, the identity
-    first.
+    first. Cached per spec, so the stages of one computation share one
+    listing.
 
     Raises :class:`TooLargeError` when the group order exceeds the
     enumeration cap.
@@ -325,14 +362,6 @@ def conjugacy_classes(spec: GroupSpec) -> Tuple[ConjugacyClass, ...]:
             for p in partitions_of(n)
         )
     return tuple(ConjugacyClass(g, 1, g) for g in enumerate_elements(spec))
-
-
-def class_label_of(spec: GroupSpec, g: GroupElement):
-    """The conjugacy-class label of ``g``: cycle type for S_n, g itself otherwise."""
-    validate_element(spec, g)
-    if spec.kind == SYMMETRIC:
-        return cycle_type(g)
-    return g
 
 
 def random_element(spec: GroupSpec, rng: random.Random) -> GroupElement:

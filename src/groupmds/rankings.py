@@ -206,11 +206,11 @@ def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
 
     # The k × n^2 block and its two same-size temporaries, then the
     # n^2 × n^2 covariance and three same-size copies inside eigendecompose;
-    # k n^4 flops for the covariance and n^6 for its eigendecomposition.
+    # k n^4 flops for the covariance, 3 n^6 for its eigendecomposition.
     k = len(samples)
     groups.admit(f"the standard-block embedding of {k} permutations of {n} items",
                  nbytes=8 * (3 * k * n * n + 4 * n ** 4),
-                 work=(k * n ** 4 + n ** 6) // groups.FLOPS_PER_STEP)
+                 work=(k * n ** 4 + dense.EIGENVECTOR_COST * n ** 6) // groups.FLOPS_PER_STEP)
     x = standard_rep_coordinates(samples.permutations, n)
     w = samples.weights.astype(float)
     mean = (w[:, None] * x).sum(axis=0) / w.sum()

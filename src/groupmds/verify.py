@@ -113,6 +113,14 @@ def _trace_identity_holds(dm, summary) -> bool:
     return lhs == rhs
 
 
+def _reconstruction_deviation(dec, dm) -> float:
+    """max |full-rank pseudo-distances - squared input distances|, the
+    difference taken in the reconstruction's array."""
+    dev = dense.pseudo_distance_sq_matrix(dense.full_rank_pseudo_embedding(dec))
+    dev -= np.square(dm.values, dtype=float)
+    return float(np.abs(dev, out=dev).max())
+
+
 def oracle_equivalence_report(
     spec: GroupSpec, metric, cap: int = DEFAULT_VERIFY_CAP
 ) -> VerificationReport:
@@ -126,7 +134,7 @@ def oracle_equivalence_report(
     if not full_family:
         labels = labels[::max(1, len(labels) // 16)]
     groups.admit(f"the distance matrix of {spec.text} and its checks", nbytes=m * m * 8,
-                 work=(1 + 2 * len(labels)) * m ** 3 // groups.FLOPS_PER_STEP)
+                 work=(dense.EIGENVECTOR_COST + 2 * len(labels)) * m ** 3 // groups.FLOPS_PER_STEP)
     summary = spectral.spectrum_via_characters(spec, metric)
     dm, kernel = dense_oracle(spec, metric, cap)
     dec = dense.eigendecompose(kernel)
@@ -147,13 +155,7 @@ def oracle_equivalence_report(
         CheckResult("trace-identity", trace_ok, None, "exact rational equality")
     )
 
-    if dec.nonzero_count():
-        emb = dense.full_rank_pseudo_embedding(dec)
-        recon = dense.pseudo_distance_sq_matrix(emb)
-        target = dm.values.astype(float) ** 2
-        rec_dev = float(np.max(np.abs(recon - target)))
-    else:
-        rec_dev = 0.0
+    rec_dev = _reconstruction_deviation(dec, dm) if dec.nonzero_count() else 0.0
     checks.append(
         CheckResult(
             "reconstruction",
@@ -173,9 +175,14 @@ def oracle_equivalence_report(
         proj = spectral.isotypic_projector(spec, label)
         p = proj.matrix
         total += p
-        proj_dev = max(proj_dev, float(np.max(np.abs(p @ p - p))))
         lam = float(eigenvalues.get(label, 0))
-        eig_dev = max(eig_dev, float(np.max(np.abs(p @ kernel.matrix - lam * p))))
+        # |P P - P| and |P M - lambda P|, each in its product's array.
+        dev = p @ p
+        dev -= p
+        proj_dev = max(proj_dev, float(np.abs(dev, out=dev).max()))
+        np.matmul(p, kernel.matrix, out=dev)
+        dev -= lam * p
+        eig_dev = max(eig_dev, float(np.abs(dev, out=dev).max()))
     scale = max(1.0, float(np.max(np.abs(dec.eigenvalues))) if dec.size else 1.0)
     family = "all labels" if full_family else f"{len(labels)} sampled labels"
     checks.append(
@@ -192,7 +199,8 @@ def oracle_equivalence_report(
         )
     )
     if full_family:
-        complete_dev = float(np.max(np.abs(total - np.eye(spec.order))))
+        total.flat[::spec.order + 1] -= 1.0  # total - I, in place
+        complete_dev = float(np.abs(total, out=total).max())
         checks.append(
             CheckResult(
                 "projector-completeness",

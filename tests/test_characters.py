@@ -525,6 +525,26 @@ def test_trivial_labels():
     assert trivial_label(cyclic(9)) == 0
 
 
+@pytest.mark.parametrize("k", range(0, 9))
+@pytest.mark.parametrize("bound", [9, 2 ** 62, 2 ** 70], ids=["int64", "past-int64", "python-int"])
+def test_fwht_equals_the_definition(k, bound):
+    rng = random.Random(k)
+    values = [rng.randint(-bound, bound) for _ in range(2 ** k)]
+    expected = [sum(v if (i & j).bit_count() % 2 == 0 else -v for j, v in enumerate(values))
+                for i in range(2 ** k)]
+    assert characters.fwht(values).tolist() == expected
+    assert characters.fwht([values, values[::-1]])[0].tolist() == expected  # the last axis
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_c2k_labels_sort_by_size_then_binary_value(k):
+    spec = elementary_abelian_2(k)
+    subsets = [frozenset(s + 1 for s in range(k) if bits >> (k - 1 - s) & 1)
+               for bits in range(2 ** k)]
+    assert irreducible_labels(spec) == tuple(sorted(subsets,
+                                                    key=lambda l: label_sort_key(spec, l)))
+
+
 def test_subset_order_size_then_binary_value():
     spec = elementary_abelian_2(3)
     labs = irreducible_labels(spec)

@@ -424,3 +424,22 @@ def test_console_script_entry_point():
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert doc["group"] == "elementary-abelian-2(3)"
+
+
+def test_spectrum_and_verify_never_import_numpy_random():
+    # numpy.random costs several MiB of resident memory; the checks draw
+    # their random elements from the standard library instead.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys\n"
+        "from groupmds import cli\n"
+        "for argv in (['spectrum', '--group', 'sn', '--n', '8'],\n"
+        "             ['spectrum', '--group', 'c2k', '--k', '9', '--verify'],\n"
+        "             ['verify', '--group', 'sn', '--n', '6']):\n"
+        "    assert cli.main(argv + ['--out', sys.argv[1]]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr

@@ -302,3 +302,30 @@ def test_embedding_csv_layout():
     assert first[0] == "0" and first[2] == "1"
     assert len(first) == 6
     float(first[3])  # coordinates round-trip through float()
+
+
+@pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 128, 200])
+def test_symmetrization_is_bit_identical_to_the_whole_matrix_expression(size):
+    # Tiles are 64 wide: sizes on, below and past a multiple of the tile.
+    rng = random.Random(size)
+    m = np.array([[rng.uniform(-1, 1) for _ in range(size)] for _ in range(size)])
+    m = m + m.T
+    m[size // 2, size - 1] *= 1 + 1e-12  # asymmetric below the tolerance
+    expected = (m + m.T) / 2.0
+    assert dense._symmetric(m).tobytes() == expected.tobytes()
+    assert dense._symmetric(dense.MdsKernel(m)).tobytes() == expected.tobytes()
+    kernel = dense.MdsKernel(m.copy())
+    assert dense._symmetric(kernel, in_place=True) is kernel.matrix
+    assert kernel.matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("size", [2, 65, 130])
+def test_symmetrization_refuses_an_asymmetric_kernel(size):
+    m = np.ones((size, size))
+    m[size - 1, 0] = 2.0  # in a tile below the diagonal
+    before = m.copy()
+    with pytest.raises(ValueError, match="not symmetric"):
+        dense._symmetric(m)
+    with pytest.raises(ValueError, match="not symmetric"):
+        dense.kernel_eigenvalues(m.T)  # in place, so nothing may be written first
+    assert np.array_equal(m, before)

@@ -263,3 +263,13 @@ def test_distance_reduces_to_identity_distance(spec, metric):
         h = groups.random_element(spec, rng)
         gh_inv = groups.multiply(spec, g, groups.inverse(spec, h))
         assert metric.distance(g, h) == metric.distance(gh_inv, e)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_c2k_popcount_matrix_equals_the_per_coordinate_hamming_matrix(k):
+    spec = elementary_abelian_2(k)
+    bits = np.array(enumerate_elements(spec), dtype=np.int64).reshape(-1, k)
+    expected = sum(np.not_equal.outer(col, col).astype(np.int64) for col in bits.T)
+    values = metrics.build_distance_matrix(spec, hamming_metric(spec)).values
+    assert values.dtype == np.int64
+    assert np.array_equal(values, expected)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupmds import characters, dense, groups, metrics, verify
-from groupmds.errors import NotBiInvariantError, UnsupportedClosedFormError
+from groupmds.errors import InvalidElementError, NotBiInvariantError, UnsupportedClosedFormError
 from groupmds.groups import Partition, cyclic, elementary_abelian_2, symmetric
 from groupmds.metrics import (
     build_distance_matrix,
@@ -28,6 +28,7 @@ from groupmds.spectral import (
     spectrum_via_characters,
     standard_rep_coordinates,
 )
+from test_groups import class_label_of
 
 
 def entry_map(summary):
@@ -98,6 +99,120 @@ def test_mu_rejects_corrupted_metric_with_counterexample():
         mu_from_metric(c22, bad)
     side, f, g, h = excinfo.value.counterexample
     assert side in ("left", "right")
+
+
+class PerElement:
+    """A shipped metric seen only through ``distance``, so the checks take
+    their per-element loop."""
+
+    def __init__(self, metric):
+        self.group, self.kind, self.distance = metric.group, metric.kind, metric.distance
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [symmetric(n) for n in range(1, 9)]
+    + [elementary_abelian_2(k) for k in range(1, 11)]
+    + [cyclic(n) for n in range(1, 61)],
+    ids=lambda spec: spec.text,
+)
+def test_array_mu_equals_the_per_element_loop(spec):
+    metric = default_metric(spec)
+    on_arrays = mu_from_metric(spec, metric).values
+    per_element = mu_from_metric(spec, PerElement(metric)).values
+    assert list(on_arrays.items()) == list(per_element.items())
+
+
+@pytest.mark.parametrize("spec, other", [(symmetric(6), symmetric(7)), (symmetric(5), symmetric(4))],
+                         ids=["sampled", "exhaustive"])
+def test_metric_bound_to_another_group_is_refused(spec, other):
+    # It takes the per-element loop, whose distance refuses the elements.
+    with pytest.raises(InvalidElementError):
+        mu_from_metric(spec, hamming_metric(other))
+
+
+class MarkedLength(LengthMetric):
+    """d(g, h) = L(g^-1 h) with L Hamming to the identity plus 5 on one
+    3-cycle of S_6: left-invariant, and right-invariant except where the
+    mark moves under conjugation."""
+
+    def __init__(self):
+        s6 = symmetric(6)
+        marked = (2, 3, 1, 4, 5, 6)
+        super().__init__(s6, {g: sum(a != b for a, b in zip(g, range(1, 7))) + 5 * (g == marked)
+                              for g in groups.enumerate_elements(s6)})
+
+
+def corrupted_transposition():
+    from test_metrics import CorruptedMetric
+
+    s6 = symmetric(6)
+    return CorruptedMetric(hamming_metric(s6), (2, 1, 3, 4, 5, 6), s6.identity(), delta=10)
+
+
+@pytest.mark.parametrize("make_metric, counterexample", [
+    # Sampled bi-invariance check, first failing triple at trial 366.
+    (MarkedLength, ("right", (4, 2, 5, 6, 1, 3), (4, 6, 2, 5, 3, 1), (6, 2, 4, 5, 3, 1))),
+    # Passes the sampled check; the class re-check finds the corrupted pair.
+    (corrupted_transposition,
+     ("class", (5, 6, 3, 4, 2, 1), (2, 1, 3, 4, 5, 6), (1, 2, 3, 4, 6, 5))),
+], ids=["sampled-right", "class"])
+def test_duck_typed_broken_metric_keeps_its_counterexample(make_metric, counterexample):
+    # The per-element loop and its random stream are unchanged, so the
+    # counterexample is the one the loop has always reported.
+    with pytest.raises(NotBiInvariantError) as excinfo:
+        mu_from_metric(symmetric(6), make_metric())
+    assert excinfo.value.counterexample == counterexample
+
+
+class MarkedTransposition(metrics.Metric):
+    """Hamming on S_6 plus 10 between e and (1 2), in both array and
+    element forms: bi-invariant on almost every triple, yet not constant
+    on the class of (1 2)."""
+
+    MARK = (2, 1, 3, 4, 5, 6)
+
+    def distance(self, g, h):
+        marked = {g, h} == {self.MARK, self.group.identity()}
+        return super().distance(g, h) + 10 * marked
+
+    def distances(self, g, h):
+        mark, e = np.array(self.MARK) - 1, np.arange(6)
+        g_mark, g_e = (g == mark).all(axis=-1), (g == e).all(axis=-1)
+        h_mark, h_e = (h == mark).all(axis=-1), (h == e).all(axis=-1)
+        return super().distances(g, h) + 10 * (g_mark & h_e | g_e & h_mark)
+
+
+class ShiftedPoint(metrics.Metric):
+    """Hamming on S_6 plus |g(1) - h(1)|, in both forms: not invariant on
+    either side."""
+
+    def distance(self, g, h):
+        return super().distance(g, h) + abs(g[0] - h[0])
+
+    def distances(self, g, h):
+        return super().distances(g, h) + np.abs(g[..., 0] - h[..., 0])
+
+
+def test_array_checks_report_a_broken_metric_with_a_true_counterexample():
+    s6 = symmetric(6)
+    shifted = ShiftedPoint(metrics.HAMMING_PERMUTATION, s6)
+    report = metrics.check_invariance(s6, shifted, mode="bi")
+    assert not report.passed and not report.exhaustive
+    side, f, g, h = report.counterexample
+    pairs = ((f, g), (f, h)) if side == "left" else ((g, f), (h, f))
+    moved = [groups.multiply(s6, a, b) for a, b in pairs]
+    assert shifted.distance(*moved) != shifted.distance(g, h)
+
+    marked = MarkedTransposition(metrics.HAMMING_PERMUTATION, s6)
+    assert metrics.check_invariance(s6, marked, mode="bi").passed
+    with pytest.raises(NotBiInvariantError) as excinfo:
+        mu_from_metric(s6, marked)
+    kind, h, rep, conj = excinfo.value.counterexample
+    assert kind == "class" and rep == MarkedTransposition.MARK
+    assert conj == groups.conjugate_element(s6, rep, h)
+    e = s6.identity()
+    assert marked.distance(conj, e) != marked.distance(rep, e)
 
 
 # --- spectrum via characters ----------------------------------------------------
@@ -468,7 +583,7 @@ class ClassDissimilarity:
     def distance(self, g, h):
         spec = self.group
         quotient = groups.multiply(spec, g, groups.inverse(spec, h))
-        return self.phi[groups.class_label_of(spec, quotient)]
+        return self.phi[class_label_of(spec, quotient)]
 
 
 @st.composite
@@ -485,7 +600,7 @@ def class_dissimilarities(draw):
         spec = cyclic(draw(st.integers(1, 120)))
         half = [draw(value) for _ in range(spec.size // 2 + 1)]
         phi = {a: half[min(a, spec.size - a)] for a in range(spec.size)}
-    phi[groups.class_label_of(spec, spec.identity())] = 0
+    phi[class_label_of(spec, spec.identity())] = 0
     return ClassDissimilarity(spec, phi)
 
 
