@@ -231,7 +231,7 @@ def character_value(spec: GroupSpec, label, class_label) -> Scalar:
 
 
 def _hook_product(parts: Tuple[int, ...]) -> int:
-    conj = Partition(parts).conjugate().parts
+    conj = [sum(1 for p in parts if p > j) for j in range(parts[0])]  # column lengths
     prod = 1
     for i, row in enumerate(parts):
         for j in range(row):

@@ -179,15 +179,20 @@ def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
     return (-g) % spec.size
 
 
-def conjugate_element(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
-    """Return ``h * g * h^-1``."""
-    return multiply(spec, multiply(spec, h, g), inverse(spec, h))
-
-
 # Array forms, for work on many elements at once: a permutation of S_n is
 # its row of 0-based images, an element of (C_2)^k its enumeration index
 # (its bits read as a binary number, first bit most significant), and an
 # element of C_n its residue. Leading axes index the elements.
+
+
+def array_forms(spec: GroupSpec, elements: Sequence[GroupElement]) -> np.ndarray:
+    """The array forms of plain elements, stacked along the first axis."""
+    forms = np.array(elements, dtype=np.int64).reshape(len(elements), -1)
+    if spec.kind == SYMMETRIC:
+        return forms - 1
+    if spec.kind == ELEMENTARY_ABELIAN_2:
+        return forms @ (1 << np.arange(spec.size - 1, -1, -1))
+    return forms[:, 0]
 
 
 def random_array_elements(spec: GroupSpec, rng: random.Random, count: int) -> np.ndarray:
@@ -347,8 +352,10 @@ def _cycle_representative(n: int, parts: Sequence[int]) -> Tuple[int, ...]:
     return tuple(image)
 
 
+@lru_cache(maxsize=8)
 def conjugacy_classes(spec: GroupSpec) -> Tuple[ConjugacyClass, ...]:
-    """Conjugacy classes in deterministic order.
+    """Conjugacy classes in deterministic order, cached per spec like
+    :func:`enumerate_elements`.
 
     For S_n there is one class per partition (reverse-lexicographic order);
     for the abelian kinds every element is its own class, in enumeration
@@ -410,7 +417,7 @@ def multiplication_table(spec: GroupSpec):
         # product is looked up by its base-n code (n^n entries, 3.3 MB at
         # S_7). Row by row keeps the temporaries at m x n.
         n = spec.size
-        arr = np.array(elements, dtype=np.int64).reshape(m, n) - 1
+        arr = array_forms(spec, elements)
         weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         rank = np.empty(n ** n, dtype=np.int32)
         rank[arr @ weights] = idx

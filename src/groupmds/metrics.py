@@ -8,6 +8,7 @@ floating point only appears once matrices reach the dense eigensolver.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -33,9 +34,12 @@ _COMPATIBLE = {
 class Metric:
     """A shipped metric bound to its group.
 
-    Anything with ``group`` and ``distance(g, h)`` can stand in for a
-    Metric where one is consumed (the invariance checker relies on this to
-    probe deliberately broken metrics).
+    Every consumer measures a Metric through :meth:`distances`, so a
+    subclass that changes :meth:`distance` must change :meth:`distances`
+    too. Any other object with ``group`` and ``distance(g, h)`` stands in
+    for a Metric through :func:`array_distances`, which lifts it pair by
+    pair (the invariance checker relies on this to probe deliberately
+    broken metrics).
     """
 
     kind: str
@@ -53,17 +57,16 @@ class Metric:
     def distance(self, g: GroupElement, h: GroupElement) -> int:
         groups.validate_element(self.group, g)
         groups.validate_element(self.group, h)
-        if self.kind == HAMMING_PERMUTATION or self.kind == HAMMING_BITVECTOR:
-            return sum(1 for a, b in zip(g, h) if a != b)
-        delta = abs(g - h)
-        return min(delta, self.group.size - delta)
+        # This class's formula, not an override's: subclasses build on it.
+        return int(Metric.distances(self, *groups.array_forms(self.group, [g, h])))
 
     def distances(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """d(g, h) on array forms (:func:`groups.compose_arrays`), broadcast
-        over the leading axes: positions that differ, set bits of the index
-        difference g ^ h, or the shorter arc."""
+        """d(g, h) on array forms (:func:`groups.array_forms`), broadcast
+        over the leading axes: positions that differ, summed one position
+        at a time, set bits of the index difference g ^ h, or the shorter
+        arc."""
         if self.kind == HAMMING_PERMUTATION:
-            return np.count_nonzero(g != h, axis=-1)
+            return sum(g[..., i] != h[..., i] for i in range(self.group.size))
         if self.kind == HAMMING_BITVECTOR:
             return np.bitwise_count(g ^ h)
         delta = np.abs(g - h)
@@ -87,6 +90,37 @@ def circular_arc_metric(spec: GroupSpec) -> Metric:
 
 def default_metric(spec: GroupSpec) -> Metric:
     return circular_arc_metric(spec) if spec.kind == groups.CYCLIC else hamming_metric(spec)
+
+
+# Entries (one value of one pair or point) per temporary array of a chunked
+# operation: 1 MiB of int64.
+CHUNK_ENTRIES = 2 ** 17
+
+
+def array_distances(spec: GroupSpec, metric, pairs: int):
+    """``metric``'s distance on the array forms of ``spec``, broadcast over
+    the leading axes, for a caller that will ask it for ``pairs`` pairs.
+
+    A :class:`Metric` bound to ``spec`` is its own :meth:`Metric.distances`.
+    Any other object, a Metric bound to another group included, is lifted:
+    each pair becomes plain elements (:func:`groups.array_element`) for its
+    ``distance``, and :class:`TooLargeError` comes first when ``pairs``,
+    one step each, pass the work bound.
+    """
+    if isinstance(metric, Metric) and metric.group == spec:
+        return metric.distances
+    groups.admit(f"the lifted metric on {spec.text}", work=pairs)
+    form_axes = np.ndim(groups.array_forms(spec, [spec.identity()])[0])
+
+    def lifted(g, h):
+        g, h = np.broadcast_arrays(g, h)
+        shape = g.shape[:g.ndim - form_axes]
+        gs, hs = ([groups.array_element(spec, a) for a in x.reshape(-1, *x.shape[len(shape):])]
+                  for x in (g, h))
+        values = map(operator.index, map(metric.distance, gs, hs))  # integers, not truncated
+        return np.fromiter(values, dtype=np.int64, count=len(gs)).reshape(shape)
+
+    return lifted
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,44 +150,22 @@ class DistanceMatrix:
 
 
 def build_distance_matrix(spec: GroupSpec, metric) -> DistanceMatrix:
-    """Full distance matrix d(x_i, x_j) over the enumeration order.
+    """Full distance matrix d(x_i, x_j) over the enumeration order, filled
+    in blocks of rows from :func:`array_distances`.
 
     Raises :class:`TooLargeError` before allocating when the int64 matrix
-    would exceed :data:`groups.TABLE_MAX_BYTES`.
+    would exceed :data:`groups.TABLE_MAX_BYTES`, and before the first call
+    of a lifted metric when its m^2 pairs pass the work bound.
     """
     elements = groups.enumerate_elements(spec)
     m = len(elements)
     groups.admit(f"the distance matrix of {spec.text}", nbytes=m * m * 8)
-    if isinstance(metric, Metric) and spec.kind == groups.CYCLIC:
-        # min(|i - j|, n - |i - j|) filled into the one int64 matrix; the
-        # only temporary is the m x m bool mask of the long arcs.
-        n = spec.size
-        arr = np.arange(n, dtype=np.int64)
-        values = np.subtract.outer(arr, arr, out=np.empty((m, m), dtype=np.int64))
-        np.abs(values, out=values)
-        np.subtract(values, n, out=values, where=values > n // 2)
-        np.abs(values, out=values)
-    elif isinstance(metric, Metric) and spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        # Set bits of i ^ j on the enumeration indices, counted in place.
-        idx = np.arange(m, dtype=np.int64)
-        values = np.bitwise_xor.outer(idx, idx, out=np.empty((m, m), dtype=np.int64))
-        np.bitwise_count(values, out=values)
-    elif isinstance(metric, Metric):
-        # Hamming on permutations, one coordinate at a time into one reused
-        # m x m bool: an m x m x n temporary would be 13 GB on S_8, and a
-        # fresh bool per coordinate leaves freed heap resident for the later
-        # dense stages.
-        values = np.zeros((m, m), dtype=np.int64)
-        differ = np.empty((m, m), dtype=bool)
-        for coord in np.array(elements, dtype=np.int64).T:
-            values += np.not_equal.outer(coord, coord, out=differ)
-    else:
-        # Generic path for metric-like objects (corrupted/test metrics).
-        values = np.empty((m, m), dtype=np.int64)
-        for i, g in enumerate(elements):
-            for j, h in enumerate(elements):
-                values[i, j] = metric.distance(g, h)
-    values = np.asarray(values, dtype=np.int64)
+    distances = array_distances(spec, metric, pairs=m * m)
+    forms = groups.array_forms(spec, elements)
+    values = np.empty((m, m), dtype=np.int64)
+    rows = max(1, CHUNK_ENTRIES // m)
+    for start in range(0, m, rows):
+        values[start:start + rows] = distances(forms[start:start + rows, None], forms[None])
     kind = getattr(metric, "kind", "custom")
     return DistanceMatrix(spec=spec, metric_kind=kind, labels=elements, values=values)
 
@@ -188,8 +200,8 @@ def check_invariance(spec: GroupSpec, metric, mode: str = "bi") -> InvarianceRep
     Up to order 120 this covers all (f, g, h) through two equivalent
     identities: left invariance iff d(g, h) = d(e, g^-1 h), right iff
     d(g, h) = d(g h^-1, e), a failing (g, h) witnessed by f = g^-1 or h^-1.
-    Above that it samples 1000 random triples: all at once on the array
-    forms of a shipped :class:`Metric`, one at a time for any other metric.
+    Above that it samples 1000 random triples, all at once on their array
+    forms through :func:`array_distances`.
     """
     if mode not in ("left", "right", "bi"):
         raise ValueError(f"mode must be left, right, or bi, not {mode!r}")
@@ -212,37 +224,20 @@ def check_invariance(spec: GroupSpec, metric, mode: str = "bi") -> InvarianceRep
         return InvarianceReport(passed=True, mode=mode, exhaustive=True, checked=m ** 3)
 
     rng = random.Random(_INVARIANCE_SEED)
-    if isinstance(metric, Metric) and metric.group == spec:
-        return _sampled_array_check(spec, metric, mode, sides, rng)
-    for t in range(_INVARIANCE_TRIALS):
-        f = groups.random_element(spec, rng)
-        g = groups.random_element(spec, rng)
-        h = groups.random_element(spec, rng)
-        base = metric.distance(g, h)
-        if "left" in sides:
-            if metric.distance(groups.multiply(spec, f, g), groups.multiply(spec, f, h)) != base:
-                return InvarianceReport(False, mode, False, t + 1, ("left", f, g, h))
-        if "right" in sides:
-            if metric.distance(groups.multiply(spec, g, f), groups.multiply(spec, h, f)) != base:
-                return InvarianceReport(False, mode, False, t + 1, ("right", f, g, h))
-    return InvarianceReport(passed=True, mode=mode, exhaustive=False, checked=_INVARIANCE_TRIALS)
-
-
-def _sampled_array_check(spec: GroupSpec, metric: Metric, mode: str, sides, rng) -> InvarianceReport:
-    """The sampled check on whole arrays: every random triple at once, the
-    first failing trial reported as the per-triple loop would."""
+    distances = array_distances(spec, metric, pairs=_INVARIANCE_TRIALS * (1 + len(sides)))
     f, g, h = (groups.random_array_elements(spec, rng, _INVARIANCE_TRIALS) for _ in range(3))
     compose = groups.compose_arrays
-    base = metric.distances(g, h)
+    base = distances(g, h)
     failed = []
     for side in sides:
         if side == "left":
-            moved = metric.distances(compose(spec, f, g), compose(spec, f, h))
+            moved = distances(compose(spec, f, g), compose(spec, f, h))
         else:
-            moved = metric.distances(compose(spec, g, f), compose(spec, h, f))
+            moved = distances(compose(spec, g, f), compose(spec, h, f))
         failed.append((side, moved != base))
     any_failed = np.logical_or.reduce([bad for _, bad in failed])
     if any_failed.any():
+        # The first failing trial, as a loop over the triples would report it.
         t = int(np.argmax(any_failed))
         side = next(side for side, bad in failed if bad[t])
         witness = tuple(groups.array_element(spec, a[t]) for a in (f, g, h))

@@ -232,7 +232,7 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingR
     returns or any sequence of :class:`PermutationSample`.
 
     ``dense`` runs full MDS on all of S_n and selects the observed rows
-    (the byte bound refuses n = 8, the enumeration cap n >= 9). ``standard``
+    (the work of its n! x n! eigendecomposition refuses n >= 7). ``standard``
     (n >= 4) computes direct coordinates in the dominant representation
     block per permutation and reduces to ``dims`` coordinates along the
     weighted principal axes of the observed cloud, never enumerating the
@@ -248,6 +248,8 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingR
     samples = _as_arrays(samples)
     if mode == "dense":
         spec = groups.symmetric(n)
+        groups.admit(f"the dense embedding of {spec.text}",
+                     work=dense.EIGENVECTOR_COST * spec.order ** 3 // groups.FLOPS_PER_STEP)
         dm = metrics.build_distance_matrix(spec, metrics.hamming_metric(spec))
         full = dense.classical_embedding(dense.eigendecompose(dense.double_center(dm)), dims)
         index = {g: i for i, g in enumerate(dm.labels)}

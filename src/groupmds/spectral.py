@@ -30,14 +30,12 @@ from .exact import Scalar, normalize_scalar, scalar_sign
 from .groups import GroupSpec, Partition
 
 # Random conjugates on which mu_from_metric re-checks each non-singleton
-# class's distance to the identity. A shipped Metric checks them on whole
-# arrays, at most _CHECK_CHUNK_ENTRIES entries (one point of one conjugate)
-# per array at a time; an entry costs a random key, its share of a sort, a
-# gather, a scatter and a compare, about 70 ns, priced at the rate of
-# _CHECK_FLOPS_PER_ENTRY flops.
+# class's distance to the identity, on whole arrays of at most
+# metrics.CHUNK_ENTRIES entries (one point of one conjugate) at a time; an
+# entry costs a random key, its share of a sort, a gather, a scatter and a
+# compare, about 70 ns, priced at the rate of _CHECK_FLOPS_PER_ENTRY flops.
 _MU_CONJUGATE_CHECKS = 25
 _MU_CHECK_SEED = 0xC1A55
-_CHECK_CHUNK_ENTRIES = 2 ** 15
 _CHECK_FLOPS_PER_ENTRY = 1_000
 
 
@@ -110,24 +108,20 @@ def mu_from_metric(spec: GroupSpec, metric) -> ClassFunction:
     Bi-invariance is verified first (exhaustively up to order 120, sampled
     above), and each class representative's distance is re-checked on
     random conjugates rather than trusted; failures raise
-    :class:`NotBiInvariantError` with a counterexample. A shipped
-    :class:`~groupmds.metrics.Metric` runs both on whole arrays; any other
-    metric object is called one element at a time. :class:`TooLargeError`
+    :class:`NotBiInvariantError` with a counterexample. Both run on whole
+    arrays through :func:`metrics.array_distances`. :class:`TooLargeError`
     comes first past the work bound: on S_n, p(n) classes x 25 conjugates
-    x n points, one step each on the per-element loop and
-    _CHECK_FLOPS_PER_ENTRY flops each on arrays, or, on arrays, past the
-    byte bound: the representatives (or the abelian distances) and five
-    arrays of one chunk.
+    x n points at _CHECK_FLOPS_PER_ENTRY flops each, plus one step per pair
+    for a lifted metric; or past the byte bound: the representatives (or
+    the abelian distances) and five arrays of one chunk.
     """
-    # Any other metric, or one bound to another group (whose distance
-    # refuses these elements), is called one element at a time.
-    arrays = isinstance(metric, metrics.Metric) and metric.group == spec
     classes = groups.count_partitions(spec.size) if spec.kind == groups.SYMMETRIC else 0
     entries = classes * _MU_CONJUGATE_CHECKS * spec.size
-    work = entries * _CHECK_FLOPS_PER_ENTRY // groups.FLOPS_PER_STEP if arrays else entries
-    held = classes * spec.size if classes else spec.order
-    groups.admit(f"the class checks of {spec.text}", work=work,
-                 nbytes=8 * (held + 5 * _CHECK_CHUNK_ENTRIES) if arrays else 0)
+    groups.admit(f"the class checks of {spec.text}",
+                 work=entries * _CHECK_FLOPS_PER_ENTRY // groups.FLOPS_PER_STEP,
+                 nbytes=8 * ((classes * spec.size or spec.order) + 5 * metrics.CHUNK_ENTRIES))
+    distances = metrics.array_distances(
+        spec, metric, pairs=(classes or spec.order) + classes * _MU_CONJUGATE_CHECKS)
     report = metrics.check_invariance(spec, metric, mode="bi")
     if not report.passed:
         side, f, g, h = report.counterexample
@@ -136,65 +130,42 @@ def mu_from_metric(spec: GroupSpec, metric) -> ClassFunction:
             f"{f!r} changes d({g!r}, {h!r})",
             counterexample=report.counterexample,
         )
-    labels, distances = (_class_distances_on_arrays if arrays else _class_distances)(spec, metric)
+    labels, d0 = _checked_class_distances(spec, distances)
     # One exact value per distinct distance, shared by every class at it.
-    halves = {d: Fraction(-(d * d), 2) for d in set(distances)}
-    return ClassFunction(spec, {label: halves[d] for label, d in zip(labels, distances)})
+    halves = {d: Fraction(-(d * d), 2) for d in set(d0)}
+    return ClassFunction(spec, {label: halves[d] for label, d in zip(labels, d0)})
 
 
-def _not_constant(representative, h, conjugate) -> NotBiInvariantError:
-    return NotBiInvariantError(
-        f"metric is not constant on the class of {representative!r}: "
-        f"conjugation by {h!r} changes d(., e)",
-        counterexample=("class", h, representative, conjugate),
-    )
-
-
-def _class_distances(spec: GroupSpec, metric):
-    """(class labels, d(representative, e)) for any metric object, one
-    element at a time."""
-    identity = spec.identity()
-    rng = random.Random(_MU_CHECK_SEED)
-    labels, distances = [], []
-    for cls in groups.conjugacy_classes(spec):
-        d0 = metric.distance(cls.representative, identity)
-        if cls.size > 1:
-            for _ in range(_MU_CONJUGATE_CHECKS):
-                h = groups.random_element(spec, rng)
-                conj = groups.conjugate_element(spec, cls.representative, h)
-                if metric.distance(conj, identity) != d0:
-                    raise _not_constant(cls.representative, h, conj)
-        labels.append(cls.label)
-        distances.append(d0)
-    return labels, distances
-
-
-def _class_distances_on_arrays(spec: GroupSpec, metric):
-    """(class labels, d(representative, e)) for a shipped metric, from the
-    array forms. On S_n each representative g is conjugated by its random
-    h in chunks of classes: h g h^-1 sends h(i) to h(g(i)), one gather and
-    one scatter."""
+def _checked_class_distances(spec: GroupSpec, distances):
+    """(class labels, d(representative, e)) from the array forms. On S_n
+    each representative g is conjugated by its random h in chunks of
+    classes: h g h^-1 sends h(i) to h(g(i)), one gather and one scatter."""
     if spec.kind != groups.SYMMETRIC:
         # Every class is one element; its array form is its index.
         labels = groups.enumerate_elements(spec)
-        return labels, metric.distances(np.arange(len(labels)), 0).tolist()
+        return labels, distances(np.arange(len(labels)), 0).tolist()
     classes = groups.conjugacy_classes(spec)
     n, checks = spec.size, _MU_CONJUGATE_CHECKS
-    reps = np.array([cls.representative for cls in classes], dtype=np.int64).reshape(-1, n) - 1
+    reps = groups.array_forms(spec, [cls.representative for cls in classes])
     identity = np.arange(n)
-    d0 = metric.distances(reps, identity)
+    d0 = distances(reps, identity)
     rng = random.Random(_MU_CHECK_SEED)
-    chunk = max(1, _CHECK_CHUNK_ENTRIES // (checks * n))
+    chunk = max(1, metrics.CHUNK_ENTRIES // (checks * n))
     for start in range(0, len(reps), chunk):
         g = reps[start:start + chunk, None, :]
         h = groups.random_array_elements(spec, rng, len(g) * checks).reshape(len(g), checks, n)
         conj = np.empty_like(h)
         np.put_along_axis(conj, h, groups.compose_arrays(spec, h, g), axis=-1)
-        bad = np.argwhere(metric.distances(conj, identity) != d0[start:start + chunk, None])
+        bad = np.argwhere(distances(conj, identity) != d0[start:start + chunk, None])
         if len(bad):
             c, j = bad[0]
-            raise _not_constant(*(groups.array_element(spec, a)
-                                  for a in (reps[start + c], h[c, j], conj[c, j])))
+            h, g, conj = (groups.array_element(spec, a)
+                          for a in (h[c, j], reps[start + c], conj[c, j]))
+            raise NotBiInvariantError(
+                f"metric is not constant on the class of {g!r}: "
+                f"conjugation by {h!r} changes d(., e)",
+                counterexample=("class", h, g, conj),
+            )
     return [cls.label for cls in classes], d0.tolist()
 
 

@@ -142,14 +142,18 @@ REFUSED_FOR_WORK = {
     "spectrum-verify-c2k13": "spectrum --group c2k --k 13 --verify --cap 10000",
     "verify-c2k13": "verify --group c2k --k 13 --cap 10000",
     "verify-cyclic3000": "verify --group cyclic --n 3000 --cap 5000",
+    # A 5040 x 5040 eigh with eigenvectors, 17 to 22 s when admitted.
+    "embed-dense-n7": "embed --input {rankings} --mode dense",
 }
 
 
 @pytest.mark.parametrize("argv", REFUSED_FOR_WORK.values(), ids=REFUSED_FOR_WORK.keys())
-def test_requests_over_the_work_bound_are_refused_quickly(capsys, argv):
+def test_requests_over_the_work_bound_are_refused_quickly(capsys, tmp_path, argv):
     # Each is within the items and byte bounds and would run for a minute or more.
+    rankings = tmp_path / "rankings.txt"
+    rankings.write_text("a,b,c,d,e,f,g\n1,2,3,4,5,6,7\n7,6,5,4,3,2,1\n")
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv.split())
+    code, out, err = run_cli(capsys, *argv.format(rankings=rankings).split())
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (3, "")
     assert err.endswith(f"above the work bound {groups.WORK_MAX} steps\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from groupmds import groups, metrics
-from groupmds.errors import InvalidElementError
+from groupmds.errors import InvalidElementError, TooLargeError
 from groupmds.groups import cyclic, elementary_abelian_2, enumerate_elements, symmetric
 from groupmds.metrics import (
     Metric,
@@ -273,3 +273,51 @@ def test_c2k_popcount_matrix_equals_the_per_coordinate_hamming_matrix(k):
     values = metrics.build_distance_matrix(spec, hamming_metric(spec)).values
     assert values.dtype == np.int64
     assert np.array_equal(values, expected)
+
+
+class CountingMetric:
+    """A duck-typed arc metric that counts its calls."""
+
+    def __init__(self, spec):
+        self.group, self.calls = spec, 0
+        self.base = circular_arc_metric(spec)
+
+    def distance(self, g, h):
+        self.calls += 1
+        return self.base.distance(g, h)
+
+
+def test_lifting_is_priced_before_the_first_call():
+    # C_3000's 9e6 pairs fit the byte bound but pass the work bound at one
+    # step per lifted pair; C_60's 3600 pairs are admitted, one call each.
+    spec = cyclic(3000)
+    counting = CountingMetric(spec)
+    with pytest.raises(TooLargeError) as excinfo:
+        build_distance_matrix(spec, counting)
+    assert excinfo.value.cap == groups.WORK_MAX
+    assert counting.calls == 0
+
+    spec = cyclic(60)
+    counting = CountingMetric(spec)
+    lifted = build_distance_matrix(spec, counting).values
+    assert counting.calls == 60 * 60
+    assert np.array_equal(lifted, build_distance_matrix(spec, counting.base).values)
+
+
+class HalfArc:
+    """A duck-typed metric with non-integer distances."""
+
+    def __init__(self, spec):
+        self.group, self.base = spec, circular_arc_metric(spec)
+
+    def distance(self, g, h):
+        return self.base.distance(g, h) / 2
+
+
+def test_lifted_distances_must_be_integers():
+    from groupmds.spectral import mu_from_metric
+
+    spec = cyclic(6)
+    for consumer in (build_distance_matrix, mu_from_metric):
+        with pytest.raises(TypeError):
+            consumer(spec, HalfArc(spec))

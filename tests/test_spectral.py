@@ -102,8 +102,8 @@ def test_mu_rejects_corrupted_metric_with_counterexample():
 
 
 class PerElement:
-    """A shipped metric seen only through ``distance``, so the checks take
-    their per-element loop."""
+    """A shipped metric seen only through ``distance``, so the checks lift
+    it pair by pair."""
 
     def __init__(self, metric):
         self.group, self.kind, self.distance = metric.group, metric.kind, metric.distance
@@ -126,7 +126,7 @@ def test_array_mu_equals_the_per_element_loop(spec):
 @pytest.mark.parametrize("spec, other", [(symmetric(6), symmetric(7)), (symmetric(5), symmetric(4))],
                          ids=["sampled", "exhaustive"])
 def test_metric_bound_to_another_group_is_refused(spec, other):
-    # It takes the per-element loop, whose distance refuses the elements.
+    # It is lifted pair by pair, and its distance refuses the elements.
     with pytest.raises(InvalidElementError):
         mu_from_metric(spec, hamming_metric(other))
 
@@ -150,19 +150,33 @@ def corrupted_transposition():
     return CorruptedMetric(hamming_metric(s6), (2, 1, 3, 4, 5, 6), s6.identity(), delta=10)
 
 
+def conjugate(spec, g, h):
+    """h g h^-1."""
+    return groups.multiply(spec, groups.multiply(spec, h, g), groups.inverse(spec, h))
+
+
 @pytest.mark.parametrize("make_metric, counterexample", [
-    # Sampled bi-invariance check, first failing triple at trial 366.
-    (MarkedLength, ("right", (4, 2, 5, 6, 1, 3), (4, 6, 2, 5, 3, 1), (6, 2, 4, 5, 3, 1))),
+    # Sampled bi-invariance check, first failing triple at trial 100.
+    (MarkedLength, ("right", (1, 3, 2, 4, 6, 5), (6, 2, 5, 1, 4, 3), (5, 6, 2, 1, 4, 3))),
     # Passes the sampled check; the class re-check finds the corrupted pair.
     (corrupted_transposition,
-     ("class", (5, 6, 3, 4, 2, 1), (2, 1, 3, 4, 5, 6), (1, 2, 3, 4, 6, 5))),
+     ("class", (3, 6, 4, 2, 5, 1), (2, 1, 3, 4, 5, 6), (1, 2, 6, 4, 5, 3))),
 ], ids=["sampled-right", "class"])
-def test_duck_typed_broken_metric_keeps_its_counterexample(make_metric, counterexample):
-    # The per-element loop and its random stream are unchanged, so the
-    # counterexample is the one the loop has always reported.
+def test_lifted_broken_metric_reports_a_true_counterexample(make_metric, counterexample):
+    # The lift runs the same array checks and random streams as a shipped
+    # Metric, so the counterexample is pinned to the one they find.
+    s6, metric = symmetric(6), make_metric()
     with pytest.raises(NotBiInvariantError) as excinfo:
-        mu_from_metric(symmetric(6), make_metric())
+        mu_from_metric(s6, metric)
     assert excinfo.value.counterexample == counterexample
+    side, f, g, h = counterexample
+    if side == "right":
+        moved = groups.multiply(s6, g, f), groups.multiply(s6, h, f)
+        assert metric.distance(*moved) != metric.distance(g, h)
+    else:  # ("class", conjugator, representative, conjugate)
+        assert h == conjugate(s6, g, f)
+        e = s6.identity()
+        assert metric.distance(h, e) != metric.distance(g, e)
 
 
 class MarkedTransposition(metrics.Metric):
@@ -184,7 +198,7 @@ class MarkedTransposition(metrics.Metric):
 
 
 class ShiftedPoint(metrics.Metric):
-    """Hamming on S_6 plus |g(1) - h(1)|, in both forms: not invariant on
+    """Hamming on S_n plus |g(1) - h(1)|, in both forms: not invariant on
     either side."""
 
     def distance(self, g, h):
@@ -194,25 +208,52 @@ class ShiftedPoint(metrics.Metric):
         return super().distances(g, h) + np.abs(g[..., 0] - h[..., 0])
 
 
-def test_array_checks_report_a_broken_metric_with_a_true_counterexample():
-    s6 = symmetric(6)
-    shifted = ShiftedPoint(metrics.HAMMING_PERMUTATION, s6)
-    report = metrics.check_invariance(s6, shifted, mode="bi")
-    assert not report.passed and not report.exhaustive
-    side, f, g, h = report.counterexample
-    pairs = ((f, g), (f, h)) if side == "left" else ((g, f), (h, f))
-    moved = [groups.multiply(s6, a, b) for a, b in pairs]
-    assert shifted.distance(*moved) != shifted.distance(g, h)
+class MarkedZero(metrics.Metric):
+    """The arc distance plus 1 between 0 and any other residue, in both
+    forms: translations move the mark."""
 
+    def distance(self, g, h):
+        return super().distance(g, h) + ((g == 0) != (h == 0))
+
+    def distances(self, g, h):
+        return super().distances(g, h) + ((g == 0) != (h == 0))
+
+
+BROKEN_SUBCLASSES = [
+    (symmetric(6), ShiftedPoint(metrics.HAMMING_PERMUTATION, symmetric(6))),  # sampled
+    (symmetric(4), ShiftedPoint(metrics.HAMMING_PERMUTATION, symmetric(4))),  # exhaustive
+    (cyclic(5), MarkedZero(metrics.CIRCULAR_ARC, cyclic(5))),  # exhaustive
+]
+
+
+def test_array_checks_report_a_broken_metric_with_a_true_counterexample():
+    for spec, broken in BROKEN_SUBCLASSES:
+        report = metrics.check_invariance(spec, broken, mode="bi")
+        assert not report.passed and report.exhaustive == (spec.order <= 120)
+        side, f, g, h = report.counterexample
+        pairs = ((f, g), (f, h)) if side == "left" else ((g, f), (h, f))
+        moved = [groups.multiply(spec, a, b) for a, b in pairs]
+        assert broken.distance(*moved) != broken.distance(g, h)
+        with pytest.raises(NotBiInvariantError):
+            spectrum_via_characters(spec, broken)
+
+    s6 = symmetric(6)
     marked = MarkedTransposition(metrics.HAMMING_PERMUTATION, s6)
     assert metrics.check_invariance(s6, marked, mode="bi").passed
     with pytest.raises(NotBiInvariantError) as excinfo:
         mu_from_metric(s6, marked)
     kind, h, rep, conj = excinfo.value.counterexample
     assert kind == "class" and rep == MarkedTransposition.MARK
-    assert conj == groups.conjugate_element(s6, rep, h)
+    assert conj == conjugate(s6, rep, h)
     e = s6.identity()
     assert marked.distance(conj, e) != marked.distance(rep, e)
+
+
+@pytest.mark.parametrize("spec, broken", BROKEN_SUBCLASSES[1:], ids=["s4-shifted", "c5-marked"])
+def test_distance_matrix_of_a_metric_subclass_is_its_pairwise_distance(spec, broken):
+    dm = build_distance_matrix(spec, broken)
+    elements = groups.enumerate_elements(spec)
+    assert dm.values.tolist() == [[broken.distance(g, h) for h in elements] for g in elements]
 
 
 # --- spectrum via characters ----------------------------------------------------
