@@ -78,14 +78,6 @@ def subset_bit_value(spec: GroupSpec, subset: frozenset) -> int:
     return sum(1 << (k - s) for s in subset)
 
 
-def label_sort_key(spec: GroupSpec, label):
-    if spec.kind == groups.SYMMETRIC:
-        return tuple(-p for p in label.parts)
-    if spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        return (len(label), subset_bit_value(spec, label))
-    return (label,)
-
-
 def label_text(spec: GroupSpec, label) -> str:
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
         return "{" + ",".join(str(s) for s in sorted(label)) + "}"

@@ -4,9 +4,12 @@ This is the brute-force pipeline every character-predicted spectrum is
 checked against: square the distances entrywise and double-center, then
 either take the eigenvalues alone (``kernel_eigenvalues``, all the
 spectrum check reads) or the full eigendecomposition (``eigendecompose``)
-and read embeddings off the eigenpairs. Both the Euclidean (positive
-eigenvalues only) and the pseudo-Euclidean embedding (positive block plus
-negative block, squared distances subtract) are provided.
+and read embeddings off the eigenpairs. Both eigensolvers read the
+kernel's lower triangle as given: its symmetry is checked, never
+rewritten, and eigenvalues come in ``eigh``'s order, reversed. Both the
+Euclidean (positive eigenvalues only) and the pseudo-Euclidean embedding
+(positive block plus negative block, squared distances subtract) are
+provided.
 """
 
 from __future__ import annotations
@@ -83,59 +86,47 @@ class SpectralDecomposition:
         return int(np.sum(np.abs(self.eigenvalues) > self.zero_threshold))
 
 
-# Side of the square tiles _symmetric reads a matrix and its transpose in,
-# so that both stay in cache.
+# Side of the square tiles _checked_symmetric reads a matrix and its
+# transpose in, so that both stay in cache.
 _TILE = 64
 
 
-def _symmetric(kernel, in_place: bool = False) -> np.ndarray:
-    """The kernel's matrix, symmetrized to (m + m.T) / 2 in a new array or
-    in place; a ValueError, before anything is written, when it is not
-    symmetric within :data:`SYMMETRY_REL_TOL` of its largest entry.
+def _checked_symmetric(kernel) -> np.ndarray:
+    """The kernel's own matrix, never written to or copied; a ValueError
+    when it is not symmetric within :data:`SYMMETRY_REL_TOL` of its largest
+    entry. The eigensolvers read only its lower triangle.
 
-    Two passes over the tiles on and above the diagonal, each with its
-    mirror: the first takes the deviation, the second writes the halved sum
-    to both places (the sum is commutative, so both get the same bits)."""
+    One pass over the tiles on and above the diagonal, each against its
+    mirror, takes the largest deviation."""
     m = kernel.matrix if isinstance(kernel, MdsKernel) else np.asarray(kernel, dtype=float)
-    pairs = [((slice(i, i + _TILE), slice(j, j + _TILE)), (slice(j, j + _TILE), slice(i, i + _TILE)))
-             for i in range(0, len(m), _TILE) for j in range(i, len(m), _TILE)]
     tile = np.empty((_TILE, _TILE))
     deviation = 0.0
-    for upper, lower in pairs:
-        a = m[upper]
-        d = np.subtract(a, m[lower].T, out=tile[:a.shape[0], :a.shape[1]])
-        deviation = max(deviation, float(np.abs(d, out=d).max()))
+    for i in range(0, len(m), _TILE):
+        for j in range(i, len(m), _TILE):
+            a = m[i:i + _TILE, j:j + _TILE]
+            d = np.subtract(a, m[j:j + _TILE, i:i + _TILE].T, out=tile[:a.shape[0], :a.shape[1]])
+            deviation = max(deviation, float(np.abs(d, out=d).max()))
     scale = max(float(m.max()), -float(m.min())) if m.size else 0.0
     if scale and deviation > SYMMETRY_REL_TOL * scale:
         raise ValueError("kernel is not symmetric within tolerance")
-    out = m if in_place else np.empty_like(m)
-    for upper, lower in pairs:
-        a = m[upper]
-        half = np.add(a, m[lower].T, out=tile[:a.shape[0], :a.shape[1]])
-        half /= 2.0
-        out[upper] = half
-        out[lower] = half.T
-    return out
+    return m
 
 
 def kernel_eigenvalues(kernel) -> np.ndarray:
     """Eigenvalues of a symmetric kernel in descending order, without
-    eigenvectors: all that a spectrum comparison reads. The kernel's matrix
-    is symmetrized in place, which moves its entries by rounding only, so
-    no second matrix is allocated."""
-    return np.linalg.eigvalsh(_symmetric(kernel, in_place=True))[::-1]
+    eigenvectors: all that a spectrum comparison reads."""
+    return np.linalg.eigvalsh(_checked_symmetric(kernel))[::-1]
 
 
 def eigendecompose(kernel) -> SpectralDecomposition:
     """Eigendecompose a symmetric kernel.
 
-    Eigenvalues come back in descending order. Each eigenvector is sign-fixed
-    so its largest-magnitude entry (lowest index on ties) is positive.
+    Eigenvalues come back in descending order: ``eigh``'s ascending order,
+    reversed, ties included. Each eigenvector is sign-fixed so its
+    largest-magnitude entry (lowest index on ties) is positive.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(_symmetric(kernel))
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
+    eigenvalues, eigenvectors = np.linalg.eigh(_checked_symmetric(kernel))
+    eigenvalues, eigenvectors = eigenvalues[::-1], eigenvectors[:, ::-1]
     for col in range(eigenvectors.shape[1]):
         v = eigenvectors[:, col]
         pivot = int(np.argmax(np.abs(v)))  # argmax takes the lowest index on ties

@@ -109,10 +109,6 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    def conjugate(self) -> "Partition":
-        parts = self.parts
-        return Partition(tuple(sum(1 for p in parts if p > i) for i in range(parts[0])))
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
@@ -160,11 +156,7 @@ def multiply(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
     """Group product. For permutations ``(g*h)(i) = g(h(i))``."""
     validate_element(spec, g)
     validate_element(spec, h)
-    if spec.kind == SYMMETRIC:
-        return tuple(g[h[i] - 1] for i in range(spec.size))
-    if spec.kind == ELEMENTARY_ABELIAN_2:
-        return tuple(a ^ b for a, b in zip(g, h))
-    return (g + h) % spec.size
+    return array_element(spec, compose_arrays(spec, *array_forms(spec, [g, h])))
 
 
 def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
@@ -372,13 +364,7 @@ def conjugacy_classes(spec: GroupSpec) -> Tuple[ConjugacyClass, ...]:
 
 
 def random_element(spec: GroupSpec, rng: random.Random) -> GroupElement:
-    if spec.kind == SYMMETRIC:
-        images = list(range(1, spec.size + 1))
-        rng.shuffle(images)
-        return tuple(images)
-    if spec.kind == ELEMENTARY_ABELIAN_2:
-        return tuple(rng.randrange(2) for _ in range(spec.size))
-    return rng.randrange(spec.size)
+    return array_element(spec, random_array_elements(spec, rng, 1)[0])
 
 
 def element_text(spec: GroupSpec, g: GroupElement) -> str:

@@ -205,17 +205,20 @@ def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
     from .spectral import standard_rep_coordinates
 
     # The k × n^2 block and its two same-size temporaries, then the
-    # n^2 × n^2 covariance and three same-size copies inside eigendecompose;
-    # k n^4 flops for the covariance, 3 n^6 for its eigendecomposition.
+    # n^2 × n^2 covariance and the four same-size arrays eigh holds beside
+    # it (its copy of the input, a workspace of two, the eigenvectors): five
+    # live at the peak, by RSS at 60 items. k n^4 flops for the covariance,
+    # 3 n^6 for its eigendecomposition.
     k = len(samples)
     groups.admit(f"the standard-block embedding of {k} permutations of {n} items",
-                 nbytes=8 * (3 * k * n * n + 4 * n ** 4),
+                 nbytes=8 * (3 * k * n * n + 5 * n ** 4),
                  work=(k * n ** 4 + dense.EIGENVECTOR_COST * n ** 6) // groups.FLOPS_PER_STEP)
     x = standard_rep_coordinates(samples.permutations, n)
     w = samples.weights.astype(float)
     mean = (w[:, None] * x).sum(axis=0) / w.sum()
     centered = np.subtract(x, mean, out=x)  # in place: one k × n^2 copy fewer
     cov = (centered.T * w) @ centered / w.sum()
+    cov = (cov + cov.T) / 2.0  # symmetric only to rounding until here
     dec = dense.eigendecompose(cov)
     dims = min(dims, x.shape[1])
     coordinates = centered @ dec.eigenvectors[:, :dims]

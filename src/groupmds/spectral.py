@@ -308,7 +308,9 @@ def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
         n = spec.size
         j = label % n
         merged = {j, (n - j) % n}
-        coeff = {a: sum(math.cos(2.0 * math.pi * jj * a / n) for jj in merged) / n
+        # zeta^e and zeta^-e get one float, so P equals its transpose.
+        coeff = {a: sum(math.cos(2.0 * math.pi * min(jj * a % n, -jj * a % n) / n)
+                        for jj in merged) / n
                  for a in range(n)}
         labels = tuple(sorted(merged))
         rank = len(merged)

@@ -16,7 +16,6 @@ from groupmds.characters import (
     dimension,
     inner_product,
     irreducible_labels,
-    label_sort_key,
     subset_bit_value,
     tensor_square_decomposition,
     trivial_label,
@@ -26,6 +25,16 @@ from groupmds.groups import Partition, cyclic, elementary_abelian_2, symmetric
 
 
 # --- independent oracles -----------------------------------------------------
+
+
+def label_sort_key(spec, label):
+    """The irreducible label order: S_n partitions reverse-lexicographic,
+    (C_2)^k subsets by size then binary value, C_n frequencies ascending."""
+    if spec.kind == groups.SYMMETRIC:
+        return tuple(-p for p in label.parts)
+    if spec.kind == groups.ELEMENTARY_ABELIAN_2:
+        return (len(label), subset_bit_value(spec, label))
+    return (label,)
 
 
 def sylvester_hadamard(k):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,18 +306,32 @@ def test_embedding_csv_layout():
 
 
 @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 128, 200])
-def test_symmetrization_is_bit_identical_to_the_whole_matrix_expression(size):
+def test_the_eigensolvers_read_the_kernel_without_writing_it(size):
     # Tiles are 64 wide: sizes on, below and past a multiple of the tile.
     rng = random.Random(size)
     m = np.array([[rng.uniform(-1, 1) for _ in range(size)] for _ in range(size)])
     m = m + m.T
     m[size // 2, size - 1] *= 1 + 1e-12  # asymmetric below the tolerance
-    expected = (m + m.T) / 2.0
-    assert dense._symmetric(m).tobytes() == expected.tobytes()
-    assert dense._symmetric(dense.MdsKernel(m)).tobytes() == expected.tobytes()
-    kernel = dense.MdsKernel(m.copy())
-    assert dense._symmetric(kernel, in_place=True) is kernel.matrix
-    assert kernel.matrix.tobytes() == expected.tobytes()
+    before = m.tobytes()
+    assert dense._checked_symmetric(m) is m
+    assert dense._checked_symmetric(dense.MdsKernel(m)) is m
+    for kernel in (m, dense.MdsKernel(m)):
+        kernel_eigenvalues(kernel)
+        eigendecompose(kernel)
+    assert m.tobytes() == before
+
+
+def test_eigendecompose_allocates_only_its_eigenvectors():
+    kernel = kernel_of(elementary_abelian_2(9))
+    side = kernel.size
+    tracemalloc.start()
+    try:
+        eigendecompose(kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert side == 512
+    assert peak < 1.5 * side * side * 8
 
 
 @pytest.mark.parametrize("size", [2, 65, 130])
@@ -325,7 +340,7 @@ def test_symmetrization_refuses_an_asymmetric_kernel(size):
     m[size - 1, 0] = 2.0  # in a tile below the diagonal
     before = m.copy()
     with pytest.raises(ValueError, match="not symmetric"):
-        dense._symmetric(m)
+        dense._checked_symmetric(m)
     with pytest.raises(ValueError, match="not symmetric"):
-        dense.kernel_eigenvalues(m.T)  # in place, so nothing may be written first
+        dense.kernel_eigenvalues(m.T)
     assert np.array_equal(m, before)

@@ -461,7 +461,6 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
-    assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
 
 
 # --- misc --------------------------------------------------------------------

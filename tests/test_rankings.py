@@ -296,6 +296,7 @@ def reference_embedding_csv(text, dims, mode):
         mean = (w[:, None] * x).sum(axis=0) / w.sum()
         centered = x - mean
         cov = (centered.T * w) @ centered / w.sum()
+        cov = (cov + cov.T) / 2.0
         dec = dense.eigendecompose(cov)
         coordinates = centered @ dec.eigenvectors[:, :min(dims, x.shape[1])]
         coordinates[:, len(dec.positive_indices()):] = 0.0

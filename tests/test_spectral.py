@@ -481,6 +481,15 @@ def test_projector_family_completeness_and_orthogonality(spec):
             assert np.max(np.abs(projectors[i].matrix @ projectors[j].matrix)) <= 1e-8
 
 
+@pytest.mark.parametrize("n", [12, 60, 97])
+def test_cyclic_projectors_equal_their_transpose_bitwise(n):
+    # Frequencies e and n - e must round to one float.
+    spec = cyclic(n)
+    for label in projector_labels(spec):
+        matrix = isotypic_projector(spec, label).matrix
+        assert np.array_equal(matrix, matrix.T), label
+
+
 def test_projector_eigen_relation_c23():
     c23 = elementary_abelian_2(3)
     dm = build_distance_matrix(c23, hamming_metric(c23))
