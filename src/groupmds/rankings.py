@@ -7,8 +7,8 @@ indices in rank order, with an optional ``;count`` suffix for
 pre-aggregated rows; ``#`` starts a comment line.
 
 A dataset is held as arrays: one ``(rows × n)`` int64 array of rankings
-and one vector of counts. Every stage from parsing to embedding works on
-whole arrays, so no per-row Python object is built on the way.
+and one vector of counts. Every stage works on whole arrays; standard mode
+embeds from the permutations' marginal counts, never their k × n² block.
 """
 
 from __future__ import annotations
@@ -202,32 +202,33 @@ def _as_arrays(samples) -> AggregatedSamples:
 
 
 def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
-    from .spectral import standard_rep_coordinates
-
-    # The k × n^2 block and its two same-size temporaries, then the
-    # n^2 × n^2 covariance and the four same-size arrays eigh holds beside
-    # it (its copy of the input, a workspace of two, the eigenvectors): five
-    # live at the peak, by RSS at 60 items. k n^4 flops for the covariance,
-    # 3 n^6 for its eigendecomposition.
-    k = len(samples)
+    # Row g's block vector is scale (vec P_g - 1/n), ones at cells (g(j) - 1) n + j. From
+    # weighted marginal counts c1[a, j] (rows with g(j) = a + 1) and C2 of cell pairs, the
+    # covariance is scale^2 (W C2 - c1 c1^T) / W^2 and row g sits at scale (sum_j V[cell(g, j)]
+    # - (c1/W) V). Bytes: the covariance, eigh's 4 more; per row its ranks, weight, slab index,
+    # 3 coordinate rows and label. Work: a row in a slab or a gathered value, 4-12 ns: 200 flops.
+    k, dims = len(samples), min(dims, n * n)
     groups.admit(f"the standard-block embedding of {k} permutations of {n} items",
-                 nbytes=8 * (3 * k * n * n + 5 * n ** 4),
-                 work=(k * n ** 4 + dense.EIGENVECTOR_COST * n ** 6) // groups.FLOPS_PER_STEP)
-    x = standard_rep_coordinates(samples.permutations, n)
+                 nbytes=8 * (k * (2 * n + 3 * dims + 16) + 5 * n ** 4),
+                 work=(100 * k * n * (n + 1 + 2 * dims) + dense.EIGENVECTOR_COST * n ** 6)
+                 // groups.FLOPS_PER_STEP)
     w = samples.weights.astype(float)
-    mean = (w[:, None] * x).sum(axis=0) / w.sum()
-    centered = np.subtract(x, mean, out=x)  # in place: one k × n^2 copy fewer
-    cov = (centered.T * w) @ centered / w.sum()
-    cov = (cov + cov.T) / 2.0  # symmetric only to rounding until here
-    dec = dense.eigendecompose(cov)
-    dims = min(dims, x.shape[1])
-    coordinates = centered @ dec.eigenvectors[:, :dims]
-    eigenvalues = dec.eigenvalues[:dims].copy()
+    w = np.ldexp(w, -np.frexp(w.max())[1])  # scaled by a power of two: exact; W^2 cannot overflow
+    total, scale2 = w.sum(), (2.0 * n - 3.0) / 2.0
+    ranks = np.subtract(samples.permutations.T, 1, order="C")  # ranks[j] = g(j) - 1
+    c1 = np.stack([np.bincount(r, w, minlength=n) for r in ranks], axis=1)
+    cov = np.empty((n, n, n, n))  # cov[a, j, b, l]: cells a n + j and b n + l
+    for j, l in zip(*np.triu_indices(n)):
+        c2 = np.bincount(ranks[j] * n + ranks[l], w, minlength=n * n).reshape(n, n)
+        cov[:, j, :, l] = (total * c2 - np.outer(c1[:, j], c1[:, l])) / total ** 2 * scale2
+        cov[:, l, :, j] = cov[:, j, :, l].T
+    dec = dense.eigendecompose(cov.reshape(n * n, n * n))
     # Axes past the positive ones span rounding noise: they carry zeros.
-    positive = len(dec.positive_indices())
-    coordinates[:, positive:] = 0.0
-    eigenvalues[positive:] = 0.0
-    return coordinates, eigenvalues, False
+    positive = dec.eigenvalues[:dims] > dec.zero_threshold
+    axes = np.where(positive, dec.eigenvectors[:, :dims], 0.0)
+    coordinates = sum(axes.reshape(n, n, dims)[r, j] for j, r in enumerate(ranks))
+    coordinates = (coordinates - (c1.reshape(n * n) / total) @ axes) * np.sqrt(scale2)
+    return coordinates, np.where(positive, dec.eigenvalues[:dims], 0.0), False
 
 
 def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingResult:
@@ -236,11 +237,10 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingR
 
     ``dense`` runs full MDS on all of S_n and selects the observed rows
     (the work of its n! x n! eigendecomposition refuses n >= 7). ``standard``
-    (n >= 4) computes direct coordinates in the dominant representation
-    block per permutation and reduces to ``dims`` coordinates along the
-    weighted principal axes of the observed cloud, never enumerating the
-    group; axes beyond the cloud's positive variance hold zeros. It raises
-    :class:`TooLargeError` before it allocates past the byte or work bound.
+    (n >= 4) projects the observed cloud in the dominant block onto its
+    ``dims`` weighted principal axes, from the permutations' marginal counts
+    and no group enumeration; axes past the positive variance hold zeros.
+    It raises :class:`TooLargeError` before it allocates past the byte or work bound.
     """
     if dims < 1:
         raise ValueError("dims must be >= 1")

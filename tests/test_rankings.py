@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from groupmds.groups import symmetric
 from groupmds.metrics import build_distance_matrix, hamming_metric
 from groupmds.rankings import (
     PermutationSample,
+    RankingDataset,
     RankingRecord,
     aggregate,
     dataset_to_text,
@@ -440,12 +442,98 @@ def test_ranking_to_permutation_of_an_array_matches_the_per_row_results():
 
 
 @pytest.mark.parametrize("n,seed", [(4, 1), (5, 2), (6, 3)])
-@pytest.mark.parametrize("mode", ["standard", "dense"])
+@pytest.mark.parametrize("mode", ["dense"])
 def test_embedding_csv_is_byte_identical_to_the_per_row_reference(n, seed, mode):
     text = mallows_text(n, 300, 0.7, seed)
     ds = parse_rankings(text)
     emb = embed_dataset(aggregate(ds), n, 3, mode=mode)
     assert dense.embedding_to_csv(emb) == reference_embedding_csv(text, 3, mode)
+
+
+@pytest.mark.parametrize("n,seed", [(4, 1), (5, 2), (6, 3)])
+def test_standard_embedding_csv_matches_the_per_row_reference(n, seed):
+    # The marginal counts sum in another order than the reference's block
+    # and weighted gemm, so only the last bits of the coordinates may move.
+    text = mallows_text(n, 300, 0.7, seed)
+    emb = embed_dataset(aggregate(parse_rankings(text)), n, 3, mode="standard")
+    got = list(csv.reader(io.StringIO(dense.embedding_to_csv(emb))))
+    want = list(csv.reader(io.StringIO(reference_embedding_csv(text, 3, "standard"))))
+    assert got[0] == want[0]
+    assert [row[:3] for row in got] == [row[:3] for row in want]
+    x = np.array([row[3:] for row in got[1:]], dtype=float)
+    y = np.array([row[3:] for row in want[1:]], dtype=float)
+    assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
+
+
+def exact_block_covariance(samples, n):
+    """The weighted covariance of the rows' block vectors, from its
+    definition on exact integers: with v_g the 0/1 vector of P_g and
+    u_g = W v_g - c1 (centred and scaled by W), it is
+    (2n - 3)/2 * sum_g w_g u_g u_g^T / W^3."""
+    total = sum(s.weight for s in samples)
+    v = np.zeros((len(samples), n * n), dtype=object)
+    for i, s in enumerate(samples):
+        for j, image in enumerate(s.permutation):
+            v[i, (image - 1) * n + j] = 1
+    w = np.array([s.weight for s in samples], dtype=object)
+    u = total * v - (w[:, None] * v).sum(axis=0)
+    second = (u.T * w) @ u
+    return [[Fraction(2 * n - 3, 2) * Fraction(second[a, b], total ** 3)
+             for b in range(n * n)] for a in range(n * n)]
+
+
+def standard_covariance(monkeypatch, samples, n):
+    """The matrix the standard embedding hands to its eigensolver."""
+    seen = []
+    real = dense.eigendecompose
+    monkeypatch.setattr(dense, "eigendecompose", lambda kernel: seen.append(kernel) or real(kernel))
+    embed_dataset(samples, n, 3, mode="standard")
+    return seen[-1]
+
+
+def scaled_counts(text, factor):
+    """The file with every count multiplied by ``factor``, written and read back."""
+    ds = parse_rankings(text)
+    counts = np.array(ds.counts.tolist(), dtype=object) * factor
+    return parse_rankings(dataset_to_text(RankingDataset(ds.items, ds.rankings, counts)))
+
+
+def big_count_text(n, rows, seed):
+    """Mallows rows whose counts each pass 10^19, so their sum passes int64."""
+    lines = mallows_text(n, rows, 0.5, seed).splitlines()
+    return "\n".join(lines[:1] + [f"{line.partition(';')[0]};{10 ** 19 + 977 * r}"
+                                  for r, line in enumerate(lines[1:])]) + "\n"
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("counts", ["small", "past int64"])
+def test_standard_covariance_matches_exact_arithmetic(monkeypatch, n, counts):
+    text = mallows_text(n, 40, 0.5, n) if counts == "small" else big_count_text(n, 40, n)
+    samples = aggregate(parse_rankings(text))
+    assert samples.weights.dtype == (np.int64 if counts == "small" else object)
+    cov = standard_covariance(monkeypatch, samples, n)
+    assert np.array_equal(cov, cov.T)
+    exact = exact_block_covariance(samples, n)
+    largest = max(abs(e) for row in exact for e in row)
+    error = max(abs(Fraction(float(x)) - e) for got, want in zip(cov.tolist(), exact)
+                for x, e in zip(got, want))
+    assert error <= Fraction(1, 10 ** 15) * largest
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_standard_coordinates_ignore_a_common_count_factor(n):
+    # Every scaling keeps each count and product exact in float64 (2^62 and
+    # 2^600 are powers of two), and division rounds correctly, so the bits
+    # cannot move. Past int64 the weights are objects; 2^600 squared would
+    # overflow a float.
+    text = mallows_text(n, 300, 0.7, n)
+    base = embed_dataset(aggregate(parse_rankings(text)), n, 3, mode="standard")
+    for factor in (3, 2 ** 62, 2 ** 600):
+        samples = aggregate(scaled_counts(text, factor))
+        assert samples.weights.dtype == (np.int64 if factor == 3 else object)
+        emb = embed_dataset(samples, n, 3, mode="standard")
+        assert np.array_equal(emb.coordinates, base.coordinates)
+        assert emb.eigenvalues == base.eigenvalues
 
 
 def test_embed_accepts_a_plain_list_of_samples():
@@ -494,6 +582,26 @@ def test_standard_mode_refuses_a_block_over_the_byte_bound_before_allocating():
     assert peak < 1 << 20
     assert excinfo.value.cap == groups.TABLE_MAX_BYTES
     assert "the standard-block embedding of 2000 permutations of 200 items" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("n,rows,peak_bound", [(14, 25_000, 12 << 20), (60, 50, None)])
+def test_standard_mode_admits_at_least_its_traced_peak(monkeypatch, n, rows, peak_bound):
+    # 14 items, 25,000 distinct rows: the benchmark's uniform file, whose
+    # k x n^2 block alone was 37.4 MiB. 60 items: the largest admitted, where
+    # the n^4 covariance and its eigendecomposition dominate.
+    samples = aggregate(synthesize_rankings(n, rows, seed=11))
+    assert len(samples) == rows
+    admitted = []
+    real = groups.admit
+    monkeypatch.setattr(groups, "admit", lambda what, **size: admitted.append(size) or real(what, **size))
+    tracemalloc.start()
+    try:
+        embed_dataset(samples, n, 3, mode="standard")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_bound is None or peak < peak_bound
+    assert [size["nbytes"] >= peak for size in admitted] == [True]
 
 
 @pytest.mark.parametrize("n,rows", [(10, 50_000), (14, 25_000)])
