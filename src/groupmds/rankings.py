@@ -130,10 +130,9 @@ def parse_rankings(text: str) -> RankingDataset:
         if not line or line.startswith("#"):
             continue
         if items is None:
-            labels = tuple(part.strip() for part in line.split(","))
-            if any(not lab for lab in labels):
+            items = tuple(part.strip() for part in line.split(","))
+            if not all(items):
                 raise fault(line_no, "empty item label in header")
-            items = labels
             n = len(items)
             continue
         count = 1
@@ -183,9 +182,7 @@ def aggregate(dataset: RankingDataset) -> AggregatedSamples:
     perms = ranking_to_permutation(dataset.rankings)
     order = np.lexsort(perms.T[::-1])  # the first column is the primary key
     perms = perms[order]
-    starts = np.ones(len(perms), dtype=bool)
-    starts[1:] = (perms[1:] != perms[:-1]).any(axis=1)
-    starts = np.flatnonzero(starts)
+    starts = np.flatnonzero(np.diff(perms, axis=0, prepend=0).any(axis=1))  # where a run begins
     return AggregatedSamples(
         permutations=perms[starts],
         weights=np.add.reduceat(dataset.counts[order], starts),
@@ -202,32 +199,35 @@ def _as_arrays(samples) -> AggregatedSamples:
 
 
 def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
-    # Row g's block vector is scale (vec P_g - 1/n), ones at cells (g(j) - 1) n + j. From
-    # weighted marginal counts c1[a, j] (rows with g(j) = a + 1) and C2 of cell pairs, the
-    # covariance is scale^2 (W C2 - c1 c1^T) / W^2 and row g sits at scale (sum_j V[cell(g, j)]
-    # - (c1/W) V). Bytes: the covariance, eigh's 4 more; per row its ranks, weight, slab index,
-    # 3 coordinate rows and label. Work: a row in a slab or a gathered value, 4-12 ns: 200 flops.
+    # Row g's block vector is scale (vec P_g - 1/n), ones at cells (g(j) - 1) n + j. The moments are
+    # taken about the heaviest row r, so no term outgrows the weight off r: m and S, the weighted sums
+    # of P_g - P_r and its outer square, are the counts of rows g != r under D_j = I - e_r(j) 1^T.
+    # Bytes: the covariance, eigh's 4 more; per row ranks, weight, slab index, 3 coordinate rows,
+    # label. Work: a row in a slab or a gathered value, 4-12 ns: 200 flops.
     k, dims = len(samples), min(dims, n * n)
     groups.admit(f"the standard-block embedding of {k} permutations of {n} items",
                  nbytes=8 * (k * (2 * n + 3 * dims + 16) + 5 * n ** 4),
                  work=(100 * k * n * (n + 1 + 2 * dims) + dense.EIGENVECTOR_COST * n ** 6)
                  // groups.FLOPS_PER_STEP)
-    w = samples.weights.astype(float)
-    w = np.ldexp(w, -np.frexp(w.max())[1])  # scaled by a power of two: exact; W^2 cannot overflow
-    total, scale2 = w.sum(), (2.0 * n - 3.0) / 2.0
+    ref = int(np.argmax(samples.weights))  # weights scaled by a power of two: exact; W^2 < 2^1024
+    w = np.ldexp(samples.weights.astype(float), -np.frexp(float(samples.weights[ref]))[1])
+    total, scale2, w[ref] = w.sum(), (2.0 * n - 3.0) / 2.0, 0.0  # then counts skip row r
     ranks = np.subtract(samples.permutations.T, 1, order="C")  # ranks[j] = g(j) - 1
-    c1 = np.stack([np.bincount(r, w, minlength=n) for r in ranks], axis=1)
+    c1 = np.stack([np.bincount(r, w, minlength=n) for r in ranks], axis=1)  # rows with g(j) = a + 1
+    m = c1 - w.sum() * (np.arange(n)[:, None] == ranks[:, ref])  # c1 less W - w_r at each r(j)
     cov = np.empty((n, n, n, n))  # cov[a, j, b, l]: cells a n + j and b n + l
     for j, l in zip(*np.triu_indices(n)):
-        c2 = np.bincount(ranks[j] * n + ranks[l], w, minlength=n * n).reshape(n, n)
-        cov[:, j, :, l] = (total * c2 - np.outer(c1[:, j], c1[:, l])) / total ** 2 * scale2
+        s = np.bincount(ranks[j] * n + ranks[l], w, minlength=n * n).reshape(n, n)  # C2, then S
+        s[ranks[j, ref]] -= c1[:, l]  # D_j C2_jl: C2_jl's column sums are c1[:, l]
+        s[:, ranks[l, ref]] -= m[:, j]  # D_j C2_jl D_l^T: the row sums of D_j C2_jl are m[:, j]
+        cov[:, j, :, l] = (total * s - np.outer(m[:, j], m[:, l])) / total ** 2 * scale2
         cov[:, l, :, j] = cov[:, j, :, l].T
     dec = dense.eigendecompose(cov.reshape(n * n, n * n))
     # Axes past the positive ones span rounding noise: they carry zeros.
     positive = dec.eigenvalues[:dims] > dec.zero_threshold
     axes = np.where(positive, dec.eigenvectors[:, :dims], 0.0)
-    coordinates = sum(axes.reshape(n, n, dims)[r, j] for j, r in enumerate(ranks))
-    coordinates = (coordinates - (c1.reshape(n * n) / total) @ axes) * np.sqrt(scale2)
+    gathered = sum(axes.reshape(n, n, dims)[r, j] for j, r in enumerate(ranks))  # sum_j V[cell(g, j)]
+    coordinates = (gathered - gathered[ref] - (m.reshape(n * n) / total) @ axes) * np.sqrt(scale2)
     return coordinates, np.where(positive, dec.eigenvalues[:dims], 0.0), False
 
 

@@ -450,11 +450,35 @@ def test_embedding_csv_is_byte_identical_to_the_per_row_reference(n, seed, mode)
     assert dense.embedding_to_csv(emb) == reference_embedding_csv(text, 3, mode)
 
 
-@pytest.mark.parametrize("n,seed", [(4, 1), (5, 2), (6, 3)])
-def test_standard_embedding_csv_matches_the_per_row_reference(n, seed):
+def big_count_text(n, rows, seed):
+    """Mallows rows whose counts each pass 10^19, so their sum passes int64."""
+    lines = mallows_text(n, rows, 0.5, seed).splitlines()
+    return "\n".join(lines[:1] + [f"{line.partition(';')[0]};{10 ** 19 + 977 * r}"
+                                  for r, line in enumerate(lines[1:])]) + "\n"
+
+
+def skewed_text(n, counts, seed):
+    """Distinct Mallows rankings carrying ``counts`` in turn."""
+    lines = mallows_text(n, 400, 0.5, seed).splitlines()
+    rankings = list(dict.fromkeys(line.partition(";")[0] for line in lines[1:]))
+    assert len(rankings) >= len(counts)
+    return "\n".join(lines[:1] + [f"{r};{c}" for r, c in zip(rankings, counts)]) + "\n"
+
+
+# Nearly all the weight on one ranking: the moments of the few rows off it
+# must survive beside the mode's weight, squared.
+SKEWED_COUNTS = {
+    "skewed past int64": [3, 1, 2 ** 63 - 1, 12],
+    "skewed 10^12": [10 ** 12] + [r % 5 + 1 for r in range(1, 20)],
+}
+
+
+def assert_standard_csv_matches_the_per_row_reference(text, n, up_to_sign=False):
     # The marginal counts sum in another order than the reference's block
     # and weighted gemm, so only the last bits of the coordinates may move.
-    text = mallows_text(n, 300, 0.7, seed)
+    # A sparse cloud's axes can have two largest entries of equal size and
+    # opposite sign; the last bits then pick the axis's sign, so up_to_sign
+    # compares each column with the reference's after aligning their signs.
     emb = embed_dataset(aggregate(parse_rankings(text)), n, 3, mode="standard")
     got = list(csv.reader(io.StringIO(dense.embedding_to_csv(emb))))
     want = list(csv.reader(io.StringIO(reference_embedding_csv(text, 3, "standard"))))
@@ -462,7 +486,21 @@ def test_standard_embedding_csv_matches_the_per_row_reference(n, seed):
     assert [row[:3] for row in got] == [row[:3] for row in want]
     x = np.array([row[3:] for row in got[1:]], dtype=float)
     y = np.array([row[3:] for row in want[1:]], dtype=float)
+    if up_to_sign:
+        y *= np.where((x * y).sum(axis=0) < 0, -1.0, 1.0)
     assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("n,seed", [(4, 1), (5, 2), (6, 3)])
+def test_standard_embedding_csv_matches_the_per_row_reference(n, seed):
+    assert_standard_csv_matches_the_per_row_reference(mallows_text(n, 300, 0.7, seed), n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("counts", list(SKEWED_COUNTS))
+def test_standard_embedding_csv_of_skewed_counts_matches_the_per_row_reference(n, counts):
+    text = skewed_text(n, SKEWED_COUNTS[counts], n)
+    assert_standard_csv_matches_the_per_row_reference(text, n, up_to_sign=True)
 
 
 def exact_block_covariance(samples, n):
@@ -498,19 +536,15 @@ def scaled_counts(text, factor):
     return parse_rankings(dataset_to_text(RankingDataset(ds.items, ds.rankings, counts)))
 
 
-def big_count_text(n, rows, seed):
-    """Mallows rows whose counts each pass 10^19, so their sum passes int64."""
-    lines = mallows_text(n, rows, 0.5, seed).splitlines()
-    return "\n".join(lines[:1] + [f"{line.partition(';')[0]};{10 ** 19 + 977 * r}"
-                                  for r, line in enumerate(lines[1:])]) + "\n"
-
-
 @pytest.mark.parametrize("n", [4, 5, 6])
-@pytest.mark.parametrize("counts", ["small", "past int64"])
+@pytest.mark.parametrize("counts", ["small", "past int64"] + list(SKEWED_COUNTS))
 def test_standard_covariance_matches_exact_arithmetic(monkeypatch, n, counts):
-    text = mallows_text(n, 40, 0.5, n) if counts == "small" else big_count_text(n, 40, n)
+    if counts in SKEWED_COUNTS:
+        text = skewed_text(n, SKEWED_COUNTS[counts], n)
+    else:
+        text = mallows_text(n, 40, 0.5, n) if counts == "small" else big_count_text(n, 40, n)
     samples = aggregate(parse_rankings(text))
-    assert samples.weights.dtype == (np.int64 if counts == "small" else object)
+    assert samples.weights.dtype == (object if "int64" in counts else np.int64)
     cov = standard_covariance(monkeypatch, samples, n)
     assert np.array_equal(cov, cov.T)
     exact = exact_block_covariance(samples, n)
