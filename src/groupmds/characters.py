@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
@@ -36,8 +37,10 @@ from .exact import (
 from .groups import GroupSpec, Partition
 
 
+@lru_cache(maxsize=8)
 def irreducible_labels(spec: GroupSpec):
-    """Irreducible labels in deterministic order, trivial first.
+    """Irreducible labels in deterministic order, trivial first, cached per
+    spec like :func:`groups.conjugacy_classes`.
 
     Partitions are reverse-lexicographic; subsets sort by (size, binary
     value with position 1 as the most significant bit); frequencies ascend.
@@ -86,24 +89,13 @@ def label_text(spec: GroupSpec, label) -> str:
 
 def _validate_label(spec: GroupSpec, label) -> None:
     if spec.kind == groups.SYMMETRIC:
-        if not isinstance(label, Partition) or label.n != spec.size:
-            raise InvalidElementError(f"{label!r} does not label an irreducible of {spec.text}")
+        valid = isinstance(label, Partition) and label.n == spec.size
     elif spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        if not isinstance(label, frozenset) or not label <= _positions(spec.size):
-            raise InvalidElementError(f"{label!r} does not label an irreducible of {spec.text}")
+        valid = isinstance(label, frozenset) and label <= frozenset(range(1, spec.size + 1))
     else:
-        if not isinstance(label, int) or not 0 <= label < spec.size:
-            raise InvalidElementError(f"{label!r} does not label an irreducible of {spec.text}")
-
-
-_POSITIONS: Dict[int, frozenset] = {}
-
-
-def _positions(k: int) -> frozenset:
-    """{1..k}, built once per k: every (C_2)^k label is checked against it."""
-    if k not in _POSITIONS:
-        _POSITIONS[k] = frozenset(range(1, k + 1))
-    return _POSITIONS[k]
+        valid = isinstance(label, int) and 0 <= label < spec.size
+    if not valid:
+        raise InvalidElementError(f"{label!r} does not label an irreducible of {spec.text}")
 
 
 def _validate_class_label(spec: GroupSpec, class_label) -> None:
@@ -291,23 +283,30 @@ def character_table(spec: GroupSpec) -> CharacterTable:
     walk = euler_phi(n) // 32 if spec.kind == groups.CYCLIC else 0
     sweep = n * sum(map(groups.count_partitions, range(n + 1))) if spec.kind == groups.SYMMETRIC else 0
     groups.admit(f"the character table of {spec.text}", work=len(labels) ** 2 * (2 + walk) + sweep)
-    classes = groups.conjugacy_classes(spec)
-    if spec.kind == groups.SYMMETRIC:
-        columns = _sn_columns(n)
-        values = tuple(
-            tuple(columns[cls.label.parts].get(mask, 0) for cls in classes)
-            for mask in (_beta_mask(lab.parts, n) for lab in labels)
-        )
-    elif spec.kind == groups.CYCLIC:
+    if spec.kind == groups.CYCLIC:
         terms = int(np.count_nonzero(reduction_matrix(n), axis=1).max())
         groups.admit(f"the text of the character table of {spec.text}", nbytes=36 * n * n * terms)
+    return CharacterTable(group=spec, labels=labels, classes=groups.conjugacy_classes(spec),
+                          values=tuple(_character_rows(spec, labels)))
+
+
+def _character_rows(spec: GroupSpec, labels) -> list:
+    """Each label's values over :func:`groups.conjugacy_classes`, one tuple
+    a label and one formula per kind: the S_n columns of one power-sum
+    walk, the list of roots of unity on C_n, and on (C_2)^k the Walsh signs
+    (-1)^popcount(value(S) & g) on arrays, class g being the element of
+    binary value g."""
+    n, classes = spec.size, groups.conjugacy_classes(spec)
+    if spec.kind == groups.SYMMETRIC:
+        columns = _sn_columns(n)
+        return [tuple(columns[cls.label.parts].get(mask, 0) for cls in classes)
+                for mask in (_beta_mask(lab.parts, n) for lab in labels)]
+    if spec.kind == groups.CYCLIC:
         roots = [normalize_scalar(Cyclotomic.root(n, e)) for e in range(n)]
-        values = tuple(tuple(roots[lab * a % n] for a in range(n)) for lab in labels)
-    else:
-        values = tuple(
-            tuple(character_value(spec, lab, cls.label) for cls in classes) for lab in labels
-        )
-    return CharacterTable(group=spec, labels=labels, classes=classes, values=values)
+        return [tuple(roots[lab * a % n] for a in range(n)) for lab in labels]
+    values = np.array([subset_bit_value(spec, lab) for lab in labels], dtype=np.int64)
+    odd = np.bitwise_count(values[:, None] & np.arange(len(classes))) & 1
+    return list(map(tuple, np.where(odd, -1, 1).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,8 +318,9 @@ class ClassFunction:
 
 
 def character_class_function(spec: GroupSpec, label) -> ClassFunction:
-    classes = groups.conjugacy_classes(spec)
-    return ClassFunction(spec, {c.label: character_value(spec, label, c.label) for c in classes})
+    _validate_label(spec, label)
+    [row] = _character_rows(spec, [label])
+    return ClassFunction(spec, {c.label: v for c, v in zip(groups.conjugacy_classes(spec), row)})
 
 
 def inner_product(f1: ClassFunction, f2: ClassFunction) -> Scalar:

@@ -26,6 +26,7 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 DEFAULT_SEED = 7
+DEFAULT_VERIFY_CAP = 720
 
 
 def _emit(text: str, out_path):
@@ -58,16 +59,20 @@ def _metric_from_args(parser, spec, args):
         parser.error(f"metric {args.metric!r} is not defined on {spec.text}")
 
 
-def _add_group_flags(sub):
+def _check_cap(spec, cap: int) -> None:
+    """``--cap``, the user's bound on the order of the group the dense oracle builds."""
+    if spec.order > cap:
+        raise TooLargeError(f"{spec.text} has order {spec.order}, above the verification cap {cap}",
+                            cap=cap)
+
+
+def _add_group_flags(sub, metric: bool = True):
     sub.add_argument("--group", required=True, choices=["sn", "c2k", "cyclic"])
     sub.add_argument("--n", type=int, help="n for sn/cyclic groups")
     sub.add_argument("--k", type=int, help="k for c2k groups")
-    sub.add_argument(
-        "--metric",
-        default=None,
-        choices=["hamming", "arc"],
-        help="defaults to hamming on sn/c2k and arc on cyclic",
-    )
+    if metric:
+        sub.add_argument("--metric", default=None, choices=["hamming", "arc"],
+                         help="defaults to hamming on sn/c2k and arc on cyclic")
 
 
 def cmd_spectrum(parser, args) -> int:
@@ -85,7 +90,8 @@ def cmd_spectrum(parser, args) -> int:
             summary = spectral.spectrum_via_characters(spec, metric)
         doc = summary.to_json_dict()
         if args.verify:
-            kernel = verify.dense_oracle(spec, metric, args.cap)[1]  # distances not kept
+            _check_cap(spec, args.cap)
+            kernel = verify.dense_oracle(spec, metric)[1]  # distances not kept
             deviation, ok = verify.spectrum_match_deviation(
                 summary, dense.kernel_eigenvalues(kernel)
             )
@@ -190,7 +196,8 @@ def cmd_plot(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     spec = _group_from_args(parser, args)
     metric = _metric_from_args(parser, spec, args)
-    report = verify.oracle_equivalence_report(spec, metric, cap=args.cap)
+    _check_cap(spec, args.cap)
+    report = verify.oracle_equivalence_report(spec, metric)
     if args.dump_distances:
         with open(args.dump_distances, "w", encoding="utf-8") as fh:
             fh.write(report.distances.to_csv())
@@ -221,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_flags(p_spec)
     p_spec.add_argument("--closed-form", action="store_true", dest="closed_form")
     p_spec.add_argument("--verify", action="store_true", help="append dense-oracle deviation")
-    p_spec.add_argument("--cap", type=int, default=verify.DEFAULT_VERIFY_CAP)
+    p_spec.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP)
     p_spec.add_argument("--out", default=None)
     p_spec.set_defaults(handler=cmd_spectrum)
 
     p_chart = sub.add_parser("chartable", help="exact character table")
-    _add_group_flags(p_chart)
+    _add_group_flags(p_chart, metric=False)
     p_chart.add_argument("--format", default="text", choices=["text", "csv"])
     p_chart.add_argument("--max-classes", type=int, default=200)
     p_chart.add_argument("--out", default=None)
@@ -256,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the dense-oracle equivalence suite")
     _add_group_flags(p_verify)
-    p_verify.add_argument("--cap", type=int, default=verify.DEFAULT_VERIFY_CAP)
+    p_verify.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP)
     p_verify.add_argument(
         "--dump-distances",
         default=None,

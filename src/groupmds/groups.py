@@ -295,27 +295,24 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
     return tuple(Partition(p) for p in _partition_tuples(n, n))
 
 
-@lru_cache(maxsize=None)
+_PARTITION_COUNTS = [1]  # p(0), p(1), ... as far as any call has needed
+
+
 def count_partitions(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence (no enumeration)."""
+    """p(n) by Euler's pentagonal-number recurrence (no enumeration), the
+    counts up to n filled once, bottom-up. Raises :class:`TooLargeError`
+    past the work bound, priced at sqrt(3n) steps a count: each p(m) sums
+    about sqrt(8m/3) earlier ones."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        pent1 = k * (3 * k - 1) // 2
-        pent2 = k * (3 * k + 1) // 2
-        if pent1 > n and pent2 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        if pent1 <= n:
-            total += sign * count_partitions(n - pent1)
-        if pent2 <= n:
-            total += sign * count_partitions(n - pent2)
-        k += 1
-    return total
+    admit(f"the partition count p({n})", work=n * math.isqrt(3 * n))
+    counts = _PARTITION_COUNTS
+    for m in range(len(counts), n + 1):
+        # p(m) = sum_k (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)), k >= 1
+        counts.append(sum((1 if k % 2 else -1) * counts[m - p]
+                          for k in range(1, (1 + math.isqrt(24 * m + 1)) // 6 + 1)
+                          for p in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if p <= m))
+    return counts[n]
 
 
 def conjugacy_class_count(spec: GroupSpec) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -169,11 +170,12 @@ def _checked_class_distances(spec: GroupSpec, distances):
     return [cls.label for cls in classes], d0.tolist()
 
 
-def _build_summary(spec: GroupSpec, metric_kind: str, rows, zero_multiplicity: int,
-                   zero_labels) -> SpectralSummary:
+def _build_summary(spec: GroupSpec, metric_kind: str, rows) -> SpectralSummary:
     """Merge (eigenvalue, multiplicity, label) rows of the nonzero
     irreducibles, given in irreducible order, into one entry per distinct
-    eigenvalue, sorted by descending value, then the zero entry."""
+    eigenvalue, sorted by descending value, then the zero entry: the rest of
+    |G| - 1, on the other nontrivial labels, none listed past the
+    enumeration cap."""
     merged: Dict = {}
     for lam, mult, label in rows:
         entry = merged.setdefault(lam, [0, []])
@@ -184,19 +186,16 @@ def _build_summary(spec: GroupSpec, metric_kind: str, rows, zero_multiplicity: i
         for lam, (mult, labels) in merged.items()
     ]
     entries.sort(key=lambda e: -float(e.eigenvalue))
+    zero_multiplicity = spec.order - 1 - sum(e.multiplicity for e in entries)
     if zero_multiplicity:
-        entries.append(SpectralEntry(Fraction(0), zero_multiplicity, tuple(zero_labels), "zero"))
+        carried = {characters.trivial_label(spec)} | {label for _, _, label in rows}
+        try:
+            labels = tuple(lab for lab in characters.irreducible_labels(spec)
+                           if lab not in carried)
+        except TooLargeError:
+            labels = ()
+        entries.append(SpectralEntry(Fraction(0), zero_multiplicity, labels, "zero"))
     return SpectralSummary(group=spec, metric_kind=metric_kind, entries=tuple(entries))
-
-
-def _uncarried_labels(spec: GroupSpec, rows) -> tuple:
-    """Irreducible labels other than the trivial and the rows' labels, or
-    () past the enumeration cap, where only the multiplicity is kept."""
-    carried = {characters.trivial_label(spec)} | {label for _, _, label in rows}
-    try:
-        return tuple(lab for lab in characters.irreducible_labels(spec) if lab not in carried)
-    except TooLargeError:
-        return ()
 
 
 def spectrum_via_characters(spec: GroupSpec, metric) -> SpectralSummary:
@@ -209,45 +208,52 @@ def spectrum_via_characters(spec: GroupSpec, metric) -> SpectralSummary:
     characters.admit_decomposition(spec, spec.size if spec.kind == groups.CYCLIC else 1)
     sigma = characters.decompose_class_function(mu_from_metric(spec, metric)).coefficients
     trivial = characters.trivial_label(spec)
-    rows, zero_labels, zero_mult = [], [], 0
-    for label, coeff in sigma.items():
-        if label == trivial:
-            continue
-        dim = characters.dimension(spec, label)
-        if coeff == 0:
-            zero_labels.append(label)
-            zero_mult += dim * dim
-        else:
-            rows.append((normalize_scalar(coeff * Fraction(spec.order, dim)), dim * dim, label))
-    return _build_summary(spec, getattr(metric, "kind", "custom"), rows, zero_mult, zero_labels)
+    dims = {label: characters.dimension(spec, label)
+            for label, coeff in sigma.items() if coeff != 0 and label != trivial}
+    rows = [(normalize_scalar(sigma[label] * Fraction(spec.order, dim)), dim * dim, label)
+            for label, dim in dims.items()]
+    return _build_summary(spec, getattr(metric, "kind", "custom"), rows)
+
+
+def _check_float_range(log_largest: float, what: str) -> None:
+    """Raise :class:`UnsupportedClosedFormError` when a closed form's largest
+    eigenvalue, given by its natural log, is past the float64 range that
+    sorting and JSON output read it in."""
+    if log_largest > math.log(sys.float_info.max):
+        raise UnsupportedClosedFormError(
+            f"the closed form's largest eigenvalue, {what}, is past the float64 range"
+        )
 
 
 def closed_form_c2k(k: int) -> SpectralSummary:
     """Hamming spectrum on (C_2)^k without enumerating the group:
     eigenvalue 2^(k-2) k on the k singleton subsets, -2^(k-2) on the
-    C(k, 2) pair subsets, zero elsewhere."""
+    C(k, 2) pair subsets, zero elsewhere; k <= 1016 keeps them in float
+    range."""
     if k < 1:
         raise UnsupportedClosedFormError("k must be >= 1")
+    _check_float_range(math.log(k) + (k - 2) * math.log(2), f"k 2^(k-2) at k = {k}")
     spec = groups.elementary_abelian_2(k)
     # Every irreducible is one-dimensional; subsets of one size come in
     # ascending binary value, position 1 the most significant bit. The
     # Fractions keep 2^(k-2) exact also at k = 1.
-    rows = [(Fraction(k * 2 ** k, 4), 1, frozenset({s})) for s in range(k, 0, -1)]
-    rows += [(-Fraction(2 ** k, 4), 1, frozenset({a, b}))
-             for a in range(k - 1, 0, -1) for b in range(k, a, -1)]
-    zero_mult = 2 ** k - 1 - len(rows)
-    return _build_summary(spec, metrics.HAMMING_BITVECTOR, rows, zero_mult,
-                          _uncarried_labels(spec, rows))
+    singleton, pair = Fraction(k * 2 ** k, 4), -Fraction(2 ** k, 4)
+    rows = [(singleton, 1, frozenset({s})) for s in range(k, 0, -1)]
+    rows += [(pair, 1, frozenset({a, b})) for a in range(k - 1, 0, -1) for b in range(k, a, -1)]
+    return _build_summary(spec, metrics.HAMMING_BITVECTOR, rows)
 
 
 def closed_form_sn(n: int) -> SpectralSummary:
-    """Hamming spectrum on S_n for n >= 4: three nonzero eigenvalues, on
-    the partitions [n-1,1], [n-2,1,1], and [n-2,2]."""
+    """Hamming spectrum on S_n for 4 <= n <= 170 (float range): three
+    nonzero eigenvalues, on the partitions [n-1,1], [n-2,1,1], and
+    [n-2,2]."""
     if n < 4:
         raise UnsupportedClosedFormError(
             f"the closed form needs n >= 4 (the [n-2,2] term divides by zero below); "
             f"use spectrum_via_characters for n = {n}"
         )
+    _check_float_range(math.lgamma(n + 1) + math.log((2 * n - 3) / (2 * n - 2)),
+                       f"(2n-3) n!/(2n-2) at n = {n}")
     spec = groups.symmetric(n)
     fact = math.factorial(n)
     rows = [
@@ -259,9 +265,7 @@ def closed_form_sn(n: int) -> SpectralSummary:
             Partition((n - 2, 1, 1)),
         ),
     ]
-    zero_mult = fact - 1 - sum(mult for _, mult, _ in rows)
-    return _build_summary(spec, metrics.HAMMING_PERMUTATION, rows, zero_mult,
-                          _uncarried_labels(spec, rows))
+    return _build_summary(spec, metrics.HAMMING_PERMUTATION, rows)
 
 
 def convolution_matrix(spec: GroupSpec, mu: ClassFunction) -> "np.ndarray":

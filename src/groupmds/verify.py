@@ -1,12 +1,13 @@
 """Cross-checks between the character-predicted spectrum and the dense
 MDS pipeline, packaged so the CLI and the test suite run the same checks.
 
-For a (group, metric) pair within the order cap, the byte bound on the
-distance matrix and the work bound on each m^3 decomposition and product,
-checked before anything dense is built, this builds the full distance
-matrix and centers it. ``spectrum --verify`` then needs only the kernel's
-eigenvalues (``dense.kernel_eigenvalues``); the full report
-eigendecomposes the kernel and verifies:
+For a (group, metric) pair within the byte bound on the distance matrix
+and the work bound on each m^3 decomposition and product, checked before
+anything dense is built, this builds the full distance matrix and centers
+it (the CLI's ``--cap`` on the order is checked before these calls).
+``spectrum --verify`` then needs only the kernel's eigenvalues
+(``dense.kernel_eigenvalues``); the full report eigendecomposes the
+kernel and verifies:
 
 * the predicted eigenvalues, expanded by multiplicity and sorted, match
   the sorted dense spectrum one by one;
@@ -25,11 +26,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import dense, groups, metrics, spectral
-from .errors import TooLargeError
 from .exact import normalize_scalar
 from .groups import GroupSpec
-
-DEFAULT_VERIFY_CAP = 720
 
 
 @dataclass(frozen=True)
@@ -61,16 +59,13 @@ class VerificationReport:
         return out
 
 
-def dense_oracle(spec: GroupSpec, metric, cap: int):
+def dense_oracle(spec: GroupSpec, metric):
     """(distance matrix, centered kernel) of the dense MDS pipeline on
     ``spec``; each caller decomposes the kernel as far as it reads it.
 
-    Raises :class:`TooLargeError` before building anything when the order
-    m exceeds ``cap``, or the distance matrix or one m^3 decomposition of
-    the kernel passes a bound."""
+    Raises :class:`TooLargeError` before building anything when the
+    distance matrix or one m^3 decomposition of the kernel passes a bound."""
     m = spec.order
-    if m > cap:
-        raise TooLargeError(f"{spec.text} has order {m}, above the verification cap {cap}", cap=cap)
     groups.admit(f"the distance matrix of {spec.text} and its eigenvalues", nbytes=m * m * 8,
                  work=m ** 3 // groups.FLOPS_PER_STEP)
     dm = metrics.build_distance_matrix(spec, metric)
@@ -121,12 +116,8 @@ def _reconstruction_deviation(dec, dm) -> float:
     return float(np.abs(dev, out=dev).max())
 
 
-def oracle_equivalence_report(
-    spec: GroupSpec, metric, cap: int = DEFAULT_VERIFY_CAP
-) -> VerificationReport:
+def oracle_equivalence_report(spec: GroupSpec, metric) -> VerificationReport:
     m = spec.order
-    if m > cap:
-        raise TooLargeError(f"{spec.text} has order {m}, above the verification cap {cap}", cap=cap)
     labels = spectral.projector_labels(spec)
     # Projector assembly is O(|G|^2) per label; past 128 labels check a
     # deterministic sample and skip the completeness sum.
@@ -136,7 +127,7 @@ def oracle_equivalence_report(
     groups.admit(f"the distance matrix of {spec.text} and its checks", nbytes=m * m * 8,
                  work=(dense.EIGENVECTOR_COST + 2 * len(labels)) * m ** 3 // groups.FLOPS_PER_STEP)
     summary = spectral.spectrum_via_characters(spec, metric)
-    dm, kernel = dense_oracle(spec, metric, cap)
+    dm, kernel = dense_oracle(spec, metric)
     dec = dense.eigendecompose(kernel)
     checks = []
 

@@ -269,6 +269,42 @@ def test_table_guard():
         character_table(elementary_abelian_2(16))
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_c2k_table_is_the_per_cell_values_without_per_cell_calls(monkeypatch, k):
+    spec = elementary_abelian_2(k)
+    calls = []
+    monkeypatch.setattr(characters, "character_value", lambda *args: calls.append(args))
+    table = character_table(spec)
+    monkeypatch.undo()
+    assert calls == []
+    assert table.values == tuple(tuple(character_value(spec, lab, cls.label) for cls in table.classes)
+                                 for lab in table.labels)
+    assert all(type(v) is int for row in table.values for v in row)
+
+
+ROW_GROUPS = ([symmetric(n) for n in range(1, 8)] + [elementary_abelian_2(k) for k in range(1, 7)]
+              + [cyclic(n) for n in range(1, 13)])
+
+
+@pytest.mark.parametrize("spec", ROW_GROUPS, ids=lambda spec: spec.text)
+def test_class_function_of_every_label_is_its_character_values(spec):
+    classes = groups.conjugacy_classes(spec)
+    for lab in irreducible_labels(spec):
+        assert list(character_class_function(spec, lab).values.items()) == [
+            (cls.label, character_value(spec, lab, cls.label)) for cls in classes]
+
+
+@pytest.mark.parametrize("spec, label", [
+    (symmetric(4), Partition((3, 1, 1))),
+    (elementary_abelian_2(2), frozenset({3})),
+    (elementary_abelian_2(2), frozenset({0})),
+    (cyclic(12), 12),
+], ids=["partition-of-5", "position-3", "position-0", "frequency-12"])
+def test_class_function_of_a_foreign_label_is_refused(spec, label):
+    with pytest.raises(InvalidElementError):
+        character_class_function(spec, label)
+
+
 # --- inner products and orthogonality ----------------------------------------
 
 

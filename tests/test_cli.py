@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,6 +115,49 @@ def test_chartable_s3_text(capsys):
     assert code == 0
     assert "(1 2 3)" in out and "(1 2)" in out
     assert "[2,1]" in out
+
+
+def test_chartable_takes_no_metric(capsys):
+    code, out, err = run_cli(capsys, "chartable", "--group", "sn", "--n", "4", "--metric", "arc")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --metric arc" in err
+
+
+P500 = 2300165032574323995027
+HUGE_SYMMETRIC = {
+    "spectrum-sn500": ("spectrum --group sn --n 500",
+                       f"symmetric(500) has {P500} irreducibles, above the enumeration cap 50000"),
+    "chartable-sn500": ("chartable --group sn --n 500",
+                        f"symmetric(500) has {P500} conjugacy classes, above the guard 200"),
+    "spectrum-sn1e6": ("spectrum --group sn --n 1000000", "the partition count p(1000000) needs "
+                       "1732000000 steps, above the work bound 5000000 steps"),
+    "chartable-sn1e6": ("chartable --group sn --n 1000000", "the partition count p(1000000) needs "
+                        "1732000000 steps, above the work bound 5000000 steps"),
+}
+
+
+@pytest.mark.parametrize("argv, message", HUGE_SYMMETRIC.values(), ids=HUGE_SYMMETRIC.keys())
+def test_huge_symmetric_requests_are_refused_in_one_line(argv, message):
+    # A fresh process, so no partition count is cached from earlier tests.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "groupmds.cli", *argv.split()],
+                            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert time.perf_counter() - start < 5.0
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("--group sn --n 170", 0), ("--group sn --n 171", 2), ("--group c2k --k 1017", 2),
+], ids=["sn-170", "sn-171", "c2k-1017"])
+def test_closed_form_edge_of_the_float64_range(capsys, argv, code):
+    code_, out, err = run_cli(capsys, "spectrum", "--closed-form", *argv.split())
+    assert code_ == code
+    if code:
+        assert "is past the float64 range" in err
+    else:
+        assert all(math.isfinite(e["eigenvalue_float"]) for e in json.loads(out)["entries"])
 
 
 def test_chartable_class_guard(capsys):

@@ -456,6 +456,20 @@ def test_partition_count_recurrence_matches_enumeration():
         assert groups.count_partitions(n) == len(partitions_of(n))
 
 
+def test_partition_count_known_values():
+    # Filled bottom-up: p(1000) needs no deeper stack than p(10).
+    assert [groups.count_partitions(n) for n in (-1, 0, 100, 200, 1000)] == [
+        0, 1, 190569292, 3972999029388, 24061467864032622473692149727991]
+
+
+def test_partition_count_past_the_work_bound_is_refused_before_filling():
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError) as excinfo:
+        groups.count_partitions(10 ** 6)
+    assert time.perf_counter() - start < 0.1
+    assert excinfo.value.cap == groups.WORK_MAX
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition((1, 2))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -434,6 +435,28 @@ def test_closed_form_elides_zero_labels_past_listing_limit(
     assert summary.accounted_dimension == order
 
 
+def test_closed_forms_at_the_edge_of_the_float64_range():
+    # 170! is about 7.3e306 and k 2^(k-2) is 1016 * 2^1014 < 2^1024: both
+    # sort and print as finite floats.
+    sn = closed_form_sn(170)
+    assert sn.entries[0].eigenvalue == Fraction(337 * math.factorial(170), 338)
+    assert all(math.isfinite(e["eigenvalue_float"]) for e in sn.to_json_dict()["entries"])
+    c2k = closed_form_c2k(1016)
+    assert [(e.eigenvalue, e.multiplicity) for e in c2k.nonzero_entries()] == [
+        (1016 * 2 ** 1014, 1016), (-(2 ** 1014), 1016 * 1015 // 2)]
+    assert all(math.isfinite(float(e.eigenvalue)) for e in c2k.entries)
+
+
+@pytest.mark.parametrize("closed_form, size", [
+    (closed_form_sn, 171), (closed_form_sn, 10 ** 6), (closed_form_c2k, 1017),
+], ids=["sn-171", "sn-1e6", "c2k-1017"])
+def test_closed_forms_past_the_float64_range_are_refused_before_any_work(closed_form, size):
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedClosedFormError, match="is past the float64 range"):
+        closed_form(size)
+    assert time.perf_counter() - start < 0.1
+
+
 # --- convolution matrix -----------------------------------------------------------
 
 
@@ -669,6 +692,38 @@ def test_trace_identity_spot_values():
     assert spectrum_via_characters(s4, hamming_metric(s4)).trace() == 120
     c22 = elementary_abelian_2(2)
     assert spectrum_via_characters(c22, hamming_metric(c22)).trace() == 3
+
+
+def zero_entry_by_coefficients(spec, metric):
+    """(multiplicity, labels) of the zero entry, read off mu's coefficients:
+    dim^2 summed over the nontrivial labels whose coefficient is zero,
+    listed in irreducible order."""
+    sigma = characters.decompose_class_function(mu_from_metric(spec, metric)).coefficients
+    trivial = characters.trivial_label(spec)
+    labels = tuple(lab for lab in characters.irreducible_labels(spec)
+                   if lab != trivial and sigma[lab] == 0)
+    return sum(characters.dimension(spec, lab) ** 2 for lab in labels), labels
+
+
+ZERO_ENTRY_CASES = {
+    "hamming-sn6": (symmetric(6), hamming_metric(symmetric(6))),
+    "hamming-c2k6": (elementary_abelian_2(6), hamming_metric(elementary_abelian_2(6))),
+    "hamming-c2k1": (elementary_abelian_2(1), hamming_metric(elementary_abelian_2(1))),
+    "arc-cyclic12": (cyclic(12), circular_arc_metric(cyclic(12))),
+    "arc-cyclic30": (cyclic(30), circular_arc_metric(cyclic(30))),
+    # mu sits on the identity and the transpositions, so every label whose
+    # character vanishes on a transposition ([3,1,1] on S_5) gets zero.
+    "custom-sn5": (symmetric(5), ClassDissimilarity(symmetric(5), {
+        c.label: int(c.label == Partition((2, 1, 1, 1))) for c in groups.conjugacy_classes(symmetric(5))})),
+}
+
+
+@pytest.mark.parametrize("spec, metric", ZERO_ENTRY_CASES.values(), ids=ZERO_ENTRY_CASES.keys())
+def test_zero_entry_is_the_sum_over_zero_coefficients(spec, metric):
+    multiplicity, labels = zero_entry_by_coefficients(spec, metric)
+    zero = [(e.eigenvalue, e.multiplicity, e.labels)
+            for e in spectrum_via_characters(spec, metric).entries if e.sign == "zero"]
+    assert zero == ([(0, multiplicity, labels)] if multiplicity else [])
 
 
 # --- serialization --------------------------------------------------------------------
