@@ -47,7 +47,7 @@ def irreducible_labels(spec: GroupSpec):
     Raises :class:`TooLargeError` above the enumeration cap.
     """
     count = groups.conjugacy_class_count(spec)
-    groups.admit(f"{spec.text} has {count} irreducibles", items=count)
+    groups.admit(spec.text, items=count, noun="irreducibles")
     if spec.kind == groups.SYMMETRIC:
         return groups.partitions_of(spec.size)
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
@@ -422,7 +422,7 @@ def admit_decomposition(spec: GroupSpec, order: int) -> None:
     nodes. The sweep leads an S_n spectrum, whose request took 4.2 to
     4.9 us a bead end to end at n = 33 to 35, against 2 us a step."""
     n, count, phi = spec.size, groups.conjugacy_class_count(spec), euler_phi(order)
-    groups.admit(f"{spec.text} has {count} irreducibles", items=count)
+    groups.admit(spec.text, items=count, noun="irreducibles")
     if spec.kind == groups.SYMMETRIC:
         per_power = 5 * n * sum(map(groups.count_partitions, range(n + 1))) // 2
     else:

@@ -60,10 +60,14 @@ def _metric_from_args(parser, spec, args):
 
 
 def _check_cap(spec, cap: int) -> None:
-    """``--cap``, the user's bound on the order of the group the dense oracle builds."""
-    if spec.order > cap:
-        raise TooLargeError(f"{spec.text} has order {spec.order}, above the verification cap {cap}",
-                            cap=cap)
+    """``--cap``, the user's bound on the order of the group the dense oracle
+    builds; n! passes it within cap.bit_length() + 1 factors, so no more are
+    multiplied."""
+    order = (math.factorial(min(spec.size, cap.bit_length() + 1))
+             if spec.kind == groups.SYMMETRIC else spec.order)
+    if order > cap:
+        raise TooLargeError(f"{spec.text} has order {spec.order_text}, above the verification cap "
+                            f"{cap}", cap=cap)
 
 
 def _add_group_flags(sub, metric: bool = True):
@@ -108,7 +112,7 @@ def cmd_chartable(parser, args) -> int:
     n_classes = groups.conjugacy_class_count(spec)
     if n_classes > args.max_classes:
         raise TooLargeError(
-            f"{spec.text} has {n_classes} conjugacy classes, above the guard "
+            f"{spec.text} has {groups.count_text(n_classes)} conjugacy classes, above the guard "
             f"{args.max_classes}",
             cap=args.max_classes,
         )
@@ -208,8 +212,8 @@ def cmd_verify(parser, args) -> int:
 def cmd_synthesize(parser, args) -> int:
     if args.items < 2 or args.rows < 1:
         parser.error("--items must be >= 2 and --rows >= 1")
-    print(f"seed: {args.seed}", file=sys.stderr)
     dataset = rankings.synthesize_rankings(args.items, args.rows, args.seed)
+    print(f"seed: {args.seed}", file=sys.stderr)
     _emit(rankings.dataset_to_text(dataset), args.out)
     return EXIT_OK
 

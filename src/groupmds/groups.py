@@ -69,6 +69,14 @@ class GroupSpec:
             return 2 ** self.size
         return self.size
 
+    @property
+    def order_text(self) -> str:
+        """The order as message text (:func:`count_text`), S_n's written
+        "n!" past 100 digits without computing it."""
+        if self.kind == SYMMETRIC and self.size > 69:  # 69! < 10^100 < 70!
+            return f"{self.size}!"
+        return count_text(self.order)
+
     def identity(self) -> GroupElement:
         return next(_iter_elements(self))
 
@@ -216,18 +224,31 @@ def array_element(spec: GroupSpec, a) -> GroupElement:
     return int(a)
 
 
-def admit(what: str, *, items: int = 0, nbytes: int = 0, work: int = 0) -> None:
+def count_text(count: int) -> str:
+    """A count as message text: in full below 10^100, else by its size
+    ("2^14285" for a power of two, "about 10^4304" otherwise), so that no
+    message writes out an integer past Python's int-to-text limit."""
+    if count < 10 ** 100:
+        return str(count)
+    if count & (count - 1) == 0:
+        return f"2^{count.bit_length() - 1}"
+    return f"about 10^{math.floor(math.log10(count))}"
+
+
+def admit(what: str, *, items: int = 0, noun: str = "items", nbytes: int = 0,
+          work: int = 0) -> None:
     """The one size guard: raise :class:`TooLargeError`, ``cap`` the bound
     that tripped, before a call lists ``items``, allocates ``nbytes`` or does
-    ``work`` steps over its bound. ``what`` opens the message; for items it
-    states the count ("symmetric(9) has 362880 elements")."""
-    for amount, cap, message, unit in (
-        (items, DEFAULT_ENUMERATION_CAP, f"{what}, above the enumeration cap", ""),
-        (nbytes, TABLE_MAX_BYTES, f"{what} needs {nbytes} bytes, above the table bound", " bytes"),
-        (work, WORK_MAX, f"{what} needs {work} steps, above the work bound", " steps"),
+    ``work`` steps over its bound. ``what`` opens the message, and for items
+    the count of ``noun`` follows ("symmetric(9) has 362880 elements"). The
+    message is written only on refusal, each count by :func:`count_text`."""
+    for amount, cap, message in (
+        (items, DEFAULT_ENUMERATION_CAP, "has {} " + noun + ", above the enumeration cap {}"),
+        (nbytes, TABLE_MAX_BYTES, "needs {} bytes, above the table bound {} bytes"),
+        (work, WORK_MAX, "needs {} steps, above the work bound {} steps"),
     ):
         if amount > cap:
-            raise TooLargeError(f"{message} {cap}{unit}", cap=cap)
+            raise TooLargeError(f"{what} " + message.format(count_text(amount), cap), cap=cap)
 
 
 @lru_cache(maxsize=8)
@@ -239,7 +260,7 @@ def enumerate_elements(spec: GroupSpec) -> Tuple[GroupElement, ...]:
     Raises :class:`TooLargeError` when the group order exceeds the
     enumeration cap.
     """
-    admit(f"{spec.text} has {spec.order} elements", items=spec.order)
+    admit(spec.text, items=spec.order, noun="elements")
     return tuple(_iter_elements(spec))
 
 
@@ -352,7 +373,7 @@ def conjugacy_classes(spec: GroupSpec) -> Tuple[ConjugacyClass, ...]:
     """
     if spec.kind == SYMMETRIC:
         n, count = spec.size, count_partitions(spec.size)
-        admit(f"{spec.text} has {count} classes", items=count)
+        admit(spec.text, items=count, noun="classes")
         return tuple(
             ConjugacyClass(_cycle_representative(n, p.parts), _class_size(n, p.parts), p)
             for p in partitions_of(n)

@@ -275,9 +275,15 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingR
 
 def synthesize_rankings(n_items: int, n_rows: int, seed: int) -> RankingDataset:
     """Deterministic pseudo-random full rankings (same seed, same dataset);
-    stands in for preference datasets that are not redistributed."""
+    stands in for preference datasets that are not redistributed.
+
+    Raises :class:`TooLargeError` before drawing a row past the work or
+    byte bound of the rows and their text: a row costs 2 us and 200 bytes,
+    an entry up to 1 us and 64 (array cell, list slot, int and text)."""
     if n_items < 2:
         raise ValueError("need at least 2 items")
+    groups.admit(f"synthesizing {n_rows} rankings of {n_items} items",
+                 nbytes=n_rows * (64 * n_items + 200), work=n_rows * (n_items + 2) // 2)
     rng = random.Random(seed)
     items = tuple(f"item{i}" for i in range(1, n_items + 1))
     entries = []

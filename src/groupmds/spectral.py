@@ -7,10 +7,12 @@ mu's character expansion contributes one eigenvalue
     lambda_i = |G| * sigma_i / dim_i,      sigma_i = <mu, chi_i>,
 
 with eigenspace dimension dim_i^2 inside functions on the group. The
-functions here compute that spectrum exactly (no group enumeration), give
-the closed-form tables for Hamming distance on (C_2)^k and S_n, build the
-isotypic eigenprojectors, and embed permutations directly into the
+functions here compute that spectrum exactly (no group enumeration), build
+the isotypic eigenprojectors, and embed permutations directly into the
 dominant (standard-representation) block without touching the full group.
+Every spectrum is assembled in one place, the formula above: the character
+path supplies each nonzero sigma_i, and the closed forms for Hamming
+distance on (C_2)^k and S_n state the few nonzero coefficients directly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Dict, Tuple
 
 import numpy as np
@@ -170,31 +173,35 @@ def _checked_class_distances(spec: GroupSpec, distances):
     return [cls.label for cls in classes], d0.tolist()
 
 
-def _build_summary(spec: GroupSpec, metric_kind: str, rows) -> SpectralSummary:
-    """Merge (eigenvalue, multiplicity, label) rows of the nonzero
-    irreducibles, given in irreducible order, into one entry per distinct
-    eigenvalue, sorted by descending value, then the zero entry: the rest of
-    |G| - 1, on the other nontrivial labels, none listed past the
-    enumeration cap."""
+def _build_summary(spec: GroupSpec, metric_kind: str, blocks) -> SpectralSummary:
+    """The one place eigenvalues are formed. Each block (sigma, dim, labels)
+    holds nontrivial labels, in irreducible order, that share the nonzero
+    coefficient sigma of mu and the dimension dim: they carry the
+    eigenvalue |G| sigma / dim, dim^2 times each. Blocks of one eigenvalue
+    merge into one entry, labels in block order, sorted by descending
+    value, then the zero entry: the rest of |G| - 1, on the other
+    nontrivial labels, none listed past the enumeration cap."""
     merged: Dict = {}
-    for lam, mult, label in rows:
-        entry = merged.setdefault(lam, [0, []])
-        entry[0] += mult
-        entry[1].append(label)
+    for sigma, dim, labels in blocks:
+        if labels:
+            entry = merged.setdefault(normalize_scalar(sigma * Fraction(spec.order, dim)), [0, []])
+            entry[0] += dim * dim * len(labels)
+            entry[1].append(labels)
     entries = [
-        SpectralEntry(lam, mult, tuple(labels), "positive" if scalar_sign(lam) > 0 else "negative")
+        SpectralEntry(lam, mult, tuple(chain.from_iterable(labels)),
+                      "positive" if scalar_sign(lam) > 0 else "negative")
         for lam, (mult, labels) in merged.items()
     ]
     entries.sort(key=lambda e: -float(e.eigenvalue))
     zero_multiplicity = spec.order - 1 - sum(e.multiplicity for e in entries)
     if zero_multiplicity:
-        carried = {characters.trivial_label(spec)} | {label for _, _, label in rows}
         try:
-            labels = tuple(lab for lab in characters.irreducible_labels(spec)
-                           if lab not in carried)
+            every = characters.irreducible_labels(spec)
+            carried = {characters.trivial_label(spec)}.union(*(e.labels for e in entries))
         except TooLargeError:
-            labels = ()
-        entries.append(SpectralEntry(Fraction(0), zero_multiplicity, labels, "zero"))
+            every = carried = ()
+        entries.append(SpectralEntry(Fraction(0), zero_multiplicity,
+                                     tuple(lab for lab in every if lab not in carried), "zero"))
     return SpectralSummary(group=spec, metric_kind=metric_kind, entries=tuple(entries))
 
 
@@ -208,11 +215,9 @@ def spectrum_via_characters(spec: GroupSpec, metric) -> SpectralSummary:
     characters.admit_decomposition(spec, spec.size if spec.kind == groups.CYCLIC else 1)
     sigma = characters.decompose_class_function(mu_from_metric(spec, metric)).coefficients
     trivial = characters.trivial_label(spec)
-    dims = {label: characters.dimension(spec, label)
-            for label, coeff in sigma.items() if coeff != 0 and label != trivial}
-    rows = [(normalize_scalar(sigma[label] * Fraction(spec.order, dim)), dim * dim, label)
-            for label, dim in dims.items()]
-    return _build_summary(spec, getattr(metric, "kind", "custom"), rows)
+    blocks = [(coeff, characters.dimension(spec, label), (label,))
+              for label, coeff in sigma.items() if coeff != 0 and label != trivial]
+    return _build_summary(spec, getattr(metric, "kind", "custom"), blocks)
 
 
 def _check_float_range(log_largest: float, what: str) -> None:
@@ -226,27 +231,26 @@ def _check_float_range(log_largest: float, what: str) -> None:
 
 
 def closed_form_c2k(k: int) -> SpectralSummary:
-    """Hamming spectrum on (C_2)^k without enumerating the group:
-    eigenvalue 2^(k-2) k on the k singleton subsets, -2^(k-2) on the
-    C(k, 2) pair subsets, zero elsewhere; k <= 1016 keeps them in float
+    """Hamming spectrum on (C_2)^k without enumerating the group: mu's
+    coefficient is k/4 on the k singleton subsets and -1/4 on the C(k, 2)
+    pair subsets, zero elsewhere; k <= 1016 keeps the eigenvalues in float
     range."""
     if k < 1:
         raise UnsupportedClosedFormError("k must be >= 1")
     _check_float_range(math.log(k) + (k - 2) * math.log(2), f"k 2^(k-2) at k = {k}")
-    spec = groups.elementary_abelian_2(k)
-    # Every irreducible is one-dimensional; subsets of one size come in
-    # ascending binary value, position 1 the most significant bit. The
-    # Fractions keep 2^(k-2) exact also at k = 1.
-    singleton, pair = Fraction(k * 2 ** k, 4), -Fraction(2 ** k, 4)
-    rows = [(singleton, 1, frozenset({s})) for s in range(k, 0, -1)]
-    rows += [(pair, 1, frozenset({a, b})) for a in range(k - 1, 0, -1) for b in range(k, a, -1)]
-    return _build_summary(spec, metrics.HAMMING_BITVECTOR, rows)
+    # Every irreducible is one-dimensional. Subsets of one size come in
+    # ascending binary value, position 1 the most significant bit: the
+    # reverse of the order of combinations.
+    singletons, pairs = (tuple(map(frozenset, combinations(range(1, k + 1), size)))[::-1]
+                         for size in (1, 2))
+    return _build_summary(groups.elementary_abelian_2(k), metrics.HAMMING_BITVECTOR,
+                          [(Fraction(k, 4), 1, singletons), (Fraction(-1, 4), 1, pairs)])
 
 
 def closed_form_sn(n: int) -> SpectralSummary:
-    """Hamming spectrum on S_n for 4 <= n <= 170 (float range): three
-    nonzero eigenvalues, on the partitions [n-1,1], [n-2,1,1], and
-    [n-2,2]."""
+    """Hamming spectrum on S_n for 4 <= n <= 170 (float range): mu's
+    coefficient is (2n-3)/2 on [n-1,1] and -1/2 on [n-2,2] and [n-2,1,1],
+    zero elsewhere."""
     if n < 4:
         raise UnsupportedClosedFormError(
             f"the closed form needs n >= 4 (the [n-2,2] term divides by zero below); "
@@ -255,17 +259,11 @@ def closed_form_sn(n: int) -> SpectralSummary:
     _check_float_range(math.lgamma(n + 1) + math.log((2 * n - 3) / (2 * n - 2)),
                        f"(2n-3) n!/(2n-2) at n = {n}")
     spec = groups.symmetric(n)
-    fact = math.factorial(n)
-    rows = [
-        (Fraction((2 * n - 3) * fact, 2 * n - 2), (n - 1) ** 2, Partition((n - 1, 1))),
-        (Fraction(-fact, n * (n - 3)), (n * (n - 3) // 2) ** 2, Partition((n - 2, 2))),
-        (
-            Fraction(-fact, (n - 1) * (n - 2)),
-            ((n - 1) * (n - 2) // 2) ** 2,
-            Partition((n - 2, 1, 1)),
-        ),
-    ]
-    return _build_summary(spec, metrics.HAMMING_PERMUTATION, rows)
+    coefficients = {(n - 1, 1): Fraction(2 * n - 3, 2), (n - 2, 2): Fraction(-1, 2),
+                    (n - 2, 1, 1): Fraction(-1, 2)}
+    return _build_summary(spec, metrics.HAMMING_PERMUTATION, [
+        (sigma, characters.dimension(spec, Partition(parts)), (Partition(parts),))
+        for parts, sigma in coefficients.items()])
 
 
 def convolution_matrix(spec: GroupSpec, mu: ClassFunction) -> "np.ndarray":

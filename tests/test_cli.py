@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -148,6 +150,31 @@ def test_huge_symmetric_requests_are_refused_in_one_line(argv, message):
     assert (result.returncode, result.stdout, result.stderr) == (3, "", f"error: {message}\n")
 
 
+HUGE_COUNTS = {
+    "spectrum-c2k14285": ("spectrum --group c2k --k 14285", "elementary-abelian-2(14285) has "
+                          "2^14285 irreducibles, above the enumeration cap 50000"),
+    "chartable-c2k14285": ("chartable --group c2k --k 14285", "elementary-abelian-2(14285) has "
+                           "2^14285 conjugacy classes, above the guard 200"),
+    "verify-sn1559": ("verify --group sn --n 1559",
+                      "symmetric(1559) has order 1559!, above the verification cap 720"),
+    "verify-sn1e6": ("verify --group sn --n 1000000",
+                     "symmetric(1000000) has order 1000000!, above the verification cap 720"),
+    "synthesize-1e8": ("synthesize --items 10 --rows 100000000", "synthesizing 100000000 "
+                       "rankings of 10 items needs 84000000000 bytes, above the table bound "
+                       "1073741824 bytes"),
+}
+
+
+@pytest.mark.parametrize("argv, message", HUGE_COUNTS.values(), ids=HUGE_COUNTS.keys())
+def test_counts_past_the_int_text_limit_are_refused_in_one_line(capsys, argv, message):
+    # Each refusal comes before the work: no count past 4300 digits is written
+    # in full, 10^6! is never computed and no ranking is drawn.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, code", [
     ("--group sn --n 170", 0), ("--group sn --n 171", 2), ("--group c2k --k 1017", 2),
 ], ids=["sn-170", "sn-171", "c2k-1017"])
@@ -158,6 +185,21 @@ def test_closed_form_edge_of_the_float64_range(capsys, argv, code):
         assert "is past the float64 range" in err
     else:
         assert all(math.isfinite(e["eigenvalue_float"]) for e in json.loads(out)["entries"])
+
+
+@pytest.mark.parametrize("n, cap, refused", [
+    (1, 0, True), (1, 1, False), (5, 119, True), (5, 120, False), (7, 5039, True),
+    (7, 5040, False), (20, 720, True), (20, 2 ** 62, False), (21, 2 ** 62, True),
+])
+def test_verify_cap_compares_the_order_exactly(capsys, n, cap, refused):
+    # At (20, 720) the comparison stops at 11!, and the message still gives 20!.
+    # Past the cap S_7 and S_20 are refused by the work bound.
+    code, _, err = run_cli(capsys, "verify", "--group", "sn", "--n", str(n), "--cap", str(cap),
+                           "--out", os.devnull)
+    message = (f"error: symmetric({n}) has order {math.factorial(n)}, "
+               f"above the verification cap {cap}\n")
+    assert (err == message) == refused
+    assert code == (3 if refused or n > 6 else 0)
 
 
 def test_chartable_class_guard(capsys):
@@ -455,6 +497,26 @@ def test_synthesize_deterministic_bytes(tmp_path, capsys):
                 "--seed", "7", "--out", str(path))
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def readme_commands():
+    """The lines of README's command-line block, each without "groupmds"."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # In order: synthesize writes the r.txt that embed reads, and so on.
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["spectrum", "spectrum", "spectrum", "chartable",
+                                              "verify", "synthesize", "embed", "plot"]
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert (tmp_path / "scatter.svg").exists()
 
 
 def test_console_script_entry_point():

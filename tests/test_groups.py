@@ -1,3 +1,4 @@
+import math
 import random
 import time
 import tracemalloc
@@ -365,6 +366,33 @@ def test_admit_checks_items_then_bytes_then_work():
                                   f"above the work bound {groups.WORK_MAX} steps")
     groups.admit("x", items=groups.DEFAULT_ENUMERATION_CAP, nbytes=groups.TABLE_MAX_BYTES,
                  work=groups.WORK_MAX)
+
+
+@pytest.mark.parametrize("count, text", [
+    (0, "0"), (10 ** 100 - 1, "9" * 100), (10 ** 100, "about 10^100"),
+    (2 ** 14285, "2^14285"), (3 ** 10000, "about 10^4771"), (2 ** 14285 + 1, "about 10^4300"),
+], ids=["0", "99-digits", "10^100", "2^14285", "3^10000", "2^14285+1"])
+def test_count_text_writes_huge_counts_by_their_size(count, text):
+    assert groups.count_text(count) == text
+
+
+def test_admit_writes_huge_counts_by_their_size():
+    with pytest.raises(TooLargeError) as excinfo:
+        groups.admit("x", items=2 ** 14285, noun="elements")
+    assert str(excinfo.value) == "x has 2^14285 elements, above the enumeration cap 50000"
+    with pytest.raises(TooLargeError) as excinfo:
+        groups.admit("x", work=3 ** 10000)
+    assert str(excinfo.value) == "x needs about 10^4771 steps, above the work bound 5000000 steps"
+
+
+def test_order_text_names_huge_orders_without_computing_them():
+    assert symmetric(69).order_text == str(math.factorial(69))
+    assert symmetric(70).order_text == "70!"
+    assert elementary_abelian_2(332).order_text == str(2 ** 332)
+    assert elementary_abelian_2(333).order_text == "2^333"
+    start = time.perf_counter()
+    assert symmetric(10 ** 6).order_text == "1000000!"
+    assert time.perf_counter() - start < 0.1
 
 
 # --- conjugacy classes -------------------------------------------------------

@@ -362,7 +362,7 @@ def test_closed_form_c2k_guard():
         closed_form_c2k(0)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 14))  # k = 14: test_fwht_path_at_k14
 def test_closed_form_c2k_equals_character_path(k):
     spec = elementary_abelian_2(k)
     assert closed_form_c2k(k) == spectrum_via_characters(spec, hamming_metric(spec))
@@ -386,10 +386,26 @@ def test_closed_form_sn_guard():
         closed_form_sn(3)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", range(4, 13))
 def test_closed_form_sn_equals_character_path(n):
     spec = symmetric(n)
     assert closed_form_sn(n) == spectrum_via_characters(spec, hamming_metric(spec))
+
+
+def test_closed_form_c2k_forms_each_eigenvalue_once_per_block(monkeypatch):
+    # Two blocks, the 200 singletons and the 19,900 pairs, so two eigenvalues
+    # are hashed to merge them; one hash a label would be 20,100.
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    summary = closed_form_c2k(200)
+    assert len(hashed) <= 2
+    assert [e.multiplicity for e in summary.nonzero_entries()] == [200, 200 * 199 // 2]
 
 
 def test_character_path_works_far_beyond_the_enumeration_cap():
