@@ -33,7 +33,7 @@ print(f"aggregated to {len(samples)} distinct permutations "
 heaviest = max(samples, key=lambda s: s.weight)
 print(f"most frequent permutation: {heaviest.permutation} seen {heaviest.weight} times")
 
-emb = embed_dataset(samples, n=5, dims=3, mode="dense")
+emb = embed_dataset(samples, n=5, dims=3)
 print(f"embedded into {emb.coordinates.shape[1]} coordinates, "
       f"column eigenvalues {tuple(round(v, 6) for v in emb.eigenvalues)}")
 Path("ranking_demo.csv").write_text(embedding_to_csv(emb))

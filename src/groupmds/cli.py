@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed = sub.add_parser("embed", help="embed a ranking file to CSV coordinates")
     p_embed.add_argument("--input", required=True)
     p_embed.add_argument("--dims", type=int, default=3)
-    p_embed.add_argument("--mode", default="dense", choices=["dense", "standard"])
+    p_embed.add_argument("--mode", default="standard", choices=["dense", "standard"],
+                         help="standard (default): the [n-1,1] block; dense: the n!-point oracle")
     p_embed.add_argument("--out", default=None)
     p_embed.set_defaults(handler=cmd_embed)
 

@@ -122,14 +122,14 @@ def eigendecompose(kernel) -> SpectralDecomposition:
     """Eigendecompose a symmetric kernel.
 
     Eigenvalues come back in descending order: ``eigh``'s ascending order,
-    reversed, ties included. Each eigenvector is sign-fixed so its
-    largest-magnitude entry (lowest index on ties) is positive.
+    reversed, ties included. Each eigenvector is sign-fixed so its lowest-index
+    entry within 1e-12 of its largest magnitude is positive, so rounding breaks no tie.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(_checked_symmetric(kernel))
     eigenvalues, eigenvectors = eigenvalues[::-1], eigenvectors[:, ::-1]
     for col in range(eigenvectors.shape[1]):
         v = eigenvectors[:, col]
-        pivot = int(np.argmax(np.abs(v)))  # argmax takes the lowest index on ties
+        pivot = int(np.argmax(np.abs(v) >= np.abs(v).max() - 1e-12))  # the lowest near-largest entry
         if v[pivot] < 0:
             eigenvectors[:, col] = -v
     spectral_radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0

@@ -199,7 +199,8 @@ def _as_arrays(samples) -> AggregatedSamples:
 
 
 def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
-    # Row g's block vector is scale (vec P_g - 1/n), ones at cells (g(j) - 1) n + j. The moments are
+    # Row g's block vector is scale (vec P_g - 1/n), ones at cells (g(j) - 1) n + j; scale^2 is mu's
+    # coefficient on [n-1,1], n - 3/2, but 1 at n = 2 (mu is 0, -2 on S_2). The moments are
     # taken about the heaviest row r, so no term outgrows the weight off r: m and S, the weighted sums
     # of P_g - P_r and its outer square, are the counts of rows g != r under D_j = I - e_r(j) 1^T.
     # Bytes: the covariance, eigh's 4 more; per row ranks, weight, slab index, 3 coordinate rows,
@@ -211,7 +212,7 @@ def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
                  // groups.FLOPS_PER_STEP)
     ref = int(np.argmax(samples.weights))  # weights scaled by a power of two: exact; W^2 < 2^1024
     w = np.ldexp(samples.weights.astype(float), -np.frexp(float(samples.weights[ref]))[1])
-    total, scale2, w[ref] = w.sum(), (2.0 * n - 3.0) / 2.0, 0.0  # then counts skip row r
+    total, scale2, w[ref] = w.sum(), max(n - 1.5, 1.0), 0.0  # then counts skip row r
     ranks = np.subtract(samples.permutations.T, 1, order="C")  # ranks[j] = g(j) - 1
     c1 = np.stack([np.bincount(r, w, minlength=n) for r in ranks], axis=1)  # rows with g(j) = a + 1
     m = c1 - w.sum() * (np.arange(n)[:, None] == ranks[:, ref])  # c1 less W - w_r at each r(j)
@@ -231,21 +232,21 @@ def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
     return coordinates, np.where(positive, dec.eigenvalues[:dims], 0.0), False
 
 
-def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingResult:
-    """Embed the observed permutations: ``samples`` is what :func:`aggregate`
-    returns or any sequence of :class:`PermutationSample`.
+def embed_dataset(samples, n: int, dims: int, mode: str = "standard") -> EmbeddingResult:
+    """Embed the observed permutations of n >= 2 items: ``samples`` is what
+    :func:`aggregate` returns or any sequence of :class:`PermutationSample`.
 
-    ``dense`` runs full MDS on all of S_n and selects the observed rows
-    (the work of its n! x n! eigendecomposition refuses n >= 7). ``standard``
-    (n >= 4) projects the observed cloud in the dominant block onto its
-    ``dims`` weighted principal axes, from the permutations' marginal counts
-    and no group enumeration; axes past the positive variance hold zeros.
-    It raises :class:`TooLargeError` before it allocates past the byte or work bound.
+    ``standard``, the default, projects the cloud in the one positive block
+    [n-1,1] onto its ``dims`` weighted principal axes, from marginal counts;
+    axes past the positive variance hold zeros. ``dense``, the oracle, runs MDS
+    on all n! points. Both raise :class:`TooLargeError` past a byte or work bound.
     """
     if dims < 1:
         raise ValueError("dims must be >= 1")
     if mode not in ("dense", "standard"):
         raise ValueError(f"mode must be dense or standard, not {mode!r}")
+    if n < 2:
+        raise ValueError(f"an embedding needs at least 2 items, not {n}")
     if not samples:
         raise ValueError("no samples to embed")
     samples = _as_arrays(samples)
@@ -259,8 +260,6 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "dense") -> EmbeddingR
         rows = [index[tuple(p)] for p in samples.permutations.tolist()]
         coordinates = full.coordinates[rows]
         eigenvalues, truncated = full.eigenvalues, full.truncated
-    elif n < 4:
-        raise ValueError("standard mode requires n >= 4")
     else:
         coordinates, eigenvalues, truncated = _standard_block_embedding(samples, n, dims)
     return EmbeddingResult(

@@ -245,6 +245,26 @@ def test_requests_over_the_work_bound_are_refused_quickly(capsys, tmp_path, argv
     assert err.endswith(f"above the work bound {groups.WORK_MAX} steps\n")
 
 
+def test_embed_defaults_to_the_block_path_past_the_dense_work_bound(capsys, tmp_path):
+    # The file that embed --mode dense refuses above: the default never lists S_7.
+    rankings = tmp_path / "rankings.txt"
+    rankings.write_text("a,b,c,d,e,f,g\n1,2,3,4,5,6,7\n7,6,5,4,3,2,1\n")
+    code, out, err = run_cli(capsys, "embed", "--input", str(rankings))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "id,label,weight,x1:+,x2:+,x3:+"
+    assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("mode", ["dense", "standard"])
+def test_embed_refuses_a_one_item_file(capsys, tmp_path, mode):
+    rankings = tmp_path / "one.txt"
+    rankings.write_text("a\n1\n1\n")
+    code, out, err = run_cli(capsys, "embed", "--input", str(rankings), "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: an embedding needs at least 2 items, not 1")
+    assert "nan" not in err
+
+
 def test_verify_refuses_before_building_the_oracle(capsys, monkeypatch):
     def no_matrix(spec, metric):
         raise AssertionError("verify built a distance matrix before its guards")

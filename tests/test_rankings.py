@@ -1,7 +1,10 @@
 import csv
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -170,16 +173,18 @@ def test_embed_argument_validation():
         embed_dataset(samples, 4, 0, mode="dense")
     with pytest.raises(ValueError):
         embed_dataset(samples, 4, 2, mode="fancy")
-    with pytest.raises(ValueError):
-        embed_dataset([PermutationSample((1, 2, 3), 1)], 3, 2, mode="standard")
+    for mode in ("dense", "standard"):
+        with pytest.raises(ValueError, match="at least 2 items"):
+            embed_dataset([PermutationSample((1,), 1)], 1, 2, mode=mode)
 
 
-def test_dense_and_standard_positive_blocks_agree_at_n5():
-    ds = synthesize_rankings(5, 300, seed=9)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_dense_and_standard_positive_blocks_agree(n):
+    ds = synthesize_rankings(n, 300, seed=9)
     samples = aggregate(ds)
-    full = embed_dataset(samples, 5, 25, mode="standard")  # keep every axis
+    full = embed_dataset(samples, n, n * n, mode="standard")  # keep every axis
 
-    dm = build_distance_matrix(symmetric(5), hamming_metric(symmetric(5)))
+    dm = build_distance_matrix(symmetric(n), hamming_metric(symmetric(n)))
     dec = dense.eigendecompose(dense.double_center(dm))
     emb = dense.full_rank_pseudo_embedding(dec)
     p, _ = emb.signature
@@ -281,7 +286,8 @@ def reference_aggregate(records):
 
 
 def reference_block_coordinates(g, n):
-    scale = math.sqrt((2.0 * n - 3.0) / 2.0)
+    # The square of the scale is mu's coefficient on [n-1,1]; on S_2 it is 1, not (2n - 3)/2.
+    scale = math.sqrt((2.0 * n - 3.0) / 2.0 if n > 2 else 1.0)
     coords = np.full((n, n), -scale / n)
     for j, image in enumerate(g):
         coords[image - 1, j] += scale
@@ -450,6 +456,26 @@ def test_embedding_csv_is_byte_identical_to_the_per_row_reference(n, seed, mode)
     assert dense.embedding_to_csv(emb) == reference_embedding_csv(text, 3, mode)
 
 
+@pytest.mark.parametrize("n,seed", [(6, 3), (7, 4)])
+def test_default_embedding_csv_does_not_depend_on_the_blas_thread_count(tmp_path, n, seed):
+    # The dense oracle picks its own axes inside the (n-1)^2-fold top
+    # eigenspace on each thread count; the default embeds the cloud, whose
+    # covariance has distinct top eigenvalues here, so the bytes agree.
+    ranking_file = tmp_path / "rankings.txt"
+    ranking_file.write_text(mallows_text(n, 300, 0.7, seed))
+    src = os.path.dirname(os.path.dirname(dense.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "groupmds.cli", "embed", "--input", str(ranking_file)],
+            capture_output=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def big_count_text(n, rows, seed):
     """Mallows rows whose counts each pass 10^19, so their sum passes int64."""
     lines = mallows_text(n, rows, 0.5, seed).splitlines()
@@ -473,12 +499,12 @@ SKEWED_COUNTS = {
 }
 
 
-def assert_standard_csv_matches_the_per_row_reference(text, n, up_to_sign=False):
+def assert_standard_csv_matches_the_per_row_reference(text, n):
     # The marginal counts sum in another order than the reference's block
     # and weighted gemm, so only the last bits of the coordinates may move.
     # A sparse cloud's axes can have two largest entries of equal size and
-    # opposite sign; the last bits then pick the axis's sign, so up_to_sign
-    # compares each column with the reference's after aligning their signs.
+    # opposite sign; the sign rule reads them as a tie, so the last bits
+    # never pick an axis's sign.
     emb = embed_dataset(aggregate(parse_rankings(text)), n, 3, mode="standard")
     got = list(csv.reader(io.StringIO(dense.embedding_to_csv(emb))))
     want = list(csv.reader(io.StringIO(reference_embedding_csv(text, 3, "standard"))))
@@ -486,12 +512,10 @@ def assert_standard_csv_matches_the_per_row_reference(text, n, up_to_sign=False)
     assert [row[:3] for row in got] == [row[:3] for row in want]
     x = np.array([row[3:] for row in got[1:]], dtype=float)
     y = np.array([row[3:] for row in want[1:]], dtype=float)
-    if up_to_sign:
-        y *= np.where((x * y).sum(axis=0) < 0, -1.0, 1.0)
     assert np.abs(x - y).max() <= 1e-11 * np.abs(y).max()
 
 
-@pytest.mark.parametrize("n,seed", [(4, 1), (5, 2), (6, 3)])
+@pytest.mark.parametrize("n,seed", [(2, 4), (3, 5), (4, 1), (5, 2), (6, 3)])
 def test_standard_embedding_csv_matches_the_per_row_reference(n, seed):
     assert_standard_csv_matches_the_per_row_reference(mallows_text(n, 300, 0.7, seed), n)
 
@@ -500,7 +524,7 @@ def test_standard_embedding_csv_matches_the_per_row_reference(n, seed):
 @pytest.mark.parametrize("counts", list(SKEWED_COUNTS))
 def test_standard_embedding_csv_of_skewed_counts_matches_the_per_row_reference(n, counts):
     text = skewed_text(n, SKEWED_COUNTS[counts], n)
-    assert_standard_csv_matches_the_per_row_reference(text, n, up_to_sign=True)
+    assert_standard_csv_matches_the_per_row_reference(text, n)
 
 
 def exact_block_covariance(samples, n):
