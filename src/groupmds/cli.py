@@ -12,6 +12,10 @@ import csv
 import json
 import math
 import sys
+from functools import partial
+from operator import itemgetter
+
+import numpy as np
 
 from . import characters, dense, groups, metrics, rankings, spectral, verify
 from .errors import (
@@ -143,28 +147,44 @@ def cmd_embed(parser, args) -> int:
     return EXIT_OK
 
 
+def _floats(texts: list) -> np.ndarray:
+    """Each text by ``float()``'s rules; nan (not finite) where it refuses."""
+    try:
+        return np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        return np.array([_float_or_nan(text) for text in texts])
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _read_embedding_csv(path):
+    """(coordinates, weights): the x columns as a (rows × c) array and the
+    weight column (1.0 without one), each read as a whole column. A
+    ValueError names the first row that misses a needed field or holds one
+    that is not a finite number."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
         raise ValueError("empty embedding file")
-    header = rows[0]
+    header, rows = rows[0], list(filter(None, rows[1:]))
     coord_cols = [i for i, name in enumerate(header) if name.startswith("x")]
     weight_col = header.index("weight") if "weight" in header else None
-    points = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        try:
-            coords = [float(row[i]) for i in coord_cols]
-            weight = float(row[weight_col]) if weight_col is not None else 1.0
-            if not all(map(math.isfinite, [*coords, weight])):
-                raise ValueError("non-finite value")
-        except (ValueError, IndexError):
-            raise ValueError(f"malformed embedding row: {','.join(row)!r}")
-        points.append((coords, weight))
-    return points
+    needed = coord_cols + ([] if weight_col is None else [weight_col])
+    short = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) <= max(needed, default=-1)
+    whole = rows[:int(np.argmax(short))] if short.any() else rows
+    table = np.ones((len(whole), len(coord_cols) + 1))  # the last column holds the weights
+    for j, col in enumerate(needed):
+        table[:, j] = _floats(list(map(itemgetter(col), whole)))
+    bad = ~np.isfinite(table).all(axis=1)
+    first = int(np.argmax(bad)) if bad.any() else len(whole)
+    if first < len(rows):
+        raise ValueError(f"malformed embedding row: {','.join(rows[first])!r}")
+    return table[:, :-1], table[:, -1]
 
 
 def cmd_plot(parser, args) -> int:
@@ -173,23 +193,22 @@ def cmd_plot(parser, args) -> int:
     if args.color_col < 1:
         parser.error("--color-col must be >= 1")
     try:
-        points = _read_embedding_csv(args.input)
+        coords, weights = _read_embedding_csv(args.input)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not points or len(points[0][0]) < 2:
+    rows, columns = coords.shape
+    if not rows or columns < 2:
         print("error: need at least 2 coordinate columns", file=sys.stderr)
         return EXIT_USAGE
     color_index = args.color_col - 1
-    svg_points = []
-    for coords, weight in points:
-        color = coords[color_index] if color_index < len(coords) else None
-        svg_points.append((coords[0], coords[1], weight, color))
+    colors = coords[:, color_index].tolist() if color_index < columns else [None] * rows
     try:
-        svg = plotting.scatter_svg(svg_points)
+        svg = plotting.scatter_svg(list(zip(coords[:, 0].tolist(), coords[:, 1].tolist(),
+                                            weights.tolist(), colors)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -234,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--verify", action="store_true", help="append dense-oracle deviation")
     p_spec.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP)
     p_spec.add_argument("--out", default=None)
-    p_spec.set_defaults(handler=cmd_spectrum)
+    p_spec.set_defaults(handler=partial(cmd_spectrum, p_spec))
 
     p_chart = sub.add_parser("chartable", help="exact character table")
     _add_group_flags(p_chart, metric=False)
     p_chart.add_argument("--format", default="text", choices=["text", "csv"])
     p_chart.add_argument("--max-classes", type=int, default=200)
     p_chart.add_argument("--out", default=None)
-    p_chart.set_defaults(handler=cmd_chartable)
+    p_chart.set_defaults(handler=partial(cmd_chartable, p_chart))
 
     p_embed = sub.add_parser("embed", help="embed a ranking file to CSV coordinates")
     p_embed.add_argument("--input", required=True)
@@ -249,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--mode", default="standard", choices=["dense", "standard"],
                          help="standard (default): the [n-1,1] block; dense: the n!-point oracle")
     p_embed.add_argument("--out", default=None)
-    p_embed.set_defaults(handler=cmd_embed)
+    p_embed.set_defaults(handler=partial(cmd_embed, p_embed))
 
     p_plot = sub.add_parser(
         "plot",
@@ -264,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--input", required=True)
     p_plot.add_argument("--color-col", type=int, default=3, dest="color_col")
     p_plot.add_argument("--out", default=None)
-    p_plot.set_defaults(handler=cmd_plot)
+    p_plot.set_defaults(handler=partial(cmd_plot, p_plot))
 
     p_verify = sub.add_parser("verify", help="run the dense-oracle equivalence suite")
     _add_group_flags(p_verify)
@@ -276,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the distance matrix as CSV to this path (debugging)",
     )
     p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(handler=cmd_verify)
+    p_verify.set_defaults(handler=partial(cmd_verify, p_verify))
 
     p_synth = sub.add_parser("synthesize", help="write a deterministic synthetic ranking file")
     p_synth.add_argument("--items", type=int, required=True)
     p_synth.add_argument("--rows", type=int, required=True)
     p_synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_synth.add_argument("--out", default=None)
-    p_synth.set_defaults(handler=cmd_synthesize)
+    p_synth.set_defaults(handler=partial(cmd_synthesize, p_synth))
 
     return parser
 
@@ -292,7 +311,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(parser, args)
+        return args.handler(args)
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

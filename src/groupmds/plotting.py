@@ -10,30 +10,36 @@ coordinate is available).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 LOW_COLOR = (0x21, 0x66, 0xAC)
 HIGH_COLOR = (0xB2, 0x18, 0x2B)
 SIZE = 720  # width and height of the square canvas, in px
 MARGIN = 48
 MAX_RADIUS = 14.0
+_CIRCLE = '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="#%06x" fill-opacity="0.75"/>\n'
 
 
-def _ramp(t: float) -> str:
-    t = min(1.0, max(0.0, t))
-    rgb = tuple(round(lo + (hi - lo) * t) for lo, hi in zip(LOW_COLOR, HIGH_COLOR))
-    return "#%02x%02x%02x" % rgb
+def _ramp(t: np.ndarray) -> np.ndarray:
+    """Each t in [0, 1] (clamped) as the 24-bit colour of the linear ramp,
+    each channel rounded half to even."""
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    rgb = 0
+    for lo, hi in zip(LOW_COLOR, HIGH_COLOR):
+        rgb = rgb * 256 + np.rint(lo + (hi - lo) * t).astype(np.int64)
+    return rgb
 
 
-def _normalize(values, lo_px: float, hi_px: float):
-    vmin = min(values)
-    vmax = max(values)
-    span = vmax - vmin
+def _normalize(values: np.ndarray, lo_px: float, hi_px: float) -> np.ndarray:
+    vmin = values.min()
+    span = values.max() - vmin
     if span == 0.0:
-        mid = (lo_px + hi_px) / 2.0
-        return [mid for _ in values]
+        return np.full(len(values), (lo_px + hi_px) / 2.0)
     scale = (hi_px - lo_px) / span
-    return [lo_px + (v - vmin) * scale for v in values]
+    return lo_px + (values - vmin) * scale
 
 
 def scatter_svg(points: Sequence[Tuple[float, float, float, Optional[float]]]) -> str:
@@ -42,39 +48,29 @@ def scatter_svg(points: Sequence[Tuple[float, float, float, Optional[float]]]) -
     Radius is MAX_RADIUS * sqrt(weight / max weight), so area tracks
     weight and equal weights give equal radii; every weight must be
     positive. ``color_value`` may be None on every point, in which case all
-    points take the ramp midpoint.
+    points take the ramp midpoint. Every stage works on whole columns, and
+    each circle is one fill of a template.
     """
     if not points:
         raise ValueError("nothing to plot")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    weights = [p[2] for p in points]
-    colors = [p[3] for p in points]
-    if not all(w > 0 for w in weights):
+    xs, ys, weights, colors = zip(*points)
+    weights = np.array(weights, dtype=float)
+    if not (weights > 0).all():
         raise ValueError("weights must be positive")
-    px = _normalize(xs, MARGIN, SIZE - MARGIN)
+    px = _normalize(np.array(xs, dtype=float), MARGIN, SIZE - MARGIN)
     # SVG y grows downward; flip so larger y plots higher.
-    py = _normalize([-y for y in ys], MARGIN, SIZE - MARGIN)
-    wmax = max(weights)
-    have_color = all(c is not None for c in colors)
-    if have_color:
-        cmin = min(colors)
-        cmax = max(colors)
-        cspan = cmax - cmin
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
-        f'viewBox="0 0 {SIZE} {SIZE}">',
-        f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
-    ]
-    for i in range(len(points)):
-        radius = MAX_RADIUS * (weights[i] / wmax) ** 0.5
-        if have_color and cspan > 0:
-            fill = _ramp((colors[i] - cmin) / cspan)
-        else:
-            fill = _ramp(0.5)
-        lines.append(
-            f'<circle cx="{px[i]:.3f}" cy="{py[i]:.3f}" r="{radius:.3f}" '
-            f'fill="{fill}" fill-opacity="0.75"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    py = _normalize(-np.array(ys, dtype=float), MARGIN, SIZE - MARGIN)
+    # pow, not np.sqrt: the two differ in the last bit on some ratios.
+    radii = MAX_RADIUS * np.array(list(map(pow, (weights / weights.max()).tolist(), repeat(0.5))))
+    t = np.full(len(weights), 0.5)
+    if None not in colors:
+        colors = np.array(colors, dtype=float)
+        cmin = colors.min()
+        cspan = colors.max() - cmin
+        if cspan > 0:
+            t = (colors - cmin) / cspan
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+            f'viewBox="0 0 {SIZE} {SIZE}">\n'
+            f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>\n')
+    circles = map(_CIRCLE.__mod__, zip(px.tolist(), py.tolist(), radii.tolist(), _ramp(t).tolist()))
+    return head + "".join(circles) + "</svg>\n"

@@ -265,6 +265,15 @@ def test_embed_refuses_a_one_item_file(capsys, tmp_path, mode):
     assert "nan" not in err
 
 
+def test_embed_reports_a_library_refusal_with_the_embed_usage(capsys, tmp_path):
+    rankings = tmp_path / "one.txt"
+    rankings.write_text("a\n1\n")
+    code, out, err = run_cli(capsys, "embed", "--input", str(rankings))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: groupmds embed ")
+    assert err.splitlines()[-1] == "groupmds embed: error: an embedding needs at least 2 items, not 1"
+
+
 def test_verify_refuses_before_building_the_oracle(capsys, monkeypatch):
     def no_matrix(spec, metric):
         raise AssertionError("verify built a distance matrix before its guards")

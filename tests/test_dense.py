@@ -305,6 +305,41 @@ def test_embedding_csv_layout():
     float(first[3])  # coordinates round-trip through float()
 
 
+def random_embedding(rows, labels=True, k=3):
+    rng = np.random.default_rng(rows)
+    return dense.EmbeddingResult(
+        coordinates=rng.normal(size=(rows, k)), eigenvalues=(1.0,) * k, signature=(k, 0),
+        row_labels=tuple(f"{i},{i + 1},label" for i in range(rows)) if labels else None,
+        weights=tuple(range(1, rows + 1)) if labels else None)
+
+
+@pytest.mark.parametrize("rows,labels", [(50_000, True), (20_000, False), (3, True)])
+def test_the_csv_writer_admits_at_least_its_traced_peak(monkeypatch, rows, labels):
+    emb = random_embedding(rows, labels)
+    admitted = []
+    real = dense.groups.admit
+    monkeypatch.setattr(dense.groups, "admit",
+                        lambda what, **size: admitted.append(size) or real(what, **size))
+    tracemalloc.start()
+    try:
+        text = embedding_to_csv(emb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(admitted) == 1 and admitted[0]["nbytes"] >= peak
+    # The benchmark's files write at most 50,000 rows: well inside both bounds.
+    assert admitted[0]["nbytes"] < dense.groups.TABLE_MAX_BYTES // 10
+    assert admitted[0]["work"] < dense.groups.WORK_MAX // 10
+    assert text.count("\n") == rows + 1
+
+
+def test_the_csv_writer_refuses_past_the_work_bound_before_writing(monkeypatch):
+    monkeypatch.setattr(dense.groups, "WORK_MAX", 1000)
+    with pytest.raises(dense.groups.TooLargeError) as excinfo:
+        embedding_to_csv(random_embedding(5000))
+    assert str(excinfo.value).startswith("the CSV text of 5000 embedded rows needs ")
+
+
 @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 128, 200])
 def test_the_eigensolvers_read_the_kernel_without_writing_it(size):
     # Tiles are 64 wide: sizes on, below and past a multiple of the tile.
