@@ -145,9 +145,9 @@ def eigendecompose(kernel) -> SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingResult:
-    """Coordinates with signature (p, q): the first p columns carry
-    positive eigenvalues, the last q negative ones, each block ordered by
-    descending |eigenvalue|."""
+    """Coordinates with signature (p, q): the first p columns carry positive
+    eigenvalues, the next q negative ones, each block ordered by descending
+    |eigenvalue|; any column past p + q carries none (eigenvalue 0, zeros)."""
 
     coordinates: np.ndarray  # (n, p + q)
     eigenvalues: Tuple[float, ...]  # per coordinate column
@@ -231,15 +231,15 @@ def _csv_field(text: str) -> str:
 
 
 def embedding_to_csv(emb: EmbeddingResult) -> str:
-    """CSV form: id, label, weight, then one column per coordinate, the
-    header marking each column's eigenvalue sign (x1:+, x2:-, ...).
+    """CSV form: id, label, weight, then one column per coordinate, the header
+    marking each column's eigenvalue sign (x1:+, x2:-, ...) or, past p + q, 0.
 
     The bytes are those of ``csv.writer`` on rows of the id, the label, the
     weight and each coordinate's ``repr``; rows are formatted a chunk at a
     time, a coordinate column through one ``repr`` map and every row through
     one template."""
     n, k = emb.coordinates.shape
-    p, _ = emb.signature
+    p, q = emb.signature
     labels = emb.row_labels if emb.row_labels is not None else tuple(map(str, range(n)))
     weights = emb.weights if emb.weights is not None else (1,) * n
     # Text: per row up to 32 characters of id, weight and separators, 25 per
@@ -250,7 +250,8 @@ def embedding_to_csv(emb: EmbeddingResult) -> str:
     groups.admit(f"the CSV text of {n} embedded rows",
                  nbytes=2 * (n * (32 + 25 * k) + label_chars) + _CSV_CHUNK_ROWS * (128 + 120 * k),
                  work=n * (2 + 3 * k) // 5 + label_chars // 2000)
-    header = ["id", "label", "weight"] + [f"x{c + 1}:{'+' if c < p else '-'}" for c in range(k)]
+    marks = "+" * p + "-" * q + "0" * (k - p - q)
+    header = ["id", "label", "weight"] + [f"x{c}:{mark}" for c, mark in enumerate(marks, 1)]
     template = "%d,%s,%s" + ",%s" * k + "\n"
     pieces = [",".join(map(_csv_field, header)) + "\n"]
     for start in range(0, n, _CSV_CHUNK_ROWS):

@@ -215,6 +215,17 @@ def compose_arrays(spec: GroupSpec, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (g + h) % spec.size
 
 
+def permutation_keys(forms: np.ndarray) -> np.ndarray:
+    """Int64 keys (..., keys) that order 0-based permutation array forms (..., n)
+    lexicographically, the first key primary: base-n codes, most significant image
+    first, each key packing as many images as int64 holds (one key up to n = 15)."""
+    n = forms.shape[-1]
+    base = max(n, 2)
+    width = next(w for w in range(1, 64) if base ** (w + 1) >= 2 ** 63)  # past int64
+    return np.stack([forms[..., j:j + width] @ base ** np.arange(min(width, n - j) - 1, -1, -1)
+                     for j in range(0, n, width)], axis=-1)
+
+
 def array_element(spec: GroupSpec, a) -> GroupElement:
     """The plain element of one array form."""
     if spec.kind == SYMMETRIC:
@@ -417,17 +428,17 @@ def multiplication_table(spec: GroupSpec):
     admit(f"the multiplication table of {spec.text}", nbytes=m * m * 4)
     idx = np.arange(m, dtype=np.int32)
     if spec.kind == SYMMETRIC:
-        # Row i holds g[h] for g = elements[i] and every h, 0-based; each
-        # product is looked up by its base-n code (n^n entries, 3.3 MB at
-        # S_7). Row by row keeps the temporaries at m x n.
-        n = spec.size
+        # Each product's index is read from a table of n^n keys (3.3 MB at S_7). With w the
+        # place values, key(g h) = sum_j w_j g(h(j)) = g @ q[:, h], q[v, h] being the key of
+        # the indicator row [h(j) == v]: one product per block of rows bounds the temporaries.
         arr = array_forms(spec, elements)
-        weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        rank = np.empty(n ** n, dtype=np.int32)
-        rank[arr @ weights] = idx
+        rank = np.empty(spec.size ** spec.size, dtype=np.int32)
+        rank[permutation_keys(arr)[:, 0]] = idx
+        q = permutation_keys(arr == np.arange(spec.size)[:, None, None])[..., 0]
         table = np.empty((m, m), dtype=np.int32)
-        for i in range(m):
-            table[i] = rank[arr[i][arr] @ weights]
+        step = max(1, 2 ** 16 // m)
+        for start in range(0, m, step):
+            table[start:start + step] = rank[arr[start:start + step] @ q]
     elif spec.kind == ELEMENTARY_ABELIAN_2:
         # An element's index is its bits read as a binary number.
         table = np.bitwise_xor.outer(idx, idx)

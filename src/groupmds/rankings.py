@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from . import dense, groups, metrics
+from . import dense, groups, metrics, spectral
 from .dense import EmbeddingResult
 from .errors import RankingParseError
 
@@ -238,27 +238,12 @@ def ranking_to_permutation(ranking):
     return perm if given.ndim == 2 else tuple(perm[0].tolist())
 
 
-def _lex_keys(perms: np.ndarray) -> np.ndarray:
-    """(k, m) int64 keys that order the rows of a (k × n) array of
-    permutations lexicographically: each key packs consecutive columns,
-    most significant first, as base-n digits g(j) - 1, so m = 1 for n <= 15."""
-    k, n = perms.shape
-    base = max(n, 2)
-    width = 1  # columns per key: the most with base**width <= int64 max
-    while base ** (width + 1) <= np.iinfo(np.int64).max:
-        width += 1
-    keys = np.zeros((k, -(-n // width)), dtype=np.int64)
-    for j in range(n):
-        keys[:, j // width] *= base
-        keys[:, j // width] += perms[:, j] - 1
-    return keys
-
-
 def aggregate(dataset: RankingDataset) -> AggregatedSamples:
     """Distinct permutations with summed counts, lexicographic order."""
     perms = ranking_to_permutation(dataset.rankings)
-    keys = _lex_keys(perms)
-    order = np.lexsort(keys.T[::-1])  # the first key is the primary one
+    keys = groups.permutation_keys(perms - 1)
+    # Equal keys are equal permutations, so the order among them is free.
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, axis=0, prepend=-1).any(axis=1))  # where a run begins
     return AggregatedSamples(
@@ -277,10 +262,10 @@ def _as_arrays(samples) -> AggregatedSamples:
 
 
 def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
-    # Row g's block vector is scale (vec P_g - 1/n), ones at cells (g(j) - 1) n + j; scale^2 is mu's
-    # coefficient on [n-1,1], n - 3/2, but 1 at n = 2 (mu is 0, -2 on S_2). The moments are
-    # taken about the heaviest row r, so no term outgrows the weight off r: m and S, the weighted sums
-    # of P_g - P_r and its outer square, are the counts of rows g != r under D_j = I - e_r(j) 1^T.
+    # Row g's block vector is scale (vec P_g - 1/n), ones at cells (g(j) - 1) n + j, scale^2 being
+    # mu's coefficient on [n-1,1]. The moments are taken about the heaviest row r, so no term
+    # outgrows the weight off r: m and S, the weighted sums of P_g - P_r and its outer square, are
+    # the counts of rows g != r under D_j = I - e_r(j) 1^T.
     # Bytes: the covariance, eigh's 4 more; per row ranks, weight, slab index, 3 coordinate rows,
     # label. Work: a row in a slab or a gathered value, 4-12 ns: 200 flops.
     k, dims = len(samples), min(dims, n * n)
@@ -290,7 +275,8 @@ def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
                  // groups.FLOPS_PER_STEP)
     ref = int(np.argmax(samples.weights))  # weights scaled by a power of two: exact; W^2 < 2^1024
     w = np.ldexp(samples.weights.astype(float), -np.frexp(float(samples.weights[ref]))[1])
-    total, scale2, w[ref] = w.sum(), max(n - 1.5, 1.0), 0.0  # then counts skip row r
+    scale2 = float(spectral.standard_coefficient(n))
+    total, w[ref] = w.sum(), 0.0  # then counts skip row r
     ranks = np.subtract(samples.permutations.T, 1, order="C")  # ranks[j] = g(j) - 1
     c1 = np.stack([np.bincount(r, w, minlength=n) for r in ranks], axis=1)  # rows with g(j) = a + 1
     m = c1 - w.sum() * (np.arange(n)[:, None] == ranks[:, ref])  # c1 less W - w_r at each r(j)
@@ -351,8 +337,12 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "standard") -> Embeddi
                      work=dense.EIGENVECTOR_COST * spec.order ** 3 // groups.FLOPS_PER_STEP)
         dm = metrics.build_distance_matrix(spec, metrics.hamming_metric(spec))
         full = dense.classical_embedding(dense.eigendecompose(dense.double_center(dm)), dims)
-        index = {g: i for i, g in enumerate(dm.labels)}
-        rows = [index[tuple(p)] for p in samples.permutations.tolist()]
+        # The enumeration's keys ascend, one each (n! is under the enumeration cap).
+        listed = groups.permutation_keys(groups.array_forms(spec, dm.labels))[:, 0]
+        keys = groups.permutation_keys(samples.permutations - 1)[:, 0]
+        rows = np.searchsorted(listed, keys)
+        if not np.array_equal(listed[rows % len(listed)], keys):
+            raise ValueError(f"a sample is not a permutation of 1..{n}")
         coordinates = full.coordinates[rows]
         eigenvalues, truncated = full.eigenvalues, full.truncated
     else:
@@ -360,7 +350,7 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "standard") -> Embeddi
     return EmbeddingResult(
         coordinates=coordinates,
         eigenvalues=tuple(float(v) for v in eigenvalues),
-        signature=(coordinates.shape[1], 0),
+        signature=(int(np.count_nonzero(np.greater(eigenvalues, 0))), 0),
         truncated=truncated,
         row_labels=_permutation_labels(samples.permutations),
         weights=tuple(samples.weights.tolist()),

@@ -247,6 +247,12 @@ def closed_form_c2k(k: int) -> SpectralSummary:
                           [(Fraction(k, 4), 1, singletons), (Fraction(-1, 4), 1, pairs)])
 
 
+def standard_coefficient(n: int) -> Fraction:
+    """mu's coefficient on [n-1,1], the block of all the positive spectrum, for
+    Hamming distance on S_n: (2n-3)/2 from n = 3 on, 1 at n = 2 ([1,1] is the sign)."""
+    return Fraction(2 * n - 3, 2) if n > 2 else Fraction(1)
+
+
 def closed_form_sn(n: int) -> SpectralSummary:
     """Hamming spectrum on S_n for 4 <= n <= 170 (float range): mu's
     coefficient is (2n-3)/2 on [n-1,1] and -1/2 on [n-2,2] and [n-2,1,1],
@@ -256,10 +262,10 @@ def closed_form_sn(n: int) -> SpectralSummary:
             f"the closed form needs n >= 4 (the [n-2,2] term divides by zero below); "
             f"use spectrum_via_characters for n = {n}"
         )
-    _check_float_range(math.lgamma(n + 1) + math.log((2 * n - 3) / (2 * n - 2)),
+    _check_float_range(math.lgamma(n + 1) + math.log(standard_coefficient(n) / (n - 1)),
                        f"(2n-3) n!/(2n-2) at n = {n}")
     spec = groups.symmetric(n)
-    coefficients = {(n - 1, 1): Fraction(2 * n - 3, 2), (n - 2, 2): Fraction(-1, 2),
+    coefficients = {(n - 1, 1): standard_coefficient(n), (n - 2, 2): Fraction(-1, 2),
                     (n - 2, 1, 1): Fraction(-1, 2)}
     return _build_summary(spec, metrics.HAMMING_PERMUTATION, [
         (sigma, characters.dimension(spec, Partition(parts)), (Partition(parts),))
@@ -327,16 +333,16 @@ def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
 
 
 def standard_rep_coordinates(g, n: int) -> np.ndarray:
-    """Direct coordinates of a permutation in the dominant block, length
-    n^2, no group enumeration; a (k × n) array of permutations gives their
-    (k × n^2) array. For any two permutations the squared Euclidean
-    distance of these vectors is (2n - 3) * hamming(g, h)."""
+    """Direct coordinates of a permutation in the dominant block, length n^2, no
+    group enumeration, scaled by the root of :func:`standard_coefficient`; a (k × n)
+    array gives the (k × n^2) array. Two permutations' squared distance is
+    (2n - 3) * hamming(g, h) for n >= 3 and hamming(g, h)^2 at n = 2, as in MDS."""
     given = np.asarray(g, dtype=np.int64)
     if given.shape[-1] != n:
         raise ValueError("permutation length does not match n")
     perms = np.atleast_2d(given)
     k = perms.shape[0]
-    scale = math.sqrt((2.0 * n - 3.0) / 2.0)
+    scale = math.sqrt(standard_coefficient(n))
     coords = np.full((k, n, n), -scale / n)
     # coords[r, g_r(j) - 1, j] += scale, one unbuffered add per entry
     np.add.at(coords, (np.arange(k)[:, None], perms - 1, np.arange(n)), scale)

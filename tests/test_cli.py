@@ -251,8 +251,14 @@ def test_embed_defaults_to_the_block_path_past_the_dense_work_bound(capsys, tmp_
     rankings.write_text("a,b,c,d,e,f,g\n1,2,3,4,5,6,7\n7,6,5,4,3,2,1\n")
     code, out, err = run_cli(capsys, "embed", "--input", str(rankings))
     assert (code, err) == (0, "")
-    assert out.splitlines()[0] == "id,label,weight,x1:+,x2:+,x3:+"
-    assert len(out.splitlines()) == 3
+    # Two rankings span one axis: the other two carry no variance.
+    assert out.splitlines()[0] == "id,label,weight,x1:+,x2:0,x3:0"
+    assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["0.0", "0.0"]] * 2
+    embedding = tmp_path / "embedding.csv"
+    embedding.write_text(out)
+    code, svg, err = run_cli(capsys, "plot", "--input", str(embedding))
+    assert (code, err) == (0, "")
+    assert len([el for el in ET.fromstring(svg).iter() if el.tag.endswith("circle")]) == 2
 
 
 @pytest.mark.parametrize("mode", ["dense", "standard"])

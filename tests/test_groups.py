@@ -243,6 +243,22 @@ def test_s6_table_is_a_latin_square_bordered_by_the_identity():
     assert all(np.array_equal(np.sort(col), identity) for col in table.T)
 
 
+@pytest.mark.parametrize("n", range(2, 34))
+def test_permutation_keys_order_permutations_as_sorted_orders_their_tuples(n):
+    forms = groups.random_array_elements(symmetric(n), random.Random(n), 300)
+    forms[100:200] = forms[:100]
+    forms[100:200, [-2, -1]] = forms[100:200, [-1, -2]]  # all but the last two images shared
+    forms[200:] = forms[:100]  # repeats
+    keys = groups.permutation_keys(forms)
+    assert keys.dtype == np.int64 and (keys.shape[1] == 1) == (n <= 15)
+    order = np.lexsort(keys.T[::-1])  # the first key is the primary one
+    assert forms[order].tolist() == sorted(forms.tolist())
+    assert len(set(map(tuple, keys.tolist()))) == len(set(map(tuple, forms.tolist())))
+    if n <= 15:  # one key: the base-n number of the images, the first the most significant
+        assert keys[:, 0].tolist() == [sum(d * n ** (n - 1 - j) for j, d in enumerate(row))
+                                       for row in forms.tolist()]
+
+
 @pytest.mark.parametrize("spec", SMALL_SPECS + [symmetric(1), symmetric(6)], ids=lambda s: s.text)
 def test_class_index_matches_class_label_of(spec):
     labels, index = groups.class_index(spec)

@@ -126,6 +126,13 @@ def test_embed_dense_mode_guard():
         embed_dataset(samples, 10, 3, mode="dense")
 
 
+@pytest.mark.parametrize("perm", [(1, 1, 3), (0, 1, 2), (3, 3, 3)])
+def test_embed_dense_refuses_a_sample_that_is_no_permutation(perm):
+    samples = [PermutationSample((1, 2, 3), 1), PermutationSample(perm, 2)]
+    with pytest.raises(ValueError, match="not a permutation of 1..3"):
+        embed_dataset(samples, 3, 2, mode="dense")
+
+
 def test_embed_standard_runs_at_sushi_scale():
     ds = synthesize_rankings(10, 5000, seed=1)
     samples = aggregate(ds)
@@ -151,6 +158,9 @@ def test_embed_standard_axes_past_the_positive_variance_are_exact_zeros():
     assert np.all(np.abs(emb.coordinates[:, :9]).max(axis=0) > 0.1)
     assert np.all(emb.coordinates[:, 9:] == 0.0)
     assert emb.eigenvalues[9:] == (0.0,) * 7
+    assert emb.signature == (9, 0)
+    header = dense.embedding_to_csv(emb).split("\n", 1)[0]
+    assert header.endswith(",x9:+,x10:0," + ",".join(f"x{c}:0" for c in range(11, 17)))
 
 
 def test_embed_standard_axes_have_a_positive_largest_entry():
@@ -285,21 +295,12 @@ def reference_aggregate(records):
     return [PermutationSample(permutation=perm, weight=weights[perm]) for perm in sorted(weights)]
 
 
-def reference_block_coordinates(g, n):
-    # The square of the scale is mu's coefficient on [n-1,1]; on S_2 it is 1, not (2n - 3)/2.
-    scale = math.sqrt((2.0 * n - 3.0) / 2.0 if n > 2 else 1.0)
-    coords = np.full((n, n), -scale / n)
-    for j, image in enumerate(g):
-        coords[image - 1, j] += scale
-    return coords.reshape(n * n)
-
-
 def reference_embedding_csv(text, dims, mode):
     items, records = reference_parse(text)
     n = len(items)
     samples = reference_aggregate(records)
     if mode == "standard":
-        x = np.stack([reference_block_coordinates(s.permutation, n) for s in samples])
+        x = np.stack([standard_rep_coordinates(s.permutation, n) for s in samples])
         w = np.array([s.weight for s in samples], dtype=float)
         mean = (w[:, None] * x).sum(axis=0) / w.sum()
         centered = x - mean
@@ -307,8 +308,8 @@ def reference_embedding_csv(text, dims, mode):
         cov = (cov + cov.T) / 2.0
         dec = dense.eigendecompose(cov)
         coordinates = centered @ dec.eigenvectors[:, :min(dims, x.shape[1])]
-        coordinates[:, len(dec.positive_indices()):] = 0.0
-        p = coordinates.shape[1]
+        p = min(len(dec.positive_indices()), coordinates.shape[1])
+        coordinates[:, p:] = 0.0
     else:
         spec = symmetric(n)
         dm = build_distance_matrix(spec, hamming_metric(spec))
@@ -321,11 +322,11 @@ def reference_embedding_csv(text, dims, mode):
 
 def reference_csv(samples, coordinates, p):
     """The per-row CSV writer: csv.writer on each row's id, label, weight
-    and coordinate reprs."""
+    and coordinate reprs, the columns past the first p headed as zero."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "label", "weight"]
-                    + [f"x{c + 1}:{'+' if c < p else '-'}" for c in range(coordinates.shape[1])])
+                    + [f"x{c + 1}:{'+' if c < p else '0'}" for c in range(coordinates.shape[1])])
     for i, s in enumerate(samples):
         row = [i, ",".join(str(v) for v in s.permutation), s.weight]
         row.extend(repr(float(v)) for v in coordinates[i])
@@ -477,6 +478,32 @@ def test_counts_past_int64_stay_exact():
     assert [(s.permutation, s.weight) for s in aggregate(ds)] == [((1, 2), 2 * big), ((2, 1), 3)]
 
 
+def shared_prefix_text(n, seed):
+    """Rankings of n items whose permutations repeat or differ only in their
+    last few images, so that past 16 items distinct rows can tie on the first key."""
+    rng = random.Random(seed)
+    heads = [rng.sample(range(1, n + 1), n) for _ in range(3)]
+    lines = [",".join(f"i{j}" for j in range(1, n + 1))]
+    for r in range(300):
+        perm = list(rng.choice(heads))
+        tail = perm[n - rng.randrange(0, 4):]
+        rng.shuffle(tail)
+        perm[n - len(tail):] = tail
+        ranking = [0] * n
+        for item, position in enumerate(perm, start=1):
+            ranking[position - 1] = item
+        lines.append(",".join(map(str, ranking)) + (f";{r % 5 + 1}" if r % 3 else ""))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,keys", [(15, 1), (16, 2), (17, 2), (31, 3)])
+def test_aggregate_on_several_keys_matches_the_reference(n, keys):
+    text = shared_prefix_text(n, n)
+    ds = parse_rankings(text)
+    assert groups.permutation_keys(ranking_to_permutation(ds.rankings) - 1).shape[1] == keys
+    assert list(aggregate(ds)) == reference_aggregate(reference_parse(text)[1])
+
+
 # --- array kernels -------------------------------------------------------------
 
 
@@ -486,7 +513,6 @@ def test_standard_rep_coordinates_of_an_array_stack_the_per_row_calls():
     block = standard_rep_coordinates(rows, 7)
     assert block.shape == (200, 49)
     assert np.array_equal(block, np.stack([standard_rep_coordinates(tuple(g), 7) for g in rows]))
-    assert np.array_equal(block, np.stack([reference_block_coordinates(g, 7) for g in rows]))
 
 
 def test_ranking_to_permutation_of_an_array_matches_the_per_row_results():

@@ -27,6 +27,7 @@ from groupmds.spectral import (
     mu_from_metric,
     projector_labels,
     spectrum_via_characters,
+    standard_coefficient,
     standard_rep_coordinates,
 )
 from test_groups import class_label_of
@@ -577,18 +578,28 @@ def test_standard_coordinates_scale_s10():
     assert d2 == pytest.approx(34.0, abs=1e-10)
 
 
-def test_standard_coordinates_match_dense_positive_block_spotcheck():
-    s5 = symmetric(5)
-    dm = build_distance_matrix(s5, hamming_metric(s5))
+def squared_distances(x):
+    return ((x[:, None] - x[None]) ** 2).sum(axis=-1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_standard_coordinates_match_dense_positive_block_spotcheck(n):
+    # [n-1,1] carries all of the positive spectrum; at n = 2 it is the sign.
+    spec = symmetric(n)
+    dm = build_distance_matrix(spec, hamming_metric(spec))
     emb = dense.full_rank_pseudo_embedding(dense.eigendecompose(dense.double_center(dm)))
     p, _ = emb.signature
-    coords = {g: standard_rep_coordinates(g, 5) for g in dm.labels[:25]}
-    for i, g in enumerate(dm.labels[:25]):
-        for j, h in enumerate(dm.labels[:25]):
-            diff = emb.coordinates[i, :p] - emb.coordinates[j, :p]
-            dense_sq = float(np.sum(diff ** 2))
-            direct_sq = float(np.sum((coords[g] - coords[h]) ** 2))
-            assert abs(dense_sq - direct_sq) <= 1e-8
+    direct = squared_distances(standard_rep_coordinates(np.array(dm.labels), n))
+    assert np.allclose(direct, squared_distances(emb.coordinates[:, :p]), rtol=0, atol=1e-8)
+    assert np.allclose(direct, dm.values ** 2 if n == 2 else (2 * n - 3) * dm.values,
+                       rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_standard_coefficient_is_mus_coefficient_on_the_standard_block(n):
+    spec = symmetric(n)
+    sigma = characters.decompose_class_function(mu_from_metric(spec, hamming_metric(spec)))
+    assert standard_coefficient(n) == sigma.coefficients[Partition((n - 1, 1))]
 
 
 # --- oracle equivalence and trace identity -------------------------------------------
