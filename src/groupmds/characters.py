@@ -281,7 +281,7 @@ def character_table(spec: GroupSpec) -> CharacterTable:
     labels = irreducible_labels(spec)
     n = spec.size
     walk = euler_phi(n) // 32 if spec.kind == groups.CYCLIC else 0
-    sweep = n * sum(map(groups.count_partitions, range(n + 1))) if spec.kind == groups.SYMMETRIC else 0
+    sweep = _sn_sweep(n) if spec.kind == groups.SYMMETRIC else 0
     groups.admit(f"the character table of {spec.text}", work=len(labels) ** 2 * (2 + walk) + sweep)
     if spec.kind == groups.CYCLIC:
         terms = int(np.count_nonzero(reduction_matrix(n), axis=1).max())
@@ -290,14 +290,21 @@ def character_table(spec: GroupSpec) -> CharacterTable:
                           values=tuple(_character_rows(spec, labels)))
 
 
+def _sn_sweep(n: int) -> int:
+    """The power-sum sweep's steps on S_n: n beads at each trie node."""
+    return n * sum(map(groups.count_partitions, range(n + 1)))
+
+
 def _character_rows(spec: GroupSpec, labels) -> list:
     """Each label's values over :func:`groups.conjugacy_classes`, one tuple
     a label and one formula per kind: the S_n columns of one power-sum
     walk, the list of roots of unity on C_n, and on (C_2)^k the Walsh signs
     (-1)^popcount(value(S) & g) on arrays, class g being the element of
-    binary value g."""
+    binary value g. The S_n walk builds the whole table for any labels, so
+    it is admitted first at a step a cell, p(n)^2, plus the sweep."""
     n, classes = spec.size, groups.conjugacy_classes(spec)
     if spec.kind == groups.SYMMETRIC:
+        groups.admit(f"the character walk of {spec.text}", work=len(classes) ** 2 + _sn_sweep(n))
         columns = _sn_columns(n)
         return [tuple(columns[cls.label.parts].get(mask, 0) for cls in classes)
                 for mask in (_beta_mask(lab.parts, n) for lab in labels)]

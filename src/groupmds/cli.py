@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: spectrum, chartable, embed, plot, verify, synthesize.
-Exit codes: 0 success, 2 usage or parse error, 3 resource guard tripped.
+Exit codes: 0 success, 1 a failed verify check, 2 usage or parse error (an
+unreadable input or unwritable output included), 3 resource guard tripped.
 Every subcommand is deterministic given its flags, input files, and seed.
 """
 
@@ -33,12 +34,23 @@ DEFAULT_SEED = 7
 DEFAULT_VERIFY_CAP = 720
 
 
+class _CannotWrite(Exception):
+    """An output file that cannot be written: a usage error, like an unreadable input."""
+
+
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out_path):
     if out_path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
 
 
 def _group_from_args(parser, args) -> groups.GroupSpec:
@@ -222,8 +234,7 @@ def cmd_verify(parser, args) -> int:
     _check_cap(spec, args.cap)
     report = verify.oracle_equivalence_report(spec, metric)
     if args.dump_distances:
-        with open(args.dump_distances, "w", encoding="utf-8") as fh:
-            fh.write(report.distances.to_csv())
+        _write(args.dump_distances, report.distances.to_csv())
     _emit("\n".join(report.lines()) + "\n", args.out)
     return EXIT_OK if report.passed else 1
 
@@ -315,6 +326,9 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except _CannotWrite as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

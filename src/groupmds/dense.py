@@ -82,8 +82,14 @@ class SpectralDecomposition:
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def positive_indices(self) -> np.ndarray:
-        return np.where(self.eigenvalues > self.zero_threshold)[0]
+    def leading_pairs(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of the first min(k, size) pairs, the
+        axes an embedding keeps: a pair not above ``zero_threshold`` spans
+        rounding noise or negative directions, and comes back as eigenvalue
+        0 and a zero vector."""
+        positive = self.eigenvalues[:k] > self.zero_threshold
+        return (np.where(positive, self.eigenvalues[:k], 0.0),
+                np.where(positive, self.eigenvectors[:, :k], 0.0))
 
     def nonzero_count(self) -> int:
         return int(np.sum(np.abs(self.eigenvalues) > self.zero_threshold))
@@ -152,7 +158,6 @@ class EmbeddingResult:
     coordinates: np.ndarray  # (n, p + q)
     eigenvalues: Tuple[float, ...]  # per coordinate column
     signature: Tuple[int, int]
-    truncated: bool = False
     row_labels: Optional[Tuple[str, ...]] = None
     weights: Optional[Tuple[int, ...]] = None
 
@@ -162,21 +167,15 @@ class EmbeddingResult:
 
 
 def classical_embedding(dec: SpectralDecomposition, k: int) -> EmbeddingResult:
-    """Euclidean embedding from the top-k positive eigenpairs.
-
-    If fewer than k positive eigenvalues exist, k is truncated to the
-    available count and the result is flagged ``truncated``.
-    """
+    """Euclidean embedding on the first k eigenpairs, capped at the
+    decomposition's size; a column past the positive ones holds zeros."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pos = dec.positive_indices()
-    kept = pos[: min(k, len(pos))]
-    coords = dec.eigenvectors[:, kept] * np.sqrt(dec.eigenvalues[kept])
+    eigenvalues, axes = dec.leading_pairs(k)
     return EmbeddingResult(
-        coordinates=coords,
-        eigenvalues=tuple(float(v) for v in dec.eigenvalues[kept]),
-        signature=(len(kept), 0),
-        truncated=len(kept) < k,
+        coordinates=axes * np.sqrt(eigenvalues),
+        eigenvalues=tuple(eigenvalues.tolist()),
+        signature=(int(np.count_nonzero(eigenvalues)), 0),
     )
 
 

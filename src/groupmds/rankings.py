@@ -287,13 +287,10 @@ def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
         s[:, ranks[l, ref]] -= m[:, j]  # D_j C2_jl D_l^T: the row sums of D_j C2_jl are m[:, j]
         cov[:, j, :, l] = (total * s - np.outer(m[:, j], m[:, l])) / total ** 2 * scale2
         cov[:, l, :, j] = cov[:, j, :, l].T
-    dec = dense.eigendecompose(cov.reshape(n * n, n * n))
-    # Axes past the positive ones span rounding noise: they carry zeros.
-    positive = dec.eigenvalues[:dims] > dec.zero_threshold
-    axes = np.where(positive, dec.eigenvectors[:, :dims], 0.0)
+    eigenvalues, axes = dense.eigendecompose(cov.reshape(n * n, n * n)).leading_pairs(dims)
     gathered = sum(axes.reshape(n, n, dims)[r, j] for j, r in enumerate(ranks))  # sum_j V[cell(g, j)]
     coordinates = (gathered - gathered[ref] - (m.reshape(n * n) / total) @ axes) * np.sqrt(scale2)
-    return coordinates, np.where(positive, dec.eigenvalues[:dims], 0.0), False
+    return coordinates, eigenvalues
 
 
 def _permutation_labels(perms: np.ndarray) -> Tuple[str, ...]:
@@ -319,8 +316,8 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "standard") -> Embeddi
 
     ``standard``, the default, projects the cloud in the one positive block
     [n-1,1] onto its ``dims`` weighted principal axes, from marginal counts;
-    axes past the positive variance hold zeros. ``dense``, the oracle, runs MDS
-    on all n! points. Both raise :class:`TooLargeError` past a byte or work bound.
+    ``dense``, the oracle, runs MDS on all n! points. Both keep axes by
+    ``leading_pairs`` and raise :class:`TooLargeError` past a byte or work bound.
     """
     if dims < 1:
         raise ValueError("dims must be >= 1")
@@ -330,6 +327,10 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "standard") -> Embeddi
         raise ValueError(f"an embedding needs at least 2 items, not {n}")
     if not samples:
         raise ValueError("no samples to embed")
+    # Checked once for both modes, before either allocates; aggregate's rows are permutations.
+    if not (samples.permutations.shape[1] == n if isinstance(samples, AggregatedSamples)
+            else all(sorted(s.permutation) == list(range(1, n + 1)) for s in samples)):
+        raise ValueError(f"a sample is not a permutation of 1..{n}")
     samples = _as_arrays(samples)
     if mode == "dense":
         spec = groups.symmetric(n)
@@ -339,19 +340,14 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "standard") -> Embeddi
         full = dense.classical_embedding(dense.eigendecompose(dense.double_center(dm)), dims)
         # The enumeration's keys ascend, one each (n! is under the enumeration cap).
         listed = groups.permutation_keys(groups.array_forms(spec, dm.labels))[:, 0]
-        keys = groups.permutation_keys(samples.permutations - 1)[:, 0]
-        rows = np.searchsorted(listed, keys)
-        if not np.array_equal(listed[rows % len(listed)], keys):
-            raise ValueError(f"a sample is not a permutation of 1..{n}")
-        coordinates = full.coordinates[rows]
-        eigenvalues, truncated = full.eigenvalues, full.truncated
+        rows = np.searchsorted(listed, groups.permutation_keys(samples.permutations - 1)[:, 0])
+        coordinates, eigenvalues = full.coordinates[rows], full.eigenvalues
     else:
-        coordinates, eigenvalues, truncated = _standard_block_embedding(samples, n, dims)
+        coordinates, eigenvalues = _standard_block_embedding(samples, n, dims)
     return EmbeddingResult(
         coordinates=coordinates,
         eigenvalues=tuple(float(v) for v in eigenvalues),
         signature=(int(np.count_nonzero(np.greater(eigenvalues, 0))), 0),
-        truncated=truncated,
         row_labels=_permutation_labels(samples.permutations),
         weights=tuple(samples.weights.tolist()),
     )

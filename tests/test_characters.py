@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -267,6 +268,27 @@ def test_sn_tables_are_integer_valued():
 def test_table_guard():
     with pytest.raises(TooLargeError):
         character_table(elementary_abelian_2(16))
+
+
+@pytest.mark.parametrize("call", [character_class_function, tensor_square_decomposition])
+def test_one_sn_label_admits_the_whole_character_walk(monkeypatch, call):
+    # The walk builds every column for any label: p(n)^2 cells plus the
+    # sweep. S_25 (4,066,164 steps) is admitted; S_26 is refused at once.
+    class Admitted(Exception):
+        pass
+
+    def admitted(n):
+        raise Admitted
+
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError) as info:
+        call(symmetric(26), Partition((25, 1)))
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == ("the character walk of symmetric(26) needs 6239128 steps, "
+                               "above the work bound 5000000 steps")
+    monkeypatch.setattr(characters, "_sn_columns", admitted)
+    with pytest.raises(Admitted):
+        call(symmetric(25), Partition((24, 1)))
 
 
 @pytest.mark.parametrize("k", range(1, 9))

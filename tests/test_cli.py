@@ -261,6 +261,23 @@ def test_embed_defaults_to_the_block_path_past_the_dense_work_bound(capsys, tmp_
     assert len([el for el in ET.fromstring(svg).iter() if el.tag.endswith("circle")]) == 2
 
 
+@pytest.mark.parametrize("items,dims,headers", [
+    # Past the positive rank both modes hold zeros; the dense mode caps at
+    # m! columns, the block at m^2.
+    (2, 3, {"dense": "x1:+,x2:0", "standard": "x1:+,x2:0,x3:0"}),
+    (3, 5, {"dense": "x1:+,x2:+,x3:+,x4:+,x5:0", "standard": "x1:+,x2:+,x3:+,x4:+,x5:0"}),
+])
+def test_embed_modes_keep_axes_by_one_rule(capsys, tmp_path, items, dims, headers):
+    rankings = tmp_path / "rankings.txt"
+    run_cli(capsys, "synthesize", "--items", str(items), "--rows", "40", "--out", str(rankings))
+    for mode, header in headers.items():
+        code, out, err = run_cli(capsys, "embed", "--input", str(rankings), "--dims", str(dims),
+                                 "--mode", mode)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "id,label,weight," + header
+        assert {line.rsplit(",", 1)[1] for line in out.splitlines()[1:]} == {"0.0"}
+
+
 @pytest.mark.parametrize("mode", ["dense", "standard"])
 def test_embed_refuses_a_one_item_file(capsys, tmp_path, mode):
     rankings = tmp_path / "one.txt"
@@ -278,6 +295,19 @@ def test_embed_reports_a_library_refusal_with_the_embed_usage(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("usage: groupmds embed ")
     assert err.splitlines()[-1] == "groupmds embed: error: an embedding needs at least 2 items, not 1"
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --group sn --n 4 --out {missing}",
+    "synthesize --items 3 --rows 2 --out {missing}",
+    "verify --group sn --n 3 --dump-distances {missing}",
+])
+def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such-directory" / "out.txt"
+    code, out, err = run_cli(capsys, *argv.format(missing=missing).split())
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"error: cannot write {missing}: ")
+    assert "Traceback" not in err
 
 
 def test_verify_refuses_before_building_the_oracle(capsys, monkeypatch):
@@ -534,11 +564,15 @@ def test_synthesize_deterministic_bytes(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def readme_block(heading, fence):
+    """The first code block under a README heading."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
 def readme_commands():
     """The lines of README's command-line block, each without "groupmds"."""
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("## Command line", "```sh\n")
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
 
 
@@ -552,6 +586,20 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
     assert (tmp_path / "scatter.svg").exists()
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    # The comment lines under the loop are its output, "(...)" eliding labels
+    # and "<-" opening a note; the last print's output follows "agrees: ".
+    block = readme_block("## Quick start", "```python\n")
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    expected = [line[2:].split("   <-")[0] for line in block.splitlines() if line.startswith("# ")]
+    expected.append(block.split("agrees: ", 1)[1].split("\n", 1)[0])
+    assert len(printed) == len(expected) == 5
+    for line, want in zip(printed, expected):
+        head, elided, tail = want.partition("...")
+        assert line.startswith(head) and line.endswith(tail) if elided else line == want
 
 
 def test_console_script_entry_point():

@@ -181,21 +181,25 @@ def test_classical_embedding_two_points():
     coords = emb.coordinates[:, 0]
     assert sorted(np.round(coords, 10)) == [-1.0, 1.0]
     assert emb.signature == (1, 0)
-    assert not emb.truncated
 
 
-def test_classical_embedding_truncates_with_warning():
+def test_classical_embedding_fills_columns_past_the_positive_rank_with_zeros():
+    # (C_2)^2 Hamming: eigenvalues 2, 2, -2 and 0 (the trivial); two positive.
     dec = eigendecompose(kernel_of(elementary_abelian_2(2)))
     emb = classical_embedding(dec, 3)
-    assert emb.coordinates.shape == (4, 2)
-    assert emb.truncated
+    assert emb.coordinates.shape == (4, 3)
+    assert emb.signature == (2, 0)
+    assert np.all(np.abs(emb.coordinates[:, :2]).max(axis=0) > 0.1)
+    assert np.all(emb.coordinates[:, 2] == 0.0) and emb.eigenvalues[2] == 0.0
+    assert classical_embedding(dec, 9).coordinates.shape == (4, 4)  # capped at the size
+    assert dense.embedding_to_csv(emb).split("\n", 1)[0].endswith("x1:+,x2:+,x3:0")
     with pytest.raises(ValueError):
         classical_embedding(dec, 0)
 
 
 def test_classical_embedding_distances_match_euclidean_input():
     dec = eigendecompose(double_center(PATH_D))
-    emb = classical_embedding(dec, max(1, len(dec.positive_indices())))
+    emb = classical_embedding(dec, dec.size)
     x = emb.coordinates
     gram = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
     assert np.allclose(np.sqrt(np.maximum(gram, 0)), PATH_D, atol=1e-8)
@@ -217,11 +221,12 @@ def test_pseudo_embedding_signatures():
 
 def test_pseudo_embedding_equals_classical_when_all_positive():
     dec = eigendecompose(double_center(PATH_D))
-    k = len(dec.positive_indices())
-    classical = classical_embedding(dec, k)
+    classical = classical_embedding(dec, dec.size)
     pseudo = full_rank_pseudo_embedding(dec)
-    assert pseudo.signature == (k, 0)
-    assert np.allclose(pseudo.coordinates, classical.coordinates, atol=1e-12)
+    p = classical.signature[0]
+    assert pseudo.signature == (p, 0)
+    assert np.allclose(pseudo.coordinates, classical.coordinates[:, :p], atol=1e-12)
+    assert np.all(classical.coordinates[:, p:] == 0.0)
 
 
 def pseudo_distance_sq(emb, i, j):

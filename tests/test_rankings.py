@@ -133,6 +133,18 @@ def test_embed_dense_refuses_a_sample_that_is_no_permutation(perm):
         embed_dataset(samples, 3, 2, mode="dense")
 
 
+@pytest.mark.parametrize("mode", ["standard", "dense"])
+def test_embed_refuses_malformed_samples_alike_in_both_modes(mode):
+    message = "a sample is not a permutation of 1..3"
+    for perm in [(1, 1, 3), (0, 1, 2), (3, 3, 3), (1, 2), (1, 2, 3, 4)]:
+        samples = [PermutationSample((1, 2, 3), 1), PermutationSample(perm, 2)]
+        with pytest.raises(ValueError, match=message):
+            embed_dataset(samples, 3, 2, mode=mode)
+    # aggregate's rows are permutations, of the file's width: a wrong n is refused.
+    with pytest.raises(ValueError, match=message):
+        embed_dataset(aggregate(synthesize_rankings(4, 20, seed=1)), 3, 2, mode=mode)
+
+
 def test_embed_standard_runs_at_sushi_scale():
     ds = synthesize_rankings(10, 5000, seed=1)
     samples = aggregate(ds)
@@ -308,7 +320,7 @@ def reference_embedding_csv(text, dims, mode):
         cov = (cov + cov.T) / 2.0
         dec = dense.eigendecompose(cov)
         coordinates = centered @ dec.eigenvectors[:, :min(dims, x.shape[1])]
-        p = min(len(dec.positive_indices()), coordinates.shape[1])
+        p = int(np.count_nonzero(dec.eigenvalues[:coordinates.shape[1]] > dec.zero_threshold))
         coordinates[:, p:] = 0.0
     else:
         spec = symmetric(n)
