@@ -34,7 +34,6 @@ from .groups import (
     cyclic,
     elementary_abelian_2,
     enumerate_elements,
-    inverse,
     multiply,
     partitions_of,
     symmetric,

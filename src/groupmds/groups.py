@@ -167,18 +167,6 @@ def multiply(spec: GroupSpec, g: GroupElement, h: GroupElement) -> GroupElement:
     return array_element(spec, compose_arrays(spec, *array_forms(spec, [g, h])))
 
 
-def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
-    validate_element(spec, g)
-    if spec.kind == SYMMETRIC:
-        inv = [0] * spec.size
-        for i, image in enumerate(g, start=1):
-            inv[image - 1] = i
-        return tuple(inv)
-    if spec.kind == ELEMENTARY_ABELIAN_2:
-        return g
-    return (-g) % spec.size
-
-
 # Array forms, for work on many elements at once: a permutation of S_n is
 # its row of 0-based images, an element of (C_2)^k its enumeration index
 # (its bits read as a binary number, first bit most significant), and an
@@ -224,6 +212,26 @@ def permutation_keys(forms: np.ndarray) -> np.ndarray:
     width = next(w for w in range(1, 64) if base ** (w + 1) >= 2 ** 63)  # past int64
     return np.stack([forms[..., j:j + width] @ base ** np.arange(min(width, n - j) - 1, -1, -1)
                      for j in range(0, n, width)], axis=-1)
+
+
+def first_non_permutation(rows: np.ndarray, n: int) -> int:
+    """The index of the first row of a (k × width) integer array that is not a
+    permutation of 1..n (none is when width != n), or k when every row is one. Rows
+    are scattered a chunk at a time into a bounded (chunk × (n + 1)) boolean table,
+    column 0 taking what is out of range: a row is a permutation when it sets every
+    other column."""
+    k, width = rows.shape
+    if width != n:
+        return 0
+    step = max(1, 2 ** 15 // (n + 1))
+    for start in range(0, k, step):
+        block = rows[start:start + step]
+        seen = np.zeros((len(block), n + 1), dtype=bool)
+        seen[np.arange(len(block))[:, None], np.where((block >= 1) & (block <= n), block, 0)] = True
+        bad = np.flatnonzero(~seen[:, 1:].all(axis=1))
+        if bad.size:
+            return start + int(bad[0])
+    return k
 
 
 def array_element(spec: GroupSpec, a) -> GroupElement:

@@ -14,7 +14,6 @@ embeds from the permutations' marginal counts, never their k × n² block.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Iterator, Optional, Tuple
@@ -71,20 +70,17 @@ class PermutationSample:
 
 
 @dataclass(frozen=True, eq=False)
-class AggregatedSamples(Sequence):
+class AggregatedSamples:
     """Distinct permutations, one row each in lexicographic order, with
-    their summed weights; a sequence of :class:`PermutationSample`."""
+    their summed weights: what :func:`aggregate` returns and
+    :func:`embed_dataset` takes. Its length is the number of rows, and
+    iterating it yields one :class:`PermutationSample` per row."""
 
     permutations: np.ndarray  # (k, n) int64
     weights: np.ndarray  # (k,)
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return AggregatedSamples(self.permutations[i], self.weights[i])
-        return PermutationSample(tuple(self.permutations[i].tolist()), int(self.weights[i]))
 
     def __iter__(self) -> Iterator[PermutationSample]:
         for perm, weight in zip(self.permutations.tolist(), self.weights.tolist()):
@@ -142,8 +138,7 @@ def _entries(bodies: list, n: int) -> Tuple[np.ndarray, int]:
     """(rows, first): the bodies, each of n comma-separated entries, as a
     (rows × n) int64 array, and the index of the first row that is not a
     full ranking of 1..n (len(bodies) when all are). Entries are converted
-    a chunk of lines at a time; the rows past the first bad one are left
-    unset."""
+    a chunk of lines at a time."""
     lookup = {str(v): v for v in range(1, n + 1)}
     rows = np.empty((len(bodies), n), dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // n)
@@ -152,14 +147,8 @@ def _entries(bodies: list, n: int) -> Tuple[np.ndarray, int]:
         values = np.fromiter(map(lookup.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens))
         for i in np.flatnonzero(values == 0).tolist():
             values[i] = _entry_value(tokens[i], n)
-        block = values.reshape(-1, n)
-        seen = np.zeros((len(block), n + 1), dtype=bool)  # column 0 takes what is out of range
-        seen[np.arange(len(block))[:, None], block] = True
-        rows[start:start + len(block)] = block
-        bad = np.flatnonzero(~seen[:, 1:].all(axis=1))
-        if bad.size:
-            return rows, start + int(bad[0])
-    return rows, len(bodies)
+        rows[start:start + step] = values.reshape(-1, n)
+    return rows, groups.first_non_permutation(rows, n)
 
 
 def parse_rankings(text: str) -> RankingDataset:
@@ -229,12 +218,10 @@ def ranking_to_permutation(ranking):
     given = np.asarray(ranking, dtype=np.int64)
     rows = np.atleast_2d(given)
     k, n = rows.shape
-    perm = np.zeros_like(rows)
-    in_range = not rows.size or (rows.min() >= 1 and rows.max() <= n)
-    if in_range:
-        perm[np.arange(k)[:, None], rows - 1] = np.arange(1, n + 1)
-    if not (in_range and perm.all()):  # a zero left is an item never ranked
+    if groups.first_non_permutation(rows, n) < k:
         raise ValueError(f"not a full ranking of 1..{n}")
+    perm = np.empty_like(rows)
+    perm[np.arange(k)[:, None], rows - 1] = np.arange(1, n + 1)
     return perm if given.ndim == 2 else tuple(perm[0].tolist())
 
 
@@ -249,15 +236,6 @@ def aggregate(dataset: RankingDataset) -> AggregatedSamples:
     return AggregatedSamples(
         permutations=perms[order[starts]],
         weights=np.add.reduceat(dataset.counts[order], starts),
-    )
-
-
-def _as_arrays(samples) -> AggregatedSamples:
-    if isinstance(samples, AggregatedSamples):
-        return samples
-    return AggregatedSamples(
-        permutations=np.array([s.permutation for s in samples], dtype=np.int64),
-        weights=_count_array([s.weight for s in samples]),
     )
 
 
@@ -310,15 +288,20 @@ def _permutation_labels(perms: np.ndarray) -> Tuple[str, ...]:
     return tuple(labels)
 
 
-def embed_dataset(samples, n: int, dims: int, mode: str = "standard") -> EmbeddingResult:
-    """Embed the observed permutations of n >= 2 items: ``samples`` is what
-    :func:`aggregate` returns or any sequence of :class:`PermutationSample`.
+def embed_dataset(samples: AggregatedSamples, n: int, dims: int,
+                  mode: str = "standard") -> EmbeddingResult:
+    """Embed the observed permutations of n >= 2 items: ``samples`` is the
+    :class:`AggregatedSamples` that :func:`aggregate` returns, or one built
+    by hand, each of whose rows must be a permutation of 1..n.
 
     ``standard``, the default, projects the cloud in the one positive block
     [n-1,1] onto its ``dims`` weighted principal axes, from marginal counts;
     ``dense``, the oracle, runs MDS on all n! points. Both keep axes by
     ``leading_pairs`` and raise :class:`TooLargeError` past a byte or work bound.
     """
+    if not isinstance(samples, AggregatedSamples):
+        raise TypeError(f"samples must be the AggregatedSamples that aggregate returns, "
+                        f"not {type(samples).__name__}")
     if dims < 1:
         raise ValueError("dims must be >= 1")
     if mode not in ("dense", "standard"):
@@ -327,11 +310,9 @@ def embed_dataset(samples, n: int, dims: int, mode: str = "standard") -> Embeddi
         raise ValueError(f"an embedding needs at least 2 items, not {n}")
     if not samples:
         raise ValueError("no samples to embed")
-    # Checked once for both modes, before either allocates; aggregate's rows are permutations.
-    if not (samples.permutations.shape[1] == n if isinstance(samples, AggregatedSamples)
-            else all(sorted(s.permutation) == list(range(1, n + 1)) for s in samples)):
+    # Checked once for both modes, before either allocates.
+    if groups.first_non_permutation(samples.permutations, n) < len(samples):
         raise ValueError(f"a sample is not a permutation of 1..{n}")
-    samples = _as_arrays(samples)
     if mode == "dense":
         spec = groups.symmetric(n)
         groups.admit(f"the dense embedding of {spec.text}",

@@ -336,12 +336,13 @@ def standard_rep_coordinates(g, n: int) -> np.ndarray:
     """Direct coordinates of a permutation in the dominant block, length n^2, no
     group enumeration, scaled by the root of :func:`standard_coefficient`; a (k × n)
     array gives the (k × n^2) array. Two permutations' squared distance is
-    (2n - 3) * hamming(g, h) for n >= 3 and hamming(g, h)^2 at n = 2, as in MDS."""
+    (2n - 3) * hamming(g, h) for n >= 3 and hamming(g, h)^2 at n = 2, as in MDS.
+    A row that is not a permutation of 1..n raises ValueError."""
     given = np.asarray(g, dtype=np.int64)
-    if given.shape[-1] != n:
-        raise ValueError("permutation length does not match n")
     perms = np.atleast_2d(given)
     k = perms.shape[0]
+    if groups.first_non_permutation(perms, n) < k:
+        raise ValueError(f"not a permutation of 1..{n}")
     scale = math.sqrt(standard_coefficient(n))
     coords = np.full((k, n, n), -scale / n)
     # coords[r, g_r(j) - 1, j] += scale, one unbuffered add per entry

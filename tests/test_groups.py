@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -19,7 +20,6 @@ from groupmds.groups import (
     cyclic,
     elementary_abelian_2,
     enumerate_elements,
-    inverse,
     multiply,
     partitions_of,
     symmetric,
@@ -45,11 +45,18 @@ def class_label_of(spec, g):
     return cycle_type(g) if spec.kind == groups.SYMMETRIC else g
 
 
+@lru_cache(maxsize=None)
+def element_forms(spec):
+    return groups.array_forms(spec, enumerate_elements(spec))
+
+
 def brute_force_inverse(spec, g):
-    for h in enumerate_elements(spec):
-        if multiply(spec, g, h) == spec.identity():
-            return h
-    raise AssertionError("no inverse found")
+    """The h with g h = e, found by composing g with every element at once."""
+    elements = enumerate_elements(spec)
+    products = groups.compose_arrays(spec, groups.array_forms(spec, [g]), element_forms(spec))
+    found = (products == groups.array_forms(spec, [spec.identity()])).reshape(len(elements), -1)
+    (index,) = np.flatnonzero(found.all(axis=1))  # exactly one inverse
+    return elements[index]
 
 
 def walk_cycle_type(g):
@@ -148,18 +155,17 @@ def test_multiply_rejects_kind_and_size_mismatch():
 
 def test_inverse_s3_example():
     s3 = symmetric(3)
-    assert inverse(s3, (2, 3, 1)) == (3, 1, 2)
     assert brute_force_inverse(s3, (2, 3, 1)) == (3, 1, 2)
 
 
 def test_inverse_bitvector_is_involution():
     c23 = elementary_abelian_2(3)
     for g in enumerate_elements(c23):
-        assert inverse(c23, g) == g
+        assert brute_force_inverse(c23, g) == g
 
 
 def test_inverse_cyclic():
-    assert inverse(cyclic(5), 2) == 3
+    assert brute_force_inverse(cyclic(5), 2) == 3
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -171,8 +177,8 @@ def test_group_laws_random_triples(spec):
         g = groups.random_element(spec, rng)
         h = groups.random_element(spec, rng)
         assert multiply(spec, multiply(spec, f, g), h) == multiply(spec, f, multiply(spec, g, h))
-        assert multiply(spec, f, inverse(spec, f)) == e
-        assert multiply(spec, inverse(spec, f), f) == e
+        assert multiply(spec, f, brute_force_inverse(spec, f)) == e
+        assert multiply(spec, brute_force_inverse(spec, f), f) == e
 
 
 @pytest.mark.parametrize("spec", [symmetric(4), elementary_abelian_2(4), cyclic(24)])
@@ -215,7 +221,7 @@ def test_identity_of_a_group_over_the_enumeration_cap():
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.text)
 def test_multiplication_table_inverse_index(spec):
     elements, table, inv = groups.multiplication_table(spec)
-    assert [elements[i] for i in inv] == [inverse(spec, g) for g in elements]
+    assert [elements[i] for i in inv] == [brute_force_inverse(spec, g) for g in elements]
     assert all(table[i, inv[i]] == 0 for i in range(len(elements)))
 
 
@@ -257,6 +263,21 @@ def test_permutation_keys_order_permutations_as_sorted_orders_their_tuples(n):
     if n <= 15:  # one key: the base-n number of the images, the first the most significant
         assert keys[:, 0].tolist() == [sum(d * n ** (n - 1 - j) for j, d in enumerate(row))
                                        for row in forms.tolist()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("fault", ["repeat", "zero", "negative", "past n", "huge"])
+def test_first_non_permutation_finds_the_first_bad_row_across_chunks(n, fault):
+    rows = groups.random_array_elements(symmetric(n), random.Random(n), 20_000) + 1
+    assert groups.first_non_permutation(rows, n) == len(rows)
+    value = {"zero": 0, "negative": -1, "past n": n + 1, "huge": 2 ** 62}.get(fault)
+    # Later rows first; chunks hold 8192 rows at n = 3 and 2978 at n = 10.
+    for at in [19_999, 8192, 8191, 2978, 0]:
+        rows[at, -1] = rows[at, 0] if value is None else value
+        assert sorted(rows[at].tolist()) != list(range(1, n + 1))
+        assert groups.first_non_permutation(rows, n) == at
+    assert groups.first_non_permutation(rows[:, :-1], n) == 0  # the wrong width
+    assert groups.first_non_permutation(rows[:0], n) == 0
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS + [symmetric(1), symmetric(6)], ids=lambda s: s.text)
@@ -416,7 +437,7 @@ def test_order_text_names_huge_orders_without_computing_them():
 
 def conjugacy_orbit(spec, rep):
     return {
-        multiply(spec, multiply(spec, h, rep), inverse(spec, h))
+        multiply(spec, multiply(spec, h, rep), brute_force_inverse(spec, h))
         for h in enumerate_elements(spec)
     }
 
@@ -469,7 +490,7 @@ def test_cycle_type_conjugation_invariant_s6():
     for _ in range(1000):
         g = groups.random_element(s6, rng)
         h = groups.random_element(s6, rng)
-        conjugate = groups.multiply(s6, groups.multiply(s6, h, g), groups.inverse(s6, h))
+        conjugate = groups.multiply(s6, groups.multiply(s6, h, g), brute_force_inverse(s6, h))
         assert cycle_type(conjugate) == cycle_type(g)
 
 

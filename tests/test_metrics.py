@@ -15,6 +15,7 @@ from groupmds.metrics import (
     circular_arc_metric,
     hamming_metric,
 )
+from test_groups import brute_force_inverse
 from test_spectral import LengthMetric, make_left_invariant_only_metric
 
 ALL_METRIC_CASES = [
@@ -261,7 +262,7 @@ def test_distance_reduces_to_identity_distance(spec, metric):
     for _ in range(1000):
         g = groups.random_element(spec, rng)
         h = groups.random_element(spec, rng)
-        gh_inv = groups.multiply(spec, g, groups.inverse(spec, h))
+        gh_inv = groups.multiply(spec, g, brute_force_inverse(spec, h))
         assert metric.distance(g, h) == metric.distance(gh_inv, e)
 
 

@@ -20,6 +20,7 @@ from groupmds.errors import RankingParseError, TooLargeError
 from groupmds.groups import symmetric
 from groupmds.metrics import build_distance_matrix, hamming_metric
 from groupmds.rankings import (
+    AggregatedSamples,
     PermutationSample,
     RankingDataset,
     RankingRecord,
@@ -120,26 +121,31 @@ def test_embed_dense_draws_from_dominant_block():
     assert emb.weights is not None and sum(emb.weights) == 500
 
 
+def samples_of(*rows):
+    """Hand-built samples: the rows as given, weighted 1, 2, ..."""
+    return AggregatedSamples(np.array(rows, dtype=np.int64), np.arange(1, len(rows) + 1))
+
+
 def test_embed_dense_mode_guard():
-    samples = [PermutationSample(tuple(range(1, 11)), 1)]
     with pytest.raises(TooLargeError):
-        embed_dataset(samples, 10, 3, mode="dense")
+        embed_dataset(samples_of(tuple(range(1, 11))), 10, 3, mode="dense")
 
 
 @pytest.mark.parametrize("perm", [(1, 1, 3), (0, 1, 2), (3, 3, 3)])
 def test_embed_dense_refuses_a_sample_that_is_no_permutation(perm):
-    samples = [PermutationSample((1, 2, 3), 1), PermutationSample(perm, 2)]
     with pytest.raises(ValueError, match="not a permutation of 1..3"):
-        embed_dataset(samples, 3, 2, mode="dense")
+        embed_dataset(samples_of((1, 2, 3), perm), 3, 2, mode="dense")
 
 
 @pytest.mark.parametrize("mode", ["standard", "dense"])
 def test_embed_refuses_malformed_samples_alike_in_both_modes(mode):
     message = "a sample is not a permutation of 1..3"
-    for perm in [(1, 1, 3), (0, 1, 2), (3, 3, 3), (1, 2), (1, 2, 3, 4)]:
-        samples = [PermutationSample((1, 2, 3), 1), PermutationSample(perm, 2)]
+    for perm in [(1, 1, 3), (0, 1, 2), (3, 3, 3), (1, 2, 4)]:
         with pytest.raises(ValueError, match=message):
-            embed_dataset(samples, 3, 2, mode=mode)
+            embed_dataset(samples_of((1, 2, 3), perm), 3, 2, mode=mode)
+    for perm in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match=message):
+            embed_dataset(samples_of(perm), 3, 2, mode=mode)
     # aggregate's rows are permutations, of the file's width: a wrong n is refused.
     with pytest.raises(ValueError, match=message):
         embed_dataset(aggregate(synthesize_rankings(4, 20, seed=1)), 3, 2, mode=mode)
@@ -157,7 +163,8 @@ def test_embed_standard_runs_at_sushi_scale():
 
 
 def test_embed_standard_single_point_is_origin():
-    emb = embed_dataset([PermutationSample((1, 2, 3, 4, 5), 9)], 5, 3, mode="standard")
+    emb = embed_dataset(AggregatedSamples(np.array([[1, 2, 3, 4, 5]]), np.array([9])), 5, 3,
+                        mode="standard")
     assert np.max(np.abs(emb.coordinates)) == 0.0
 
 
@@ -190,14 +197,23 @@ def test_embed_standard_axes_have_a_positive_largest_entry():
 
 
 def test_embed_argument_validation():
-    samples = [PermutationSample((1, 2, 3, 4), 1)]
+    samples = samples_of((1, 2, 3, 4))
     with pytest.raises(ValueError):
         embed_dataset(samples, 4, 0, mode="dense")
     with pytest.raises(ValueError):
         embed_dataset(samples, 4, 2, mode="fancy")
     for mode in ("dense", "standard"):
         with pytest.raises(ValueError, match="at least 2 items"):
-            embed_dataset([PermutationSample((1,), 1)], 1, 2, mode=mode)
+            embed_dataset(samples_of((1,)), 1, 2, mode=mode)
+
+
+def test_embed_takes_only_aggregated_samples():
+    samples = aggregate(synthesize_rankings(4, 50, seed=6))
+    for other in (list(samples), [PermutationSample((1, 2, 3, 4), 1)], samples.permutations,
+                  synthesize_rankings(4, 50, seed=6)):
+        for mode in ("standard", "dense"):
+            with pytest.raises(TypeError, match="AggregatedSamples that aggregate returns"):
+                embed_dataset(other, 4, 3, mode=mode)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -706,23 +722,10 @@ def test_standard_coordinates_ignore_a_common_count_factor(n):
         assert emb.eigenvalues == base.eigenvalues
 
 
-def test_embed_accepts_a_plain_list_of_samples():
-    samples = aggregate(synthesize_rankings(6, 400, seed=6))
-    for mode in ("standard", "dense"):
-        from_arrays = embed_dataset(samples, 6, 3, mode=mode)
-        from_list = embed_dataset(list(samples), 6, 3, mode=mode)
-        assert np.array_equal(from_arrays.coordinates, from_list.coordinates)
-        assert from_arrays.row_labels == from_list.row_labels
-        assert from_arrays.weights == from_list.weights
-
-
-def test_aggregated_samples_index_slice_and_iterate_alike():
+def test_aggregated_samples_iterate_as_permutation_samples():
     samples = aggregate(parse_rankings("A,B,C\n3,1,2\n3,1,2;4\n1,2,3\n"))
-    listed = list(samples)
-    assert listed == [PermutationSample((1, 2, 3), 1), PermutationSample((2, 3, 1), 5)]
-    assert [samples[i] for i in range(len(samples))] == listed
-    assert samples[-1] == listed[-1]
-    assert list(samples[1:]) == listed[1:]
+    assert len(samples) == 2
+    assert list(samples) == [PermutationSample((1, 2, 3), 1), PermutationSample((2, 3, 1), 5)]
 
 
 def test_the_quantities_the_benchmark_hooks_read_keep_their_meaning():

@@ -30,7 +30,7 @@ from groupmds.spectral import (
     standard_coefficient,
     standard_rep_coordinates,
 )
-from test_groups import class_label_of
+from test_groups import brute_force_inverse, class_label_of
 
 
 def entry_map(summary):
@@ -67,7 +67,7 @@ class LengthMetric:
 
     def distance(self, g, h):
         spec = self.group
-        return self.lengths[groups.multiply(spec, groups.inverse(spec, g), h)]
+        return self.lengths[groups.multiply(spec, brute_force_inverse(spec, g), h)]
 
 
 def make_left_invariant_only_metric():
@@ -154,7 +154,7 @@ def corrupted_transposition():
 
 def conjugate(spec, g, h):
     """h g h^-1."""
-    return groups.multiply(spec, groups.multiply(spec, h, g), groups.inverse(spec, h))
+    return groups.multiply(spec, groups.multiply(spec, h, g), brute_force_inverse(spec, h))
 
 
 @pytest.mark.parametrize("make_metric, counterexample", [
@@ -578,6 +578,14 @@ def test_standard_coordinates_scale_s10():
     assert d2 == pytest.approx(34.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("g", [(0, 1, 2), (1, 1, 3), (1, 2, 4), (1, 2), (1, 2, 3, 4),
+                               [[1, 2, 3], [3, 1, 2], [2, 2, 1]]])
+def test_standard_coordinates_refuse_what_is_not_a_permutation(g):
+    # (0, 1, 2) would wrap its 0 onto the last row; (1, 2, 4) would index past it.
+    with pytest.raises(ValueError, match="not a permutation of 1..3"):
+        standard_rep_coordinates(g, 3)
+
+
 def squared_distances(x):
     return ((x[:, None] - x[None]) ** 2).sum(axis=-1)
 
@@ -682,7 +690,7 @@ class ClassDissimilarity:
 
     def distance(self, g, h):
         spec = self.group
-        quotient = groups.multiply(spec, g, groups.inverse(spec, h))
+        quotient = groups.multiply(spec, g, brute_force_inverse(spec, h))
         return self.phi[class_label_of(spec, quotient)]
 
 
