@@ -425,13 +425,13 @@ def admit_decomposition(spec: GroupSpec, order: int) -> None:
     enumeration cap or passes the byte bound, at 56 bytes per reduced
     integer returned, or the work bound: a step per reduced integer
     (reduced, scaled, printed) plus, per power, k 2^k for a FWHT or 5/2
-    steps for each of the n beads at each of S_n's sum_{s<=n} p(s) trie
-    nodes. The sweep leads an S_n spectrum, whose request took 4.2 to
-    4.9 us a bead end to end at n = 33 to 35, against 2 us a step."""
+    steps a bead of :func:`_sn_sweep`. The sweep leads an S_n spectrum,
+    whose request took 4.2 to 4.9 us a bead end to end at n = 33 to 35,
+    against 2 us a step."""
     n, count, phi = spec.size, groups.conjugacy_class_count(spec), euler_phi(order)
     groups.admit(spec.text, items=count, noun="irreducibles")
     if spec.kind == groups.SYMMETRIC:
-        per_power = 5 * n * sum(map(groups.count_partitions, range(n + 1))) // 2
+        per_power = 5 * _sn_sweep(n) // 2
     else:
         per_power = n * spec.order if spec.kind == groups.ELEMENTARY_ABELIAN_2 else 0
     groups.admit(f"the exact coefficients of {spec.text}", nbytes=56 * count * phi,

@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, chartable, embed, plot, verify, synthesize.
 Exit codes: 0 success, 1 a failed verify check, 2 usage or parse error (an
-unreadable input or unwritable output included), 3 resource guard tripped.
+unreadable ``--input``, ``error: cannot read PATH: ...``, and an unwritable
+``--out``, ``error: cannot write PATH: ...``, included), 3 resource guard tripped.
 Every subcommand is deterministic given its flags, input files, and seed.
 """
 
@@ -34,8 +35,8 @@ DEFAULT_SEED = 7
 DEFAULT_VERIFY_CAP = 720
 
 
-class _CannotWrite(Exception):
-    """An output file that cannot be written: a usage error, like an unreadable input."""
+class _UsageError(Exception):
+    """An input that cannot be read or is refused, or an output that cannot be written."""
 
 
 def _write(path, text: str) -> None:
@@ -43,7 +44,7 @@ def _write(path, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CannotWrite(f"cannot write {path}: {exc}") from exc
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(text: str, out_path):
@@ -145,11 +146,7 @@ def cmd_embed(parser, args) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             dataset = rankings.parse_rankings(fh.read())
     except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RankingParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"cannot read {args.input}: {exc}") from exc
     samples = rankings.aggregate(dataset)
     try:
         emb = rankings.embed_dataset(samples, dataset.n_items, args.dims, mode=args.mode)
@@ -207,23 +204,19 @@ def cmd_plot(parser, args) -> int:
     try:
         coords, weights = _read_embedding_csv(args.input)
     except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"cannot read {args.input}: {exc}") from exc
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from exc
     rows, columns = coords.shape
     if not rows or columns < 2:
-        print("error: need at least 2 coordinate columns", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("need at least 2 coordinate columns")
     color_index = args.color_col - 1
     colors = coords[:, color_index].tolist() if color_index < columns else [None] * rows
     try:
         svg = plotting.scatter_svg(list(zip(coords[:, 0].tolist(), coords[:, 1].tolist(),
                                             weights.tolist(), colors)))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from exc
     _emit(svg, args.out)
     return EXIT_OK
 
@@ -323,12 +316,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except TooLargeError as exc:
+    except (TooLargeError, _UsageError, RankingParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except _CannotWrite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_GUARD if isinstance(exc, TooLargeError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -310,12 +310,13 @@ def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
     P is the convolution matrix of the class function (dim/|G|) chi.
 
     For a cyclic frequency j the conjugate pair {j, n-j} is merged so the
-    projector is real; its rank is then 2 instead of dim^2 = 1.
+    projector is real; its rank is then 2 instead of dim^2 = 1. A label
+    that is not an irreducible of ``spec`` raises InvalidElementError.
     """
+    dim = characters.dimension(spec, label)
     if spec.kind == groups.CYCLIC:
         n = spec.size
-        j = label % n
-        merged = {j, (n - j) % n}
+        merged = {label, (n - label) % n}
         # zeta^e and zeta^-e get one float, so P equals its transpose.
         coeff = {a: sum(math.cos(2.0 * math.pi * min(jj * a % n, -jj * a % n) / n)
                         for jj in merged) / n
@@ -323,7 +324,6 @@ def isotypic_projector(spec: GroupSpec, label) -> IsotypicProjector:
         labels = tuple(sorted(merged))
         rank = len(merged)
     else:
-        dim = characters.dimension(spec, label)
         chi = characters.character_class_function(spec, label).values
         coeff = {c: float(v) * dim / spec.order for c, v in chi.items()}
         labels = (label,)

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from groupmds import characters, groups
+from groupmds import characters, groups, spectral
 from groupmds.errors import InvalidElementError, TooLargeError
 from groupmds.characters import (
     ClassFunction,
@@ -321,10 +321,14 @@ def test_class_function_of_every_label_is_its_character_values(spec):
     (elementary_abelian_2(2), frozenset({3})),
     (elementary_abelian_2(2), frozenset({0})),
     (cyclic(12), 12),
-], ids=["partition-of-5", "position-3", "position-0", "frequency-12"])
+    (cyclic(6), 9),
+    (cyclic(6), -1),
+], ids=["partition-of-5", "position-3", "position-0", "frequency-12", "frequency-9-of-6",
+        "frequency-minus-1"])
 def test_class_function_of_a_foreign_label_is_refused(spec, label):
-    with pytest.raises(InvalidElementError):
-        character_class_function(spec, label)
+    for call in (character_class_function, dimension, spectral.isotypic_projector):
+        with pytest.raises(InvalidElementError):
+            call(spec, label)
 
 
 # --- inner products and orthogonality ----------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -310,6 +311,23 @@ def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["embed", "plot"])
+def test_an_unreadable_input_path_is_a_usage_error(capsys, tmp_path, command):
+    missing = tmp_path / "no-such-file.txt"
+    code, out, err = run_cli(capsys, command, "--input", str(missing))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read {missing}: ")
+    assert "Traceback" not in err
+
+
+def test_an_empty_plot_input_is_a_usage_error(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code, out, err = run_cli(capsys, "plot", "--input", str(empty))
+    assert (code, out, err) == (2, "", "error: empty embedding file\n")
+
+
 def test_verify_refuses_before_building_the_oracle(capsys, monkeypatch):
     def no_matrix(spec, metric):
         raise AssertionError("verify built a distance matrix before its guards")
@@ -422,8 +440,8 @@ def test_plot_toy_csv(tmp_path, capsys):
 def test_plot_missing_coordinates_is_usage_error(tmp_path, capsys):
     csv_file = tmp_path / "thin.csv"
     csv_file.write_text("id,label,weight,x1:+\n0,a,1,0.5\n")
-    code, _, _ = run_cli(capsys, "plot", "--input", str(csv_file))
-    assert code == 2
+    code, out, err = run_cli(capsys, "plot", "--input", str(csv_file))
+    assert (code, out, err) == (2, "", "error: need at least 2 coordinate columns\n")
 
 
 @pytest.mark.parametrize("color_col", ["0", "-1"])
@@ -602,21 +620,31 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
         assert line.startswith(head) and line.endswith(tail) if elided else line == want
 
 
-def test_console_script_entry_point():
-    # The child imports the package this test process imported.
+def test_console_script_entry_point(tmp_path):
+    # The `groupmds` script pyproject.toml declares, called as the generated
+    # wrapper calls it; the child imports the package this test process imported.
+    pyproject = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^\[project\.scripts\]\ngroupmds = "([\w.]+):(\w+)"$',
+                                 pyproject, re.MULTILINE).groups()
+    wrapper = f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-m", "groupmds.cli", "spectrum", "--group", "c2k",
-         "--k", "3", "--metric", "hamming"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+
+    def script(*argv):
+        return subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True,
+                              text=True, env=env)
+
+    result = script("spectrum", "--group", "c2k", "--k", "3", "--metric", "hamming")
     assert result.returncode == 0
-    doc = json.loads(result.stdout)
-    assert doc["group"] == "elementary-abelian-2(3)"
+    assert json.loads(result.stdout)["group"] == "elementary-abelian-2(3)"
+    missing = tmp_path / "no-such-file.txt"
+    result = script("embed", "--input", str(missing))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: cannot read {missing}: ")
+    result = script("spectrum", "--group", "sn", "--n", "40")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: ")
 
 
 def test_spectrum_and_verify_never_import_numpy_random():
