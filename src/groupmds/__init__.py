@@ -7,6 +7,17 @@ forming the distance matrix. The two agree, and the verify module checks
 that they do.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it, so it is set before the
+# first import below. OpenBLAS's own value, 28, keeps an idle worker thread
+# spinning for 2^28 cycles (about 0.1 s) after every BLAS call: on two vCPUs
+# the benchmark's oracle requests spent 3.8 s of CPU for 2.3 s of wall time.
+# 2^20 cycles (about 0.4 ms) cut that CPU by 32% at the same wall time, kept
+# the two-thread speed of a 2048 x 2048 eigvalsh, and measured no different
+# from 16 there. A value the user sets still wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .dense import (
     EmbeddingResult,
     MdsKernel,

@@ -16,7 +16,9 @@ rather than to a tolerance.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,9 +57,25 @@ def irreducible_labels(spec: GroupSpec):
 
         # Element i's bits are those of subset i's binary value.
         positions, bits = range(1, spec.size + 1), groups.enumerate_elements(spec)
-        return tuple(frozenset(compress(positions, bits[i]))
-                     for i in _c2k_label_order(spec.size).tolist())
+        with collector_paused():
+            return tuple(frozenset(compress(positions, bits[i]))
+                         for i in _c2k_label_order(spec.size).tolist())
     return tuple(range(spec.size))
+
+
+@contextmanager
+def collector_paused():
+    """Pause Python's cyclic garbage collector, and restore its previous
+    state on exit. Used while (C_2)^k labels are built: each new frozenset
+    is tracked, and hundreds of thousands of them set off repeated full
+    collections, which took three quarters of closed_form_c2k(1016)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _c2k_label_order(k: int) -> np.ndarray:

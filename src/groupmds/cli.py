@@ -2,8 +2,9 @@
 
 Subcommands: spectrum, chartable, embed, plot, verify, synthesize.
 Exit codes: 0 success, 1 a failed verify check, 2 usage or parse error (an
-unreadable ``--input``, ``error: cannot read PATH: ...``, and an unwritable
-``--out``, ``error: cannot write PATH: ...``, included), 3 resource guard tripped.
+``--input`` that cannot be read or is not UTF-8, ``error: cannot read PATH:
+...``, and an unwritable ``--out``, ``error: cannot write PATH: ...``,
+included), 3 resource guard tripped.
 Every subcommand is deterministic given its flags, input files, and seed.
 """
 
@@ -145,7 +146,7 @@ def cmd_embed(parser, args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             dataset = rankings.parse_rankings(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {args.input}: {exc}") from exc
     samples = rankings.aggregate(dataset)
     try:
@@ -203,7 +204,7 @@ def cmd_plot(parser, args) -> int:
         parser.error("--color-col must be >= 1")
     try:
         coords, weights = _read_embedding_csv(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {args.input}: {exc}") from exc
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

@@ -241,8 +241,9 @@ def closed_form_c2k(k: int) -> SpectralSummary:
     # Every irreducible is one-dimensional. Subsets of one size come in
     # ascending binary value, position 1 the most significant bit: the
     # reverse of the order of combinations.
-    singletons, pairs = (tuple(map(frozenset, combinations(range(1, k + 1), size)))[::-1]
-                         for size in (1, 2))
+    with characters.collector_paused():
+        singletons, pairs = (tuple(map(frozenset, combinations(range(1, k + 1), size)))[::-1]
+                             for size in (1, 2))
     return _build_summary(groups.elementary_abelian_2(k), metrics.HAMMING_BITVECTOR,
                           [(Fraction(k, 4), 1, singletons), (Fraction(-1, 4), 1, pairs)])
 

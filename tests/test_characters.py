@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from fractions import Fraction
@@ -623,3 +624,42 @@ def test_subset_order_size_then_binary_value():
     assert list(labs[1:4]) == [frozenset({3}), frozenset({2}), frozenset({1})]
     assert labs[-1] == frozenset({1, 2, 3})
     assert sorted(labs, key=lambda l: label_sort_key(spec, l)) == list(labs)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("build", [
+    # __wrapped__ skips the cache, so the labels are built on every call.
+    lambda: irreducible_labels.__wrapped__(elementary_abelian_2(6)),
+    lambda: spectral.closed_form_c2k(6),
+], ids=["irreducible_labels", "closed_form_c2k"])
+def test_c2k_labels_leave_the_collector_as_they_found_it(build, enabled):
+    seen = []
+    build_pause = characters.collector_paused
+
+    def watched():
+        seen.append(gc.isenabled())
+        return build_pause()
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(characters, "collector_paused", watched)
+            build()
+        assert gc.isenabled() is enabled and set(seen) == {enabled}
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_pause_restores_its_state_after_an_error(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(KeyError):
+            with characters.collector_paused():
+                assert not gc.isenabled()
+                raise KeyError("label")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

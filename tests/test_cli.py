@@ -24,6 +24,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env(**overrides):
+    """This process's environment with src on PYTHONPATH, minus
+    OPENBLAS_THREAD_TIMEOUT, plus the overrides."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(env, **overrides)
+
+
 def entries_by_value(doc):
     return {Fraction(e["eigenvalue"]): e for e in doc["entries"]}
 
@@ -319,6 +328,16 @@ def test_an_unreadable_input_path_is_a_usage_error(capsys, tmp_path, command):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: cannot read {missing}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["embed", "plot"])
+def test_an_input_that_is_not_utf8_is_a_usage_error_naming_its_path(capsys, tmp_path, command):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"id,x1,x2\n\xff\xfe,1,2\n")
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_an_empty_plot_input_is_a_usage_error(capsys, tmp_path):
@@ -627,9 +646,7 @@ def test_console_script_entry_point(tmp_path):
     module, function = re.search(r'^\[project\.scripts\]\ngroupmds = "([\w.]+):(\w+)"$',
                                  pyproject, re.MULTILINE).groups()
     wrapper = f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = _child_env()
 
     def script(*argv):
         return subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True,
@@ -650,7 +667,6 @@ def test_console_script_entry_point(tmp_path):
 def test_spectrum_and_verify_never_import_numpy_random():
     # numpy.random costs several MiB of resident memory; the checks draw
     # their random elements from the standard library instead.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         "import sys\n"
         "from groupmds import cli\n"
@@ -660,7 +676,33 @@ def test_spectrum_and_verify_never_import_numpy_random():
         "    assert cli.main(argv + ['--out', sys.argv[1]]) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=path))
+                            text=True, env=_child_env())
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "20"), ("28", "28")])
+def test_import_sets_the_openblas_thread_timeout_only_as_a_default(preset, expected):
+    env = _child_env(**({} if preset is None else {"OPENBLAS_THREAD_TIMEOUT": preset}))
+    code = "import os, groupmds\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (0, expected + "\n"), result.stderr
+
+
+def test_output_bytes_do_not_depend_on_the_openblas_thread_timeout(tmp_path, capsys):
+    # 28 is OpenBLAS's own default: the worker thread's idle spin changes no result.
+    rankings_file = tmp_path / "five.txt"
+    code, _, _ = run_cli(capsys, "synthesize", "--items", "5", "--rows", "60", "--seed", "3",
+                         "--out", str(rankings_file))
+    assert code == 0
+    requests = [
+        "spectrum --group c2k --k 8 --verify --cap 256",
+        "verify --group sn --n 5",
+        f"embed --mode dense --input {rankings_file}",
+    ]
+    for argv in requests:
+        outputs = [subprocess.run([sys.executable, "-m", "groupmds.cli", *argv.split()],
+                                  capture_output=True, env=_child_env(**timeout))
+                   for timeout in ({}, {"OPENBLAS_THREAD_TIMEOUT": "28"})]
+        assert [(r.returncode, r.stderr) for r in outputs] == [(0, b"")] * 2, argv
+        assert outputs[0].stdout == outputs[1].stdout, argv
