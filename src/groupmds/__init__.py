@@ -62,7 +62,6 @@ from .characters import (
     ClassFunction,
     DecompositionResult,
     character_table,
-    character_value,
     decompose_class_function,
     dimension,
     inner_product,

@@ -8,7 +8,10 @@ p_rho, and multiplying by p_r adds rim hooks (the Murnaghan-Nakayama rule
 read forwards), so one sweep over the cycle types gives a whole column of
 the table or, by Horner's rule, every row sum of a decomposition at once.
 The abelian values are signs and roots of unity, reduced modulo the
-cyclotomic polynomial through one integer matrix. Everything here is exact:
+cyclotomic polynomial through one integer matrix. Each quantity has one
+source: :func:`irreducible_labels` lists the labels, the trivial one first,
+and :func:`_character_rows` computes every value, whether for the table, a
+class function or one cell, under one admission. Everything here is exact:
 integers, Fractions, or :class:`~groupmds.exact.Cyclotomic` values, so
 orthogonality and reconstruction identities can be asserted as equalities
 rather than to a tolerance.
@@ -22,6 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, combinations
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
@@ -53,14 +57,17 @@ def irreducible_labels(spec: GroupSpec):
     if spec.kind == groups.SYMMETRIC:
         return groups.partitions_of(spec.size)
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        from itertools import compress
-
-        # Element i's bits are those of subset i's binary value.
-        positions, bits = range(1, spec.size + 1), groups.enumerate_elements(spec)
-        with collector_paused():
-            return tuple(frozenset(compress(positions, bits[i]))
-                         for i in _c2k_label_order(spec.size).tolist())
+        return tuple(chain.from_iterable(subsets_by_size(spec.size, range(spec.size + 1))))
     return tuple(range(spec.size))
+
+
+def subsets_by_size(k: int, sizes) -> tuple:
+    """One tuple for each of the given sizes: the subsets of {1..k} of that
+    size, as frozensets in label order, that is by binary value, the reverse
+    of the order of :func:`itertools.combinations`."""
+    positions = range(1, k + 1)
+    with collector_paused():
+        return tuple(tuple(map(frozenset, combinations(positions, size)))[::-1] for size in sizes)
 
 
 @contextmanager
@@ -83,14 +90,6 @@ def _c2k_label_order(k: int) -> np.ndarray:
     (the popcount), then by value."""
     values = np.arange(2 ** k)
     return np.lexsort((values, np.bitwise_count(values)))
-
-
-def trivial_label(spec: GroupSpec):
-    if spec.kind == groups.SYMMETRIC:
-        return Partition((spec.size,))
-    if spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        return frozenset()
-    return 0
 
 
 def subset_bit_value(spec: GroupSpec, subset: frozenset) -> int:
@@ -212,24 +211,15 @@ def _sn_row_sums(n: int, weights: Mapping) -> dict:
 
 
 def character_value(spec: GroupSpec, label, class_label) -> Scalar:
-    """chi_label evaluated on the class ``class_label``.
+    """chi_label evaluated on the class ``class_label``: its entry in the row
+    of :func:`character_class_function`, which the row's admission prices.
 
-    Integers for S_n, +-1 for (C_2)^k, and an exact root of unity
-    (:class:`Cyclotomic`, collapsed to a Fraction when rational) for C_n.
+    Kept only because the spans of ``perfbench/traced_cli.py`` name it; it
+    goes, with :func:`_validate_class_label`, once that list drops it.
     """
     _validate_label(spec, label)
     _validate_class_label(spec, class_label)
-    if spec.kind == groups.SYMMETRIC:
-        n = spec.size
-        add = _hook_adder(n)
-        column = {_beta_mask((), n): 1}
-        for r in class_label.parts:
-            column = _nonzero(_add_times_power_sum({}, column, r, add))
-        return column.get(_beta_mask(label.parts, n), 0)
-    if spec.kind == groups.ELEMENTARY_ABELIAN_2:
-        return -1 if sum(class_label[s - 1] for s in label) % 2 else 1
-    n = spec.size
-    return normalize_scalar(Cyclotomic.root(n, label * class_label % n))
+    return character_class_function(spec, label).values[class_label]
 
 
 def _hook_product(parts: Tuple[int, ...]) -> int:

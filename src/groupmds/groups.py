@@ -329,9 +329,11 @@ def _partition_tuples(n: int, max_part: int) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> Tuple[Partition, ...]:
-    """All partitions of ``n`` in reverse-lexicographic order ([n] first)."""
+    """All partitions of ``n`` in reverse-lexicographic order ([n] first).
+    Raises :class:`TooLargeError` when p(n) passes the enumeration cap."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    admit(str(n), items=count_partitions(n), noun="partitions")
     return tuple(Partition(p) for p in _partition_tuples(n, n))
 
 

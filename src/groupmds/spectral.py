@@ -22,7 +22,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from typing import Dict, Tuple
 
 import numpy as np
@@ -71,12 +71,6 @@ class SpectralSummary:
     @property
     def zero_multiplicity(self) -> int:
         return sum(e.multiplicity for e in self.entries if e.sign == "zero")
-
-    @property
-    def accounted_dimension(self) -> int:
-        """rank + zero multiplicities + 1 (the discarded trivial); equals
-        the group order when the summary is complete."""
-        return self.rank + self.zero_multiplicity + 1
 
     def nonzero_entries(self) -> Tuple[SpectralEntry, ...]:
         return tuple(e for e in self.entries if e.sign != "zero")
@@ -197,7 +191,7 @@ def _build_summary(spec: GroupSpec, metric_kind: str, blocks) -> SpectralSummary
     if zero_multiplicity:
         try:
             every = characters.irreducible_labels(spec)
-            carried = {characters.trivial_label(spec)}.union(*(e.labels for e in entries))
+            carried = {every[0]}.union(*(e.labels for e in entries))
         except TooLargeError:
             every = carried = ()
         entries.append(SpectralEntry(Fraction(0), zero_multiplicity,
@@ -214,7 +208,7 @@ def spectrum_via_characters(spec: GroupSpec, metric) -> SpectralSummary:
     """
     characters.admit_decomposition(spec, spec.size if spec.kind == groups.CYCLIC else 1)
     sigma = characters.decompose_class_function(mu_from_metric(spec, metric)).coefficients
-    trivial = characters.trivial_label(spec)
+    trivial = characters.irreducible_labels(spec)[0]
     blocks = [(coeff, characters.dimension(spec, label), (label,))
               for label, coeff in sigma.items() if coeff != 0 and label != trivial]
     return _build_summary(spec, getattr(metric, "kind", "custom"), blocks)
@@ -238,12 +232,8 @@ def closed_form_c2k(k: int) -> SpectralSummary:
     if k < 1:
         raise UnsupportedClosedFormError("k must be >= 1")
     _check_float_range(math.log(k) + (k - 2) * math.log(2), f"k 2^(k-2) at k = {k}")
-    # Every irreducible is one-dimensional. Subsets of one size come in
-    # ascending binary value, position 1 the most significant bit: the
-    # reverse of the order of combinations.
-    with characters.collector_paused():
-        singletons, pairs = (tuple(map(frozenset, combinations(range(1, k + 1), size)))[::-1]
-                             for size in (1, 2))
+    # Every irreducible is one-dimensional.
+    singletons, pairs = characters.subsets_by_size(k, (1, 2))
     return _build_summary(groups.elementary_abelian_2(k), metrics.HAMMING_BITVECTOR,
                           [(Fraction(k, 4), 1, singletons), (Fraction(-1, 4), 1, pairs)])
 
@@ -338,10 +328,13 @@ def standard_rep_coordinates(g, n: int) -> np.ndarray:
     group enumeration, scaled by the root of :func:`standard_coefficient`; a (k × n)
     array gives the (k × n^2) array. Two permutations' squared distance is
     (2n - 3) * hamming(g, h) for n >= 3 and hamming(g, h)^2 at n = 2, as in MDS.
-    A row that is not a permutation of 1..n raises ValueError."""
+    A row that is not a permutation of 1..n raises ValueError, and an output past
+    the byte bound :class:`TooLargeError` before it is allocated."""
     given = np.asarray(g, dtype=np.int64)
     perms = np.atleast_2d(given)
     k = perms.shape[0]
+    groups.admit(f"the standard coordinates of {k} permutations of {n} items",
+                 nbytes=8 * k * n * n)
     if groups.first_non_permutation(perms, n) < k:
         raise ValueError(f"not a permutation of 1..{n}")
     scale = math.sqrt(standard_coefficient(n))

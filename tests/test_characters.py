@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import groupmds
 from groupmds import characters, groups, spectral
 from groupmds.errors import InvalidElementError, TooLargeError
 from groupmds.characters import (
@@ -20,7 +22,6 @@ from groupmds.characters import (
     irreducible_labels,
     subset_bit_value,
     tensor_square_decomposition,
-    trivial_label,
 )
 from groupmds.exact import Cyclotomic
 from groupmds.groups import Partition, cyclic, elementary_abelian_2, symmetric
@@ -103,12 +104,39 @@ def mn_character(lam, rho):
     return total
 
 
+def walsh_sign(label, bits):
+    """(-1)^|S & g| for the subset S of {1..k} and the bit vector g, whose
+    first bit is position 1."""
+    return -1 if sum(bits[s - 1] for s in label) % 2 else 1
+
+
+def reference_value(spec, label, class_label):
+    """chi_label(class_label) from the textbook formula of each kind: the
+    Murnaghan-Nakayama recursion on S_n, Walsh signs on (C_2)^k, and
+    zeta_n^(ja) on C_n."""
+    if spec.kind == groups.SYMMETRIC:
+        return mn_character(label.parts, class_label.parts)
+    if spec.kind == groups.ELEMENTARY_ABELIAN_2:
+        return walsh_sign(label, class_label)
+    return Cyclotomic.root(spec.size, label * class_label)
+
+
+def bit_picked_c2k_labels(k):
+    """The (C_2)^k labels built from the elements: each element's bits pick
+    its positions out of 1..k, the elements read in (size, binary value)
+    order."""
+    positions, bits = range(1, k + 1), list(itertools.product((0, 1), repeat=k))
+    values = np.arange(2 ** k)
+    order = np.lexsort((values, np.bitwise_count(values)))
+    return tuple(frozenset(itertools.compress(positions, bits[i])) for i in order.tolist())
+
+
 def reconstruct(result, class_label):
     """sum_i sigma_i chi_i(class_label) for a decomposition result."""
     spec = result.group
     total = Fraction(0)
     for label, coeff in result.coefficients.items():
-        total = total + coeff * character_value(spec, label, class_label)
+        total = total + coeff * reference_value(spec, label, class_label)
     return total
 
 
@@ -165,9 +193,6 @@ def test_power_sum_sweep_matches_mn_recursion(n):
     expected = tuple(tuple(mn_character(lab.parts, cls.label.parts) for cls in table.classes)
                      for lab in table.labels)
     assert table.values == expected
-    if n <= 7:
-        assert all(character_value(spec, lab, cls.label) == mn_character(lab.parts, cls.label.parts)
-                   for lab in table.labels for cls in table.classes)
 
 
 @pytest.mark.parametrize("n", [12, 16])
@@ -181,6 +206,29 @@ def test_horner_row_sums_match_mn_row_sums(n, kind):
     for lam in groups.partitions_of(n):
         expected = sum(w * mn_character(lam.parts, rho) for rho, w in weights.items())
         assert sums.get(characters._beta_mask(lam.parts, n), 0) == expected
+
+
+VALUE_GROUPS = ([symmetric(n) for n in range(1, 9)] + [elementary_abelian_2(k) for k in range(1, 7)]
+                + [cyclic(n) for n in range(1, 13)])
+
+
+@pytest.mark.parametrize("spec", VALUE_GROUPS, ids=lambda spec: spec.text)
+def test_character_value_is_the_reference_value(spec):
+    for lab in irreducible_labels(spec):
+        for cls in groups.conjugacy_classes(spec):
+            assert character_value(spec, lab, cls.label) == reference_value(spec, lab, cls.label)
+
+
+@pytest.mark.parametrize("n", [26, 30])
+def test_one_sn_character_value_is_priced_as_its_row(n):
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        character_value(symmetric(n), Partition((n - 1, 1)), Partition((1,) * n))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_character_value_is_not_exported():
+    assert not hasattr(groupmds, "character_value")
 
 
 def test_label_validation():
@@ -300,7 +348,7 @@ def test_c2k_table_is_the_per_cell_values_without_per_cell_calls(monkeypatch, k)
     table = character_table(spec)
     monkeypatch.undo()
     assert calls == []
-    assert table.values == tuple(tuple(character_value(spec, lab, cls.label) for cls in table.classes)
+    assert table.values == tuple(tuple(walsh_sign(lab, cls.label) for cls in table.classes)
                                  for lab in table.labels)
     assert all(type(v) is int for row in table.values for v in row)
 
@@ -314,7 +362,7 @@ def test_class_function_of_every_label_is_its_character_values(spec):
     classes = groups.conjugacy_classes(spec)
     for lab in irreducible_labels(spec):
         assert list(character_class_function(spec, lab).values.items()) == [
-            (cls.label, character_value(spec, lab, cls.label)) for cls in classes]
+            (cls.label, reference_value(spec, lab, cls.label)) for cls in classes]
 
 
 @pytest.mark.parametrize("spec, label", [
@@ -592,9 +640,9 @@ def test_tensor_square_s3_standard():
 
 
 def test_trivial_labels():
-    assert trivial_label(symmetric(4)) == Partition((4,))
-    assert trivial_label(elementary_abelian_2(3)) == frozenset()
-    assert trivial_label(cyclic(9)) == 0
+    assert irreducible_labels(symmetric(4))[0] == Partition((4,))
+    assert irreducible_labels(elementary_abelian_2(3))[0] == frozenset()
+    assert irreducible_labels(cyclic(9))[0] == 0
 
 
 @pytest.mark.parametrize("k", range(0, 9))
@@ -615,6 +663,11 @@ def test_c2k_labels_sort_by_size_then_binary_value(k):
                for bits in range(2 ** k)]
     assert irreducible_labels(spec) == tuple(sorted(subsets,
                                                     key=lambda l: label_sort_key(spec, l)))
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_c2k_labels_are_the_bit_picked_labels(k):
+    assert irreducible_labels.__wrapped__(elementary_abelian_2(k)) == bit_picked_c2k_labels(k)
 
 
 def test_subset_order_size_then_binary_value():

@@ -516,6 +516,13 @@ def test_partitions_of_1():
     assert [p.parts for p in partitions_of(1)] == [(1,)]
 
 
+def test_partitions_past_the_enumeration_cap_are_refused_before_listing():
+    # p(41) = 44583 is listed; p(47) = 124754 is refused without a listing.
+    assert len(partitions_of(41)) == 44583
+    with pytest.raises(TooLargeError, match="47 has 124754 partitions, above the enumeration cap"):
+        partitions_of(47)
+
+
 def test_partition_count_recurrence_matches_enumeration():
     for n in range(1, 20):
         assert groups.count_partitions(n) == len(partitions_of(n))

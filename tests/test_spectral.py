@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupmds import characters, dense, groups, metrics, verify
-from groupmds.errors import InvalidElementError, NotBiInvariantError, UnsupportedClosedFormError
+from groupmds.errors import (
+    InvalidElementError,
+    NotBiInvariantError,
+    TooLargeError,
+    UnsupportedClosedFormError,
+)
 from groupmds.groups import Partition, cyclic, elementary_abelian_2, symmetric
 from groupmds.metrics import (
     build_distance_matrix,
@@ -274,7 +279,7 @@ def test_spectrum_c23():
         frozenset({2, 3}),
     }
     assert entries[Fraction(0)].multiplicity == 1
-    assert summary.accounted_dimension == 8
+    assert summary.rank + summary.zero_multiplicity + 1 == 8
 
 
 def test_spectrum_s4():
@@ -287,7 +292,7 @@ def test_spectrum_s4():
     assert entries[Fraction(-4)].labels == (Partition((2, 1, 1)),)
     assert entries[Fraction(-6)].multiplicity == 4
     assert entries[Fraction(-6)].labels == (Partition((2, 2)),)
-    assert summary.accounted_dimension == 24
+    assert summary.rank + summary.zero_multiplicity + 1 == 24
 
 
 def test_spectrum_c4_against_dft_oracle():
@@ -325,7 +330,7 @@ def test_spectrum_multiplicity_is_squared_dimension_s5():
 )
 def test_spectrum_census(spec):
     summary = spectrum_via_characters(spec, default_metric(spec))
-    assert summary.accounted_dimension == spec.order
+    assert summary.rank + summary.zero_multiplicity + 1 == spec.order
 
 
 # --- closed forms ----------------------------------------------------------------
@@ -449,7 +454,7 @@ def test_closed_form_elides_zero_labels_past_listing_limit(
     zero_entry = [e for e in summary.entries if e.sign == "zero"][0]
     assert zero_entry.multiplicity == zero_mult
     assert len(zero_entry.labels) == n_zero_labels
-    assert summary.accounted_dimension == order
+    assert summary.rank + summary.zero_multiplicity + 1 == order
 
 
 def test_closed_forms_at_the_edge_of_the_float64_range():
@@ -547,7 +552,7 @@ def test_projector_eigen_relation_all_labels_s4():
     decomp = characters.decompose_class_function(mu)
     for label in projector_labels(s4):
         proj = isotypic_projector(s4, label)
-        if label == characters.trivial_label(s4):
+        if label == characters.irreducible_labels(s4)[0]:
             lam = 0.0  # centering wipes the trivial block
         else:
             dim = characters.dimension(s4, label)
@@ -584,6 +589,21 @@ def test_standard_coordinates_refuse_what_is_not_a_permutation(g):
     # (0, 1, 2) would wrap its 0 onto the last row; (1, 2, 4) would index past it.
     with pytest.raises(ValueError, match="not a permutation of 1..3"):
         standard_rep_coordinates(g, 3)
+
+
+def test_standard_coordinates_are_refused_before_allocating(monkeypatch):
+    # 8 k n^2 bytes of output: 2 rows at n = 5 take 400.
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    rows = [[1, 2, 3, 4, 5], [2, 1, 3, 4, 5]]
+    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 399)
+    monkeypatch.setattr(np, "full", no_allocation)
+    with pytest.raises(TooLargeError, match="needs 400 bytes, above the table bound 399 bytes"):
+        standard_rep_coordinates(rows, 5)
+    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 400)
+    with pytest.raises(AssertionError, match="allocated"):
+        standard_rep_coordinates(rows, 5)
 
 
 def squared_distances(x):
@@ -734,7 +754,7 @@ def zero_entry_by_coefficients(spec, metric):
     dim^2 summed over the nontrivial labels whose coefficient is zero,
     listed in irreducible order."""
     sigma = characters.decompose_class_function(mu_from_metric(spec, metric)).coefficients
-    trivial = characters.trivial_label(spec)
+    trivial = characters.irreducible_labels(spec)[0]
     labels = tuple(lab for lab in characters.irreducible_labels(spec)
                    if lab != trivial and sigma[lab] == 0)
     return sum(characters.dimension(spec, lab) ** 2 for lab in labels), labels
