@@ -5,22 +5,20 @@ Exit codes: 0 success, 1 a failed verify check, 2 usage or parse error (an
 ``--input`` that cannot be read or is not UTF-8, ``error: cannot read PATH:
 ...``, and an unwritable ``--out``, ``error: cannot write PATH: ...``,
 included), 3 resource guard tripped.
-Every subcommand is deterministic given its flags, input files, and seed.
+Every subcommand is deterministic given its flags, input files, and seed,
+and imports only the modules it runs: ``--help`` and usage errors load no
+numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from functools import partial
 from operator import itemgetter
 
-import numpy as np
-
-from . import characters, dense, groups, metrics, rankings, spectral, verify
 from .errors import (
     InvalidElementError,
     RankingParseError,
@@ -60,6 +58,8 @@ def _group_from_args(parser, args) -> groups.GroupSpec:
     size = getattr(args, flag)
     if size is None:
         parser.error(f"--group {args.group} requires --{flag}")
+    from . import groups
+
     build = {"sn": groups.symmetric, "c2k": groups.elementary_abelian_2, "cyclic": groups.cyclic}
     try:
         return build[args.group](size)
@@ -68,6 +68,8 @@ def _group_from_args(parser, args) -> groups.GroupSpec:
 
 
 def _metric_from_args(parser, spec, args):
+    from . import metrics
+
     if args.metric is None:
         return metrics.default_metric(spec)
     build = metrics.hamming_metric if args.metric == "hamming" else metrics.circular_arc_metric
@@ -81,6 +83,8 @@ def _check_cap(spec, cap: int) -> None:
     """``--cap``, the user's bound on the order of the group the dense oracle
     builds; n! passes it within cap.bit_length() + 1 factors, so no more are
     multiplied."""
+    from . import groups
+
     order = (math.factorial(min(spec.size, cap.bit_length() + 1))
              if spec.kind == groups.SYMMETRIC else spec.order)
     if order > cap:
@@ -98,6 +102,10 @@ def _add_group_flags(sub, metric: bool = True):
 
 
 def cmd_spectrum(parser, args) -> int:
+    import json
+
+    from . import groups, spectral
+
     spec = _group_from_args(parser, args)
     metric = _metric_from_args(parser, spec, args)
     try:
@@ -112,6 +120,8 @@ def cmd_spectrum(parser, args) -> int:
             summary = spectral.spectrum_via_characters(spec, metric)
         doc = summary.to_json_dict()
         if args.verify:
+            from . import dense, verify
+
             _check_cap(spec, args.cap)
             kernel = verify.dense_oracle(spec, metric)[1]  # distances not kept
             deviation, ok = verify.spectrum_match_deviation(
@@ -126,6 +136,8 @@ def cmd_spectrum(parser, args) -> int:
 
 
 def cmd_chartable(parser, args) -> int:
+    from . import characters, groups
+
     spec = _group_from_args(parser, args)
     n_classes = groups.conjugacy_class_count(spec)
     if n_classes > args.max_classes:
@@ -141,6 +153,8 @@ def cmd_chartable(parser, args) -> int:
 
 
 def cmd_embed(parser, args) -> int:
+    from . import dense, rankings
+
     if args.dims < 1:
         parser.error("--dims must be >= 1")
     try:
@@ -159,6 +173,8 @@ def cmd_embed(parser, args) -> int:
 
 def _floats(texts: list) -> np.ndarray:
     """Each text by ``float()``'s rules; nan (not finite) where it refuses."""
+    import numpy as np
+
     try:
         return np.fromiter(map(float, texts), dtype=float, count=len(texts))
     except ValueError:
@@ -177,6 +193,8 @@ def _read_embedding_csv(path):
     weight column (1.0 without one), each read as a whole column. A
     ValueError names the first row that misses a needed field or holds one
     that is not a finite number."""
+    import numpy as np
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -223,6 +241,8 @@ def cmd_plot(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
+    from . import verify
+
     spec = _group_from_args(parser, args)
     metric = _metric_from_args(parser, spec, args)
     _check_cap(spec, args.cap)
@@ -234,6 +254,8 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_synthesize(parser, args) -> int:
+    from . import rankings
+
     if args.items < 2 or args.rows < 1:
         parser.error("--items must be >= 2 and --rows >= 1")
     dataset = rankings.synthesize_rankings(args.items, args.rows, args.seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
@@ -80,6 +81,12 @@ def hamming_metric(spec: GroupSpec) -> Metric:
     if spec.kind == groups.ELEMENTARY_ABELIAN_2:
         return Metric(HAMMING_BITVECTOR, spec)
     raise InvalidElementError(f"no Hamming metric on {spec.text}")
+
+
+def standard_coefficient(n: int) -> Fraction:
+    """mu's coefficient on [n-1,1], the block of all the positive spectrum, for
+    Hamming distance on S_n: (2n-3)/2 from n = 3 on, 1 at n = 2 ([1,1] is the sign)."""
+    return Fraction(2 * n - 3, 2) if n > 2 else Fraction(1)
 
 
 def circular_arc_metric(spec: GroupSpec) -> Metric:

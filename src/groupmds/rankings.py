@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from . import dense, groups, metrics, spectral
+from . import dense, groups, metrics
 from .dense import EmbeddingResult
 from .errors import RankingParseError
 
@@ -253,7 +253,7 @@ def _standard_block_embedding(samples: AggregatedSamples, n: int, dims: int):
                  // groups.FLOPS_PER_STEP)
     ref = int(np.argmax(samples.weights))  # weights scaled by a power of two: exact; W^2 < 2^1024
     w = np.ldexp(samples.weights.astype(float), -np.frexp(float(samples.weights[ref]))[1])
-    scale2 = float(spectral.standard_coefficient(n))
+    scale2 = float(metrics.standard_coefficient(n))
     total, w[ref] = w.sum(), 0.0  # then counts skip row r
     ranks = np.subtract(samples.permutations.T, 1, order="C")  # ranks[j] = g(j) - 1
     c1 = np.stack([np.bincount(r, w, minlength=n) for r in ranks], axis=1)  # rows with g(j) = a + 1

@@ -32,6 +32,7 @@ from .characters import ClassFunction, label_text
 from .errors import NotBiInvariantError, TooLargeError, UnsupportedClosedFormError
 from .exact import Scalar, normalize_scalar, scalar_sign
 from .groups import GroupSpec, Partition
+from .metrics import standard_coefficient
 
 # Random conjugates on which mu_from_metric re-checks each non-singleton
 # class's distance to the identity, on whole arrays of at most
@@ -236,12 +237,6 @@ def closed_form_c2k(k: int) -> SpectralSummary:
     singletons, pairs = characters.subsets_by_size(k, (1, 2))
     return _build_summary(groups.elementary_abelian_2(k), metrics.HAMMING_BITVECTOR,
                           [(Fraction(k, 4), 1, singletons), (Fraction(-1, 4), 1, pairs)])
-
-
-def standard_coefficient(n: int) -> Fraction:
-    """mu's coefficient on [n-1,1], the block of all the positive spectrum, for
-    Hamming distance on S_n: (2n-3)/2 from n = 3 on, 1 at n = 2 ([1,1] is the sign)."""
-    return Fraction(2 * n - 3, 2) if n > 2 else Fraction(1)
 
 
 def closed_form_sn(n: int) -> SpectralSummary:

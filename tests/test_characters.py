@@ -340,6 +340,30 @@ def test_one_sn_label_admits_the_whole_character_walk(monkeypatch, call):
         call(symmetric(25), Partition((24, 1)))
 
 
+@pytest.mark.parametrize("call", [character_class_function, tensor_square_decomposition])
+def test_one_cyclic_label_admits_every_root(monkeypatch, call):
+    # The row lists all n roots, phi(n) integers each, at 16 a step: the
+    # prime C_8941 (4,995,783 steps) is admitted and C_8951 refused at once,
+    # as is the prime C_11579, whose reduction matrix is just under the byte
+    # bound.
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    for n, steps in ((8951, 5006965), (11579, 8378853)):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError) as info:
+            call(cyclic(n), 1)
+        assert time.perf_counter() - start < 0.5
+        assert str(info.value) == (f"the roots of unity of cyclic({n}) needs {steps} steps, "
+                                   "above the work bound 5000000 steps")
+    monkeypatch.setattr(characters.Cyclotomic, "root", admitted)
+    with pytest.raises(Admitted):
+        call(cyclic(8941), 1)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_c2k_table_is_the_per_cell_values_without_per_cell_calls(monkeypatch, k):
     spec = elementary_abelian_2(k)

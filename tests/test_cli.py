@@ -664,29 +664,110 @@ def test_console_script_entry_point(tmp_path):
     assert result.stderr.startswith("error: ")
 
 
-def test_spectrum_and_verify_never_import_numpy_random():
-    # numpy.random costs several MiB of resident memory; the checks draw
-    # their random elements from the standard library instead.
+_CLI = {"groupmds", "groupmds.cli", "groupmds.errors"}
+_EXACT = {"groupmds.groups", "groupmds.characters", "groupmds.exact"}
+_SPECTRUM = _EXACT | {"groupmds.metrics", "groupmds.spectral"}
+_ORACLE = _SPECTRUM | {"groupmds.dense", "groupmds.verify"}
+_EMBED = {"groupmds.groups", "groupmds.metrics", "groupmds.dense", "groupmds.rankings"}
+
+
+@pytest.mark.parametrize("argv, status, modules, numpy_loaded", [
+    pytest.param("--help", 0, _CLI, False, id="help"),
+    pytest.param("spectrum --n 5", 2, _CLI, False, id="usage-error"),
+    pytest.param("plot --input {embedding}", 0, _CLI | {"groupmds.plotting"}, True, id="plot"),
+    pytest.param("chartable --group sn --n 5", 0, _CLI | _EXACT, True, id="chartable"),
+    pytest.param("spectrum --group sn --n 8", 0, _CLI | _SPECTRUM, True, id="spectrum"),
+    pytest.param("embed --input {rankings}", 0, _CLI | _EMBED, True, id="embed"),
+    pytest.param("spectrum --group c2k --k 9 --verify", 0, _CLI | _ORACLE, True,
+                 id="spectrum-verify"),
+    pytest.param("verify --group sn --n 6", 0, _CLI | _ORACLE, True, id="verify"),
+])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, status, modules, numpy_loaded):
+    # Each subcommand imports what it runs: --help and argparse errors load
+    # no numpy, and no subcommand loads numpy.random, which costs several MiB
+    # of resident memory (the checks draw from the standard library instead).
+    rankings = tmp_path / "rankings.txt"
+    rankings.write_text("a,b,c,d\n1,2,3,4\n2,1,4,3;3\n4,3,1,2\n", encoding="utf-8")
+    embedding = tmp_path / "embedding.csv"
+    embedding.write_text("label,weight,x1,x2,x3\na,1,0.5,-1,2\nb,2,-0.5,1,0\n", encoding="utf-8")
     code = (
         "import sys\n"
         "from groupmds import cli\n"
-        "for argv in (['spectrum', '--group', 'sn', '--n', '8'],\n"
-        "             ['spectrum', '--group', 'c2k', '--k', '9', '--verify'],\n"
-        "             ['verify', '--group', 'sn', '--n', '6']):\n"
-        "    assert cli.main(argv + ['--out', sys.argv[1]]) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'groupmds')\n"
+        "print(code, *loaded, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
-    result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
-                            text=True, env=_child_env())
+    args = argv.format(rankings=rankings, embedding=embedding).split()
+    if args[0] != "--help":
+        args += ["--out", os.devnull]
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                            env=_child_env())
+    exit_code, *loaded, has_numpy, has_random = result.stdout.splitlines()[-1].split()
+    assert exit_code == str(status), result.stderr
+    assert set(loaded) == modules
+    assert (has_numpy, has_random) == (str(numpy_loaded), "False")
+
+
+# Every name the package exported when it imported all its modules at once.
+_PUBLIC = {
+    "dense": ["EmbeddingResult", "MdsKernel", "SpectralDecomposition", "classical_embedding",
+              "double_center", "eigendecompose", "embedding_to_csv",
+              "full_rank_pseudo_embedding", "strain"],
+    "errors": ["GroupMdsError", "InvalidElementError", "NotBiInvariantError", "RankingParseError",
+               "TooLargeError", "UnsupportedClosedFormError"],
+    "groups": ["GroupSpec", "Partition", "conjugacy_classes", "cycle_type", "cyclic",
+               "elementary_abelian_2", "enumerate_elements", "multiply", "partitions_of",
+               "symmetric"],
+    "metrics": ["DistanceMatrix", "Metric", "build_distance_matrix", "check_invariance",
+                "circular_arc_metric", "hamming_metric"],
+    "characters": ["CharacterTable", "ClassFunction", "DecompositionResult", "character_table",
+                   "decompose_class_function", "dimension", "inner_product",
+                   "tensor_square_decomposition"],
+    "spectral": ["IsotypicProjector", "SpectralEntry", "SpectralSummary", "closed_form_c2k",
+                 "closed_form_sn", "convolution_matrix", "isotypic_projector", "mu_from_metric",
+                 "spectrum_via_characters", "standard_rep_coordinates"],
+    "rankings": ["PermutationSample", "RankingDataset", "aggregate", "embed_dataset",
+                 "parse_rankings", "ranking_to_permutation", "synthesize_rankings"],
+    "verify": ["oracle_equivalence_report"],
+}
+
+
+def test_the_lazy_namespace_exports_every_public_name():
+    import importlib
+
+    import groupmds
+
+    names = [name for names in _PUBLIC.values() for name in names]
+    assert len(names) == 57
+    for module, module_names in _PUBLIC.items():
+        home = importlib.import_module(f"groupmds.{module}")
+        for name in module_names:
+            namespace = {}
+            exec(f"from groupmds import {name}", namespace)
+            assert namespace[name] is getattr(home, name), name
+    assert groupmds.__version__ == "0.1.0"
+    assert set(names) | {"__version__"} <= set(dir(groupmds))
+    with pytest.raises(AttributeError, match="no attribute 'character_value'"):
+        groupmds.character_value
+    code = "import sys, groupmds\nprint('numpy' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_child_env())
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "20"), ("28", "28")])
 def test_import_sets_the_openblas_thread_timeout_only_as_a_default(preset, expected):
+    # Importing any submodule first runs the package's __init__, so numpy
+    # never loads before the default is set.
     env = _child_env(**({} if preset is None else {"OPENBLAS_THREAD_TIMEOUT": preset}))
-    code = "import os, groupmds\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (result.returncode, result.stdout) == (0, expected + "\n"), result.stderr
+    for first in ("groupmds", "groupmds.dense"):
+        code = f"import os, {first}\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env)
+        assert (result.returncode, result.stdout) == (0, expected + "\n"), (first, result.stderr)
 
 
 def test_output_bytes_do_not_depend_on_the_openblas_thread_timeout(tmp_path, capsys):
