@@ -308,19 +308,22 @@ def _character_rows(spec: GroupSpec, labels) -> list:
     a label and one formula per kind: the S_n columns of one power-sum
     walk, the list of roots of unity on C_n, and on (C_2)^k the Walsh signs
     (-1)^popcount(value(S) & g) on arrays, class g being the element of
-    binary value g. The S_n walk builds the whole table for any labels, so
-    it is admitted first at a step a cell, p(n)^2, plus the sweep; the C_n
-    list holds every root for any labels, n of phi(n) integers each, so it is
-    admitted first at 16 integers a step (one row took 105-120 ns an integer
-    from C_1009 to C_6007)."""
+    binary value g. Whatever the labels, the S_n walk builds the whole
+    table, admitted first at 1.3 steps a cell, p(n)^2, and a bead of the
+    sweep (S_25's row took 2.4-2.9 us a cell, a step being 2 us); the C_n
+    list holds all n roots, phi(n) integers each, admitted first at 16
+    integers a step and 16 bytes an integer, 8 in the reduction matrix and 8
+    in the roots (105-120 ns and 16.0 bytes an integer, C_2003 to C_6007)."""
     n, classes = spec.size, groups.conjugacy_classes(spec)
     if spec.kind == groups.SYMMETRIC:
-        groups.admit(f"the character walk of {spec.text}", work=len(classes) ** 2 + _sn_sweep(n))
+        groups.admit(f"the character walk of {spec.text}",
+                     work=13 * (len(classes) ** 2 + _sn_sweep(n)) // 10)
         columns = _sn_columns(n)
         return [tuple(columns[cls.label.parts].get(mask, 0) for cls in classes)
                 for mask in (_beta_mask(lab.parts, n) for lab in labels)]
     if spec.kind == groups.CYCLIC:
-        groups.admit(f"the roots of unity of {spec.text}", work=n * euler_phi(n) // 16)
+        groups.admit(f"the roots of unity of {spec.text}", work=n * euler_phi(n) // 16,
+                     nbytes=16 * n * euler_phi(n))
         roots = [normalize_scalar(Cyclotomic.root(n, e)) for e in range(n)]
         return [tuple(roots[lab * a % n] for a in range(n)) for lab in labels]
     values = np.array([subset_bit_value(spec, lab) for lab in labels], dtype=np.int64)

@@ -16,15 +16,12 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import suppress
 from functools import partial
 from operator import itemgetter
 
-from .errors import (
-    InvalidElementError,
-    RankingParseError,
-    TooLargeError,
-    UnsupportedClosedFormError,
-)
+from .errors import (InvalidElementError, RankingParseError, TooLargeError,
+                     UnsupportedClosedFormError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -101,36 +98,33 @@ def _add_group_flags(sub, metric: bool = True):
                          help="defaults to hamming on sn/c2k and arc on cyclic")
 
 
+def _exact_spectrum(spec, metric):
+    """The metric kind's closed form where it covers the size (it refuses any
+    other before any work), else the character path, whose guards decide."""
+    from . import metrics, spectral
+
+    closed_forms = {metrics.HAMMING_PERMUTATION: spectral.closed_form_sn,
+                    metrics.HAMMING_BITVECTOR: spectral.closed_form_c2k}
+    if metric.kind in closed_forms:
+        with suppress(UnsupportedClosedFormError):
+            return closed_forms[metric.kind](spec.size)
+    return spectral.spectrum_via_characters(spec, metric)
+
+
 def cmd_spectrum(parser, args) -> int:
     import json
 
-    from . import groups, spectral
-
     spec = _group_from_args(parser, args)
     metric = _metric_from_args(parser, spec, args)
-    try:
-        if args.closed_form:
-            if spec.kind == groups.SYMMETRIC:
-                summary = spectral.closed_form_sn(spec.size)
-            elif spec.kind == groups.ELEMENTARY_ABELIAN_2:
-                summary = spectral.closed_form_c2k(spec.size)
-            else:
-                parser.error("--closed-form covers only sn and c2k groups")
-        else:
-            summary = spectral.spectrum_via_characters(spec, metric)
-        doc = summary.to_json_dict()
-        if args.verify:
-            from . import dense, verify
+    summary = _exact_spectrum(spec, metric)
+    doc = summary.to_json_dict()
+    if args.verify:
+        from . import dense, verify
 
-            _check_cap(spec, args.cap)
-            kernel = verify.dense_oracle(spec, metric)[1]  # distances not kept
-            deviation, ok = verify.spectrum_match_deviation(
-                summary, dense.kernel_eigenvalues(kernel)
-            )
-            doc["dense_max_deviation"] = deviation
-            doc["dense_match"] = ok
-    except UnsupportedClosedFormError as exc:
-        parser.error(str(exc))
+        _check_cap(spec, args.cap)
+        kernel = verify.dense_oracle(spec, metric)[1]  # distances not kept
+        doc["dense_max_deviation"], doc["dense_match"] = verify.spectrum_match_deviation(
+            summary, dense.kernel_eigenvalues(kernel))
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -276,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="predicted MDS spectrum as JSON")
     _add_group_flags(p_spec)
-    p_spec.add_argument("--closed-form", action="store_true", dest="closed_form")
     p_spec.add_argument("--verify", action="store_true", help="append dense-oracle deviation")
     p_spec.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP)
     p_spec.add_argument("--out", default=None)

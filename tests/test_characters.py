@@ -322,46 +322,48 @@ def test_table_guard():
 @pytest.mark.parametrize("call", [character_class_function, tensor_square_decomposition])
 def test_one_sn_label_admits_the_whole_character_walk(monkeypatch, call):
     # The walk builds every column for any label: p(n)^2 cells plus the
-    # sweep. S_25 (4,066,164 steps) is admitted; S_26 is refused at once.
+    # sweep, at 1.3 steps each. S_24 (3,453,758 steps) is admitted; S_25 and
+    # S_26 are refused at once.
     class Admitted(Exception):
         pass
 
     def admitted(n):
         raise Admitted
 
-    start = time.perf_counter()
-    with pytest.raises(TooLargeError) as info:
-        call(symmetric(26), Partition((25, 1)))
-    assert time.perf_counter() - start < 1.0
-    assert str(info.value) == ("the character walk of symmetric(26) needs 6239128 steps, "
-                               "above the work bound 5000000 steps")
+    for n, steps in ((25, 5286013), (26, 8110866)):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError) as info:
+            call(symmetric(n), Partition((n - 1, 1)))
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (f"the character walk of symmetric({n}) needs {steps} steps, "
+                                   "above the work bound 5000000 steps")
     monkeypatch.setattr(characters, "_sn_columns", admitted)
     with pytest.raises(Admitted):
-        call(symmetric(25), Partition((24, 1)))
+        call(symmetric(24), Partition((23, 1)))
 
 
 @pytest.mark.parametrize("call", [character_class_function, tensor_square_decomposition])
 def test_one_cyclic_label_admits_every_root(monkeypatch, call):
-    # The row lists all n roots, phi(n) integers each, at 16 a step: the
-    # prime C_8941 (4,995,783 steps) is admitted and C_8951 refused at once,
-    # as is the prime C_11579, whose reduction matrix is just under the byte
-    # bound.
+    # The row lists all n roots, phi(n) integers each, and holds them with
+    # the reduction matrix, 16 bytes an integer: the prime C_8191
+    # (1,073,348,640 bytes) is admitted, and C_8209, C_8941 and C_11579, whose
+    # reduction matrix alone is just under the byte bound, are refused at once.
     class Admitted(Exception):
         pass
 
     def admitted(*args):
         raise Admitted
 
-    for n, steps in ((8951, 5006965), (11579, 8378853)):
+    for n, nbytes in ((8209, 1078071552), (8941, 1278920640), (11579, 2144986592)):
         start = time.perf_counter()
         with pytest.raises(TooLargeError) as info:
             call(cyclic(n), 1)
         assert time.perf_counter() - start < 0.5
-        assert str(info.value) == (f"the roots of unity of cyclic({n}) needs {steps} steps, "
-                                   "above the work bound 5000000 steps")
+        assert str(info.value) == (f"the roots of unity of cyclic({n}) needs {nbytes} bytes, "
+                                   "above the table bound 1073741824 bytes")
     monkeypatch.setattr(characters.Cyclotomic, "root", admitted)
     with pytest.raises(Admitted):
-        call(cyclic(8941), 1)
+        call(cyclic(8191), 1)
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupmds import cli, dense, groups, metrics
+from groupmds import cli, dense, groups, metrics, spectral
 
 
 def run_cli(capsys, *argv):
@@ -50,7 +50,7 @@ def test_spectrum_s4(capsys):
 
 def test_spectrum_closed_form_k10(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--group", "c2k", "--k", "10",
-                           "--metric", "hamming", "--closed-form")
+                           "--metric", "hamming")
     assert code == 0
     entries = entries_by_value(json.loads(out))
     assert entries[Fraction(2560)]["multiplicity"] == 10
@@ -60,8 +60,7 @@ def test_spectrum_closed_form_k10(capsys):
 def test_spectrum_closed_form_elides_zero_labels_past_the_cap(capsys):
     # 2^16 irreducibles lie above the enumeration cap: the zero entry keeps
     # its multiplicity and lists no labels, as at k = 17.
-    code, out, _ = run_cli(capsys, "spectrum", "--group", "c2k", "--k", "16",
-                           "--closed-form")
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "c2k", "--k", "16")
     assert code == 0
     zero = entries_by_value(json.loads(out))[Fraction(0)]
     assert zero["multiplicity"] == 2 ** 16 - 1 - 16 - 120
@@ -185,16 +184,44 @@ def test_counts_past_the_int_text_limit_are_refused_in_one_line(capsys, argv, me
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv, code", [
-    ("--group sn --n 170", 0), ("--group sn --n 171", 2), ("--group c2k --k 1017", 2),
+@pytest.mark.parametrize("argv, code, message", [
+    ("--group sn --n 170", 0, ""),
+    ("--group sn --n 171", 3,
+     "symmetric(171) has 301384802048 irreducibles, above the enumeration cap 50000"),
+    ("--group c2k --k 1017", 3,
+     "elementary-abelian-2(1017) has 2^1017 irreducibles, above the enumeration cap 50000"),
 ], ids=["sn-170", "sn-171", "c2k-1017"])
-def test_closed_form_edge_of_the_float64_range(capsys, argv, code):
-    code_, out, err = run_cli(capsys, "spectrum", "--closed-form", *argv.split())
+def test_closed_form_edge_of_the_float64_range(capsys, argv, code, message):
+    # Past its float64 range a closed form declines, and the character path's
+    # guards refuse the request.
+    code_, out, err = run_cli(capsys, "spectrum", *argv.split())
     assert code_ == code
     if code:
-        assert "is past the float64 range" in err
+        assert (out, err) == ("", f"error: {message}\n")
     else:
         assert all(math.isfinite(e["eigenvalue_float"]) for e in json.loads(out)["entries"])
+
+
+SPECTRUM_GROUPS = ([("sn", "--n", n) for n in range(2, 13)]
+                   + [("c2k", "--k", k) for k in range(1, 13)])
+
+
+@pytest.mark.parametrize("group, flag, size", SPECTRUM_GROUPS,
+                         ids=[f"{g}{size}" for g, _, size in SPECTRUM_GROUPS])
+def test_spectrum_prints_the_character_path_bytes(capsys, group, flag, size):
+    # The closed form answers from S_4 and (C_2)^1 on; S_2 and S_3 fall
+    # through to the character path. Either way the bytes are its.
+    spec = groups.symmetric(size) if group == "sn" else groups.elementary_abelian_2(size)
+    summary = spectral.spectrum_via_characters(spec, metrics.hamming_metric(spec))
+    code, out, err = run_cli(capsys, "spectrum", "--group", group, flag, str(size))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(summary.to_json_dict(), indent=2) + "\n"
+
+
+def test_spectrum_has_no_closed_form_option(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--group", "sn", "--n", "5", "--closed-form")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --closed-form" in err
 
 
 @pytest.mark.parametrize("n, cap, refused", [
@@ -234,7 +261,7 @@ REFUSED_FOR_WORK = {
     "chartable-sn30": "chartable --max-classes 50000 --group sn --n 30",
     "chartable-c2k13": "chartable --max-classes 50000 --group c2k --k 13",
     "chartable-cyclic2000": "chartable --max-classes 50000 --group cyclic --n 2000",
-    "spectrum-sn41": "spectrum --group sn --n 41",
+    "spectrum-cyclic3001": "spectrum --group cyclic --n 3001",
     "spectrum-verify-c2k13": "spectrum --group c2k --k 13 --verify --cap 10000",
     "verify-c2k13": "verify --group c2k --k 13 --cap 10000",
     "verify-cyclic3000": "verify --group cyclic --n 3000 --cap 5000",
@@ -659,7 +686,7 @@ def test_console_script_entry_point(tmp_path):
     result = script("embed", "--input", str(missing))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith(f"error: cannot read {missing}: ")
-    result = script("spectrum", "--group", "sn", "--n", "40")
+    result = script("spectrum", "--group", "sn", "--n", "171")
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr.startswith("error: ")
 
