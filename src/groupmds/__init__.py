@@ -19,7 +19,26 @@ import os
 # different from 16 there. A value the user sets still wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
+import sys
 from importlib import import_module
+
+
+class _LazyNumpy:
+    """numpy, imported on the first attribute read. That read binds numpy
+    itself as ``np`` in each submodule that took this stand-in, so from then
+    on ``np`` is numpy and no attribute passes through here."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        globals()["_np"] = numpy
+        for key, module in list(sys.modules.items()):
+            if key.startswith(f"{__name__}.") and vars(module).get("np") is self:
+                module.np = numpy
+        return getattr(numpy, name)
+
+
+_np = _LazyNumpy()
 
 _HOMES = {
     "dense": ("EmbeddingResult", "MdsKernel", "SpectralDecomposition", "classical_embedding",

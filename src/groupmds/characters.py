@@ -28,8 +28,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Dict, Mapping, Tuple
 
-import numpy as np
-
+from . import _np as np
 from . import groups
 from .errors import InvalidElementError
 from .exact import (

@@ -18,6 +18,7 @@ import math
 import sys
 from contextlib import suppress
 from functools import partial
+from itertools import takewhile
 from operator import itemgetter
 
 from .errors import (InvalidElementError, RankingParseError, TooLargeError,
@@ -116,12 +117,13 @@ def cmd_spectrum(parser, args) -> int:
 
     spec = _group_from_args(parser, args)
     metric = _metric_from_args(parser, spec, args)
+    if args.verify:
+        _check_cap(spec, args.cap)
     summary = _exact_spectrum(spec, metric)
     doc = summary.to_json_dict()
     if args.verify:
         from . import dense, verify
 
-        _check_cap(spec, args.cap)
         kernel = verify.dense_oracle(spec, metric)[1]  # distances not kept
         doc["dense_max_deviation"], doc["dense_match"] = verify.spectrum_match_deviation(
             summary, dense.kernel_eigenvalues(kernel))
@@ -165,14 +167,12 @@ def cmd_embed(parser, args) -> int:
     return EXIT_OK
 
 
-def _floats(texts: list) -> np.ndarray:
+def _floats(texts: list) -> list:
     """Each text by ``float()``'s rules; nan (not finite) where it refuses."""
-    import numpy as np
-
     try:
-        return np.fromiter(map(float, texts), dtype=float, count=len(texts))
+        return list(map(float, texts))
     except ValueError:
-        return np.array([_float_or_nan(text) for text in texts])
+        return list(map(_float_or_nan, texts))
 
 
 def _float_or_nan(text: str) -> float:
@@ -183,12 +183,10 @@ def _float_or_nan(text: str) -> float:
 
 
 def _read_embedding_csv(path):
-    """(coordinates, weights): the x columns as a (rows × c) array and the
-    weight column (1.0 without one), each read as a whole column. A
-    ValueError names the first row that misses a needed field or holds one
-    that is not a finite number."""
-    import numpy as np
-
+    """(columns, weights): each x column as a list of floats, and the weight
+    column (1.0 without one), each read as a whole column. A ValueError
+    names the first row that misses a needed field or holds one that is not
+    a finite number."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -197,16 +195,16 @@ def _read_embedding_csv(path):
     coord_cols = [i for i, name in enumerate(header) if name.startswith("x")]
     weight_col = header.index("weight") if "weight" in header else None
     needed = coord_cols + ([] if weight_col is None else [weight_col])
-    short = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) <= max(needed, default=-1)
-    whole = rows[:int(np.argmax(short))] if short.any() else rows
-    table = np.ones((len(whole), len(coord_cols) + 1))  # the last column holds the weights
-    for j, col in enumerate(needed):
-        table[:, j] = _floats(list(map(itemgetter(col), whole)))
-    bad = ~np.isfinite(table).all(axis=1)
-    first = int(np.argmax(bad)) if bad.any() else len(whole)
+    width = max(needed, default=-1) + 1
+    whole = list(takewhile(lambda row: len(row) >= width, rows))
+    columns = [_floats(list(map(itemgetter(col), whole))) for col in needed]
+    if weight_col is None:
+        columns.append([1.0] * len(whole))
+    finite = [list(map(math.isfinite, col)) for col in columns]
+    first = min((flags.index(False) for flags in finite if False in flags), default=len(whole))
     if first < len(rows):
         raise ValueError(f"malformed embedding row: {','.join(rows[first])!r}")
-    return table[:, :-1], table[:, -1]
+    return columns[:-1], columns[-1]
 
 
 def cmd_plot(parser, args) -> int:
@@ -215,19 +213,17 @@ def cmd_plot(parser, args) -> int:
     if args.color_col < 1:
         parser.error("--color-col must be >= 1")
     try:
-        coords, weights = _read_embedding_csv(args.input)
+        columns, weights = _read_embedding_csv(args.input)
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {args.input}: {exc}") from exc
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    rows, columns = coords.shape
-    if not rows or columns < 2:
+    if not weights or len(columns) < 2:
         raise _UsageError("need at least 2 coordinate columns")
     color_index = args.color_col - 1
-    colors = coords[:, color_index].tolist() if color_index < columns else [None] * rows
+    colors = columns[color_index] if color_index < len(columns) else [None] * len(weights)
     try:
-        svg = plotting.scatter_svg(list(zip(coords[:, 0].tolist(), coords[:, 1].tolist(),
-                                            weights.tolist(), colors)))
+        svg = plotting.scatter_svg(list(zip(columns[0], columns[1], weights, colors)))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     _emit(svg, args.out)

@@ -23,8 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple, Union
 
-import numpy as np
-
+from . import _np as np
 from .groups import admit
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
@@ -255,20 +254,21 @@ class Cyclotomic:
         return hash((self.order, self.num, self.den))
 
     def __str__(self):
-        text = ""
+        z = f"z{self.order}"
+        terms = []
         for e, c in enumerate(self.num):
             if not c:
                 continue
             g = math.gcd(c, self.den)
             term = f"{abs(c) // g}" if g == self.den else f"{abs(c) // g}/{self.den // g}"
             if e:
-                power = f"z{self.order}" if e == 1 else f"z{self.order}^{e}"
+                power = z if e == 1 else f"{z}^{e}"
                 term = power if term == "1" else f"{term}*{power}"
-            if text:
-                text += f" - {term}" if c < 0 else f" + {term}"
-            else:
-                text = f"-{term}" if c < 0 else term
-        return text or "0"
+            terms.append(f"- {term}" if c < 0 else f"+ {term}")
+        if not terms:
+            return "0"
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self})"

@@ -23,8 +23,7 @@ from itertools import permutations as _iter_permutations
 from itertools import product as _iter_product
 from typing import Iterator, Sequence, Tuple, Union
 
-import numpy as np
-
+from . import _np as np
 from .errors import InvalidElementError, TooLargeError
 
 # The bounds of admit(): items listed, bytes of one array or exact result

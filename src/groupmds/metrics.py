@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import numpy as np
-
+from . import _np as np
 from . import groups
 from .errors import InvalidElementError
 from .groups import GroupElement, GroupSpec

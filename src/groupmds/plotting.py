@@ -10,10 +10,7 @@ coordinate is available).
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 LOW_COLOR = (0x21, 0x66, 0xAC)
 HIGH_COLOR = (0xB2, 0x18, 0x2B)
@@ -23,23 +20,23 @@ MAX_RADIUS = 14.0
 _CIRCLE = '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="#%06x" fill-opacity="0.75"/>\n'
 
 
-def _ramp(t: np.ndarray) -> np.ndarray:
+def _ramp(t: list) -> list:
     """Each t in [0, 1] (clamped) as the 24-bit colour of the linear ramp,
     each channel rounded half to even."""
-    t = np.minimum(1.0, np.maximum(0.0, t))
-    rgb = 0
+    t = [min(1.0, max(0.0, v)) for v in t]
+    rgb = [0] * len(t)
     for lo, hi in zip(LOW_COLOR, HIGH_COLOR):
-        rgb = rgb * 256 + np.rint(lo + (hi - lo) * t).astype(np.int64)
+        rgb = [c * 256 + round(lo + (hi - lo) * v) for c, v in zip(rgb, t)]
     return rgb
 
 
-def _normalize(values: np.ndarray, lo_px: float, hi_px: float) -> np.ndarray:
-    vmin = values.min()
-    span = values.max() - vmin
+def _normalize(values: list, lo_px: float, hi_px: float) -> list:
+    vmin = min(values)
+    span = max(values) - vmin
     if span == 0.0:
-        return np.full(len(values), (lo_px + hi_px) / 2.0)
+        return [(lo_px + hi_px) / 2.0] * len(values)
     scale = (hi_px - lo_px) / span
-    return lo_px + (values - vmin) * scale
+    return [lo_px + (v - vmin) * scale for v in values]
 
 
 def scatter_svg(points: Sequence[Tuple[float, float, float, Optional[float]]]) -> str:
@@ -54,23 +51,24 @@ def scatter_svg(points: Sequence[Tuple[float, float, float, Optional[float]]]) -
     if not points:
         raise ValueError("nothing to plot")
     xs, ys, weights, colors = zip(*points)
-    weights = np.array(weights, dtype=float)
-    if not (weights > 0).all():
+    weights = list(map(float, weights))
+    if not all(w > 0 for w in weights):
         raise ValueError("weights must be positive")
-    px = _normalize(np.array(xs, dtype=float), MARGIN, SIZE - MARGIN)
+    px = _normalize(list(map(float, xs)), MARGIN, SIZE - MARGIN)
     # SVG y grows downward; flip so larger y plots higher.
-    py = _normalize(-np.array(ys, dtype=float), MARGIN, SIZE - MARGIN)
-    # pow, not np.sqrt: the two differ in the last bit on some ratios.
-    radii = MAX_RADIUS * np.array(list(map(pow, (weights / weights.max()).tolist(), repeat(0.5))))
-    t = np.full(len(weights), 0.5)
+    py = _normalize([-float(y) for y in ys], MARGIN, SIZE - MARGIN)
+    wmax = max(weights)
+    # pow, not math.sqrt: the two differ in the last bit on some ratios.
+    radii = [MAX_RADIUS * pow(w / wmax, 0.5) for w in weights]
+    t = [0.5] * len(weights)
     if None not in colors:
-        colors = np.array(colors, dtype=float)
-        cmin = colors.min()
-        cspan = colors.max() - cmin
+        colors = list(map(float, colors))
+        cmin = min(colors)
+        cspan = max(colors) - cmin
         if cspan > 0:
-            t = (colors - cmin) / cspan
+            t = [(c - cmin) / cspan for c in colors]
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
             f'viewBox="0 0 {SIZE} {SIZE}">\n'
             f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>\n')
-    circles = map(_CIRCLE.__mod__, zip(px.tolist(), py.tolist(), radii.tolist(), _ramp(t).tolist()))
+    circles = map(_CIRCLE.__mod__, zip(px, py, radii, _ramp(t)))
     return head + "".join(circles) + "</svg>\n"

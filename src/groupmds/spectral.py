@@ -25,8 +25,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, Tuple
 
-import numpy as np
-
+from . import _np as np
 from . import characters, groups, metrics
 from .characters import ClassFunction, label_text
 from .errors import NotBiInvariantError, TooLargeError, UnsupportedClosedFormError

@@ -108,6 +108,22 @@ def test_spectrum_verify_cap(capsys):
     assert "720" in err
 
 
+@pytest.mark.parametrize("group, cap_message", [
+    ("--group c2k --k 1016", "elementary-abelian-2(1016) has order 2^1016"),
+    ("--group sn --n 500", "symmetric(500) has order 500!"),
+    ("--group cyclic --n 5000", "cyclic(5000) has order 5000"),
+])
+def test_spectrum_verify_refuses_past_the_cap_before_the_spectrum(capsys, monkeypatch, group,
+                                                                 cap_message):
+    def no_spectrum(*args):
+        raise AssertionError("spectrum computed")
+
+    monkeypatch.setattr(cli, "_exact_spectrum", no_spectrum)
+    code, out, err = run_cli(capsys, "spectrum", *group.split(), "--verify")
+    assert (code, out) == (3, "")
+    assert err == f"error: {cap_message}, above the verification cap 720\n"
+
+
 def test_chartable_c22_csv(capsys):
     code, out, _ = run_cli(capsys, "chartable", "--group", "c2k", "--k", "2",
                            "--format", "csv")
@@ -701,9 +717,15 @@ _EMBED = {"groupmds.groups", "groupmds.metrics", "groupmds.dense", "groupmds.ran
 @pytest.mark.parametrize("argv, status, modules, numpy_loaded", [
     pytest.param("--help", 0, _CLI, False, id="help"),
     pytest.param("spectrum --n 5", 2, _CLI, False, id="usage-error"),
-    pytest.param("plot --input {embedding}", 0, _CLI | {"groupmds.plotting"}, True, id="plot"),
-    pytest.param("chartable --group sn --n 5", 0, _CLI | _EXACT, True, id="chartable"),
-    pytest.param("spectrum --group sn --n 8", 0, _CLI | _SPECTRUM, True, id="spectrum"),
+    pytest.param("plot --input {embedding}", 0, _CLI | {"groupmds.plotting"}, False, id="plot"),
+    pytest.param("chartable --group sn --n 5", 0, _CLI | _EXACT, False, id="chartable"),
+    pytest.param("chartable --group cyclic --n 5", 0, _CLI | _EXACT, True,
+                 id="chartable-cyclic"),
+    pytest.param("chartable --group c2k --k 3", 0, _CLI | _EXACT, True, id="chartable-c2k"),
+    pytest.param("spectrum --group sn --n 8", 0, _CLI | _SPECTRUM, False, id="spectrum"),
+    pytest.param("spectrum --group c2k --k 9", 0, _CLI | _SPECTRUM, False, id="spectrum-c2k"),
+    pytest.param("spectrum --group cyclic --n 12", 0, _CLI | _SPECTRUM, True,
+                 id="spectrum-cyclic"),
     pytest.param("embed --input {rankings}", 0, _CLI | _EMBED, True, id="embed"),
     pytest.param("spectrum --group c2k --k 9 --verify", 0, _CLI | _ORACLE, True,
                  id="spectrum-verify"),
@@ -713,6 +735,8 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, status, modules,
     # Each subcommand imports what it runs: --help and argparse errors load
     # no numpy, and no subcommand loads numpy.random, which costs several MiB
     # of resident memory (the checks draw from the standard library instead).
+    # numpy loads on the first array operation: the S_n and (C_2)^k closed
+    # forms, the S_n table and plot run none.
     rankings = tmp_path / "rankings.txt"
     rankings.write_text("a,b,c,d\n1,2,3,4\n2,1,4,3;3\n4,3,1,2\n", encoding="utf-8")
     embedding = tmp_path / "embedding.csv"
@@ -736,6 +760,28 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, status, modules,
     assert exit_code == str(status), result.stderr
     assert set(loaded) == modules
     assert (has_numpy, has_random) == (str(numpy_loaded), "False")
+
+
+def test_numpy_loads_on_the_first_array_operation():
+    # The S_n and (C_2)^k closed forms, the S_n table and the SVG run on
+    # Python numbers. The first array operation loads numpy and binds it as np
+    # in every module that took the stand-in, so no attribute read goes
+    # through the stand-in after that.
+    code = (
+        "import sys\n"
+        "from groupmds import characters, exact, groups, metrics, plotting, spectral\n"
+        "spectral.closed_form_sn(30)\n"
+        "spectral.closed_form_c2k(40)\n"
+        "characters.character_table(groups.symmetric(12))\n"
+        "plotting.scatter_svg([(0.0, 1.0, 2.0, 0.5), (1.0, 0.0, 1.0, -0.5)])\n"
+        "print('numpy' in sys.modules)\n"
+        "groups.array_forms(groups.symmetric(3), [(1, 2, 3)])\n"
+        "import numpy\n"
+        "print(*(m.np is numpy for m in (groups, metrics, characters, exact, spectral)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_child_env())
+    assert result.stdout.splitlines() == ["False", "True True True True True"], result.stderr
 
 
 # Every name the package exported when it imported all its modules at once.

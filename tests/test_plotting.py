@@ -93,9 +93,8 @@ def test_svg_is_byte_identical_to_the_per_point_reference(case):
 
 def test_ramp_rounds_half_to_even_like_round():
     # 0.5 puts every channel at an exact half: 0x21 + 0x91 / 2 = 105.5 and so on.
-    t = np.array([0.0, 0.5, 1.0, 0.25, 0.75])
-    assert ["#%06x" % v for v in plotting._ramp(t).tolist()] == [
-        reference_ramp(v) for v in t.tolist()]
+    t = [0.0, 0.5, 1.0, 0.25, 0.75]
+    assert ["#%06x" % v for v in plotting._ramp(t)] == [reference_ramp(v) for v in t]
 
 
 @pytest.mark.parametrize("weights", [(1.0, 0.0), (2.0, -1.0), (float("nan"), 1.0)])
