@@ -15,14 +15,14 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from contextlib import suppress
 from functools import partial
 from itertools import takewhile
 from operator import itemgetter
 
-from .errors import (InvalidElementError, RankingParseError, TooLargeError,
-                     UnsupportedClosedFormError)
+from .errors import RankingParseError, TooLargeError, UnsupportedClosedFormError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,18 +65,6 @@ def _group_from_args(parser, args) -> groups.GroupSpec:
         parser.error(f"--{flag} {size}: {exc}")
 
 
-def _metric_from_args(parser, spec, args):
-    from . import metrics
-
-    if args.metric is None:
-        return metrics.default_metric(spec)
-    build = metrics.hamming_metric if args.metric == "hamming" else metrics.circular_arc_metric
-    try:
-        return build(spec)
-    except InvalidElementError:
-        parser.error(f"metric {args.metric!r} is not defined on {spec.text}")
-
-
 def _check_cap(spec, cap: int) -> None:
     """``--cap``, the user's bound on the order of the group the dense oracle
     builds; n! passes it within cap.bit_length() + 1 factors, so no more are
@@ -90,13 +78,10 @@ def _check_cap(spec, cap: int) -> None:
                             f"{cap}", cap=cap)
 
 
-def _add_group_flags(sub, metric: bool = True):
+def _add_group_flags(sub):
     sub.add_argument("--group", required=True, choices=["sn", "c2k", "cyclic"])
     sub.add_argument("--n", type=int, help="n for sn/cyclic groups")
     sub.add_argument("--k", type=int, help="k for c2k groups")
-    if metric:
-        sub.add_argument("--metric", default=None, choices=["hamming", "arc"],
-                         help="defaults to hamming on sn/c2k and arc on cyclic")
 
 
 def _exact_spectrum(spec, metric):
@@ -115,8 +100,10 @@ def _exact_spectrum(spec, metric):
 def cmd_spectrum(parser, args) -> int:
     import json
 
+    from . import metrics
+
     spec = _group_from_args(parser, args)
-    metric = _metric_from_args(parser, spec, args)
+    metric = metrics.default_metric(spec)
     if args.verify:
         _check_cap(spec, args.cap)
     summary = _exact_spectrum(spec, metric)
@@ -154,8 +141,7 @@ def cmd_embed(parser, args) -> int:
     if args.dims < 1:
         parser.error("--dims must be >= 1")
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            dataset = rankings.parse_rankings(fh.read())
+        dataset = rankings.read_rankings(args.input)
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {args.input}: {exc}") from exc
     samples = rankings.aggregate(dataset)
@@ -186,8 +172,15 @@ def _read_embedding_csv(path):
     """(columns, weights): each x column as a list of floats, and the weight
     column (1.0 without one), each read as a whole column. A ValueError
     names the first row that misses a needed field or holds one that is not
-    a finite number."""
+    a finite number. A file refused by its size is not read."""
+    from . import groups
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        # Each byte is priced as in the costliest file, two-column rows "1,1":
+        # 145 bytes held and 1.44 us of plotting, 0.75 steps.
+        size = os.fstat(fh.fileno()).st_size
+        groups.admit(f"plotting {size} bytes of embedding", nbytes=150 * size,
+                     work=size * 3 // 4)
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError("empty embedding file")
@@ -231,12 +224,11 @@ def cmd_plot(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    from . import verify
+    from . import metrics, verify
 
     spec = _group_from_args(parser, args)
-    metric = _metric_from_args(parser, spec, args)
     _check_cap(spec, args.cap)
-    report = verify.oracle_equivalence_report(spec, metric)
+    report = verify.oracle_equivalence_report(spec, metrics.default_metric(spec))
     if args.dump_distances:
         _write(args.dump_distances, report.distances.to_csv())
     _emit("\n".join(report.lines()) + "\n", args.out)
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(handler=partial(cmd_spectrum, p_spec))
 
     p_chart = sub.add_parser("chartable", help="exact character table")
-    _add_group_flags(p_chart, metric=False)
+    _add_group_flags(p_chart)
     p_chart.add_argument("--format", default="text", choices=["text", "csv"])
     p_chart.add_argument("--max-classes", type=int, default=200)
     p_chart.add_argument("--out", default=None)

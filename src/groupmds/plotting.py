@@ -31,12 +31,13 @@ def _ramp(t: list) -> list:
 
 
 def _normalize(values: list, lo_px: float, hi_px: float) -> list:
-    vmin = min(values)
-    span = max(values) - vmin
+    # Halved, which is exact but on subnormals, so that max - min cannot overflow.
+    vmin = 0.5 * min(values)
+    span = 0.5 * max(values) - vmin
     if span == 0.0:
         return [(lo_px + hi_px) / 2.0] * len(values)
     scale = (hi_px - lo_px) / span
-    return [lo_px + (v - vmin) * scale for v in values]
+    return [lo_px + (0.5 * v - vmin) * scale for v in values]
 
 
 def scatter_svg(points: Sequence[Tuple[float, float, float, Optional[float]]]) -> str:
@@ -63,10 +64,10 @@ def scatter_svg(points: Sequence[Tuple[float, float, float, Optional[float]]]) -
     t = [0.5] * len(weights)
     if None not in colors:
         colors = list(map(float, colors))
-        cmin = min(colors)
-        cspan = max(colors) - cmin
+        cmin = 0.5 * min(colors)
+        cspan = 0.5 * max(colors) - cmin
         if cspan > 0:
-            t = [(c - cmin) / cspan for c in colors]
+            t = [(0.5 * c - cmin) / cspan for c in colors]
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
             f'viewBox="0 0 {SIZE} {SIZE}">\n'
             f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>\n')

@@ -38,8 +38,7 @@ def entries_by_value(doc):
 
 
 def test_spectrum_s4(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "--group", "sn", "--n", "4",
-                           "--metric", "hamming")
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "sn", "--n", "4")
     assert code == 0
     doc = json.loads(out)
     entries = entries_by_value(doc)
@@ -49,8 +48,7 @@ def test_spectrum_s4(capsys):
 
 
 def test_spectrum_closed_form_k10(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "--group", "c2k", "--k", "10",
-                           "--metric", "hamming")
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "c2k", "--k", "10")
     assert code == 0
     entries = entries_by_value(json.loads(out))
     assert entries[Fraction(2560)]["multiplicity"] == 10
@@ -68,8 +66,7 @@ def test_spectrum_closed_form_elides_zero_labels_past_the_cap(capsys):
 
 
 def test_spectrum_with_dense_verification(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "--group", "sn", "--n", "5",
-                           "--metric", "hamming", "--verify")
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "sn", "--n", "5", "--verify")
     assert code == 0
     doc = json.loads(out)
     assert doc["dense_match"] is True
@@ -94,7 +91,7 @@ def test_spectrum_verify_reads_eigenvalues_only(capsys, monkeypatch):
         ["chartable", "--group", "c2k", "--k", "-1"],
         ["verify", "--group", "cyclic", "--n", "0"],
     ],
-    ids=["hamming-on-cyclic", "sn-n0", "c2k-k-1", "cyclic-n0"],
+    ids=["unrecognized-metric-flag", "sn-n0", "c2k-k-1", "cyclic-n0"],
 )
 def test_spectrum_invalid_combination_is_usage_error(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
@@ -102,8 +99,7 @@ def test_spectrum_invalid_combination_is_usage_error(capsys, argv):
 
 
 def test_spectrum_verify_cap(capsys):
-    code, _, err = run_cli(capsys, "spectrum", "--group", "sn", "--n", "7",
-                           "--metric", "hamming", "--verify")
+    code, _, err = run_cli(capsys, "spectrum", "--group", "sn", "--n", "7", "--verify")
     assert code == 3
     assert "720" in err
 
@@ -148,6 +144,37 @@ def test_chartable_takes_no_metric(capsys):
     code, out, err = run_cli(capsys, "chartable", "--group", "sn", "--n", "4", "--metric", "arc")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --metric arc" in err
+
+
+# Each group carries one bi-invariant metric, so no command takes --metric,
+# not even with the value the group would use.
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("group, metric", [
+    ("--group sn --n 4", "hamming"),
+    ("--group c2k --k 3", "hamming"),
+    ("--group cyclic --n 6", "arc"),
+    ("--group cyclic --n 6", "hamming"),
+], ids=["sn-hamming", "c2k-hamming", "cyclic-arc", "cyclic-hamming"])
+def test_group_commands_take_no_metric(capsys, command, group, metric):
+    code, out, err = run_cli(capsys, command, *group.split(), "--metric", metric)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: --metric {metric}" in err
+
+
+@pytest.mark.parametrize("group, spec", [
+    ("--group sn --n 5", groups.symmetric(5)),
+    ("--group c2k --k 4", groups.elementary_abelian_2(4)),
+    ("--group cyclic --n 12", groups.cyclic(12)),
+], ids=["sn5", "c2k4", "cyclic12"])
+def test_spectrum_and_verify_use_the_group_s_metric(capsys, group, spec):
+    from groupmds import verify
+
+    metric = metrics.default_metric(spec)
+    summary = cli._exact_spectrum(spec, metric)
+    assert run_cli(capsys, "spectrum", *group.split()) == (
+        0, json.dumps(summary.to_json_dict(), indent=2) + "\n", "")
+    report = verify.oracle_equivalence_report(spec, metric)
+    assert run_cli(capsys, "verify", *group.split()) == (0, "\n".join(report.lines()) + "\n", "")
 
 
 P500 = 2300165032574323995027
@@ -499,6 +526,57 @@ def test_plot_toy_csv(tmp_path, capsys):
     assert len(set(fills)) == 3  # color ramp follows coordinate 3
 
 
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["x", "y", "color"])
+def test_plot_spans_past_the_float64_maximum(tmp_path, capsys, column):
+    high, low = ["0", "0", "1"], ["1", "1", "0"]
+    high[column], low[column] = "1e308", "-1e308"
+    csv_file = tmp_path / "huge.csv"
+    csv_file.write_text(f"x1,x2,x3\n{','.join(high)}\n{','.join(low)}\n")
+    code, out, _ = run_cli(capsys, "plot", "--input", str(csv_file))
+    assert code == 0
+    assert "nan" not in out and "inf" not in out
+    cells = [dict(re.findall(r'(\w+)="([^"]*)"', line)) for line in out.splitlines()
+             if line.startswith("<circle")]
+    margins = {"48.000", "672.000"}
+    assert {cells[0]["cx"], cells[1]["cx"]} == {cells[0]["cy"], cells[1]["cy"]} == margins
+    assert (cells[0]["fill"], cells[1]["fill"]) == ("#b2182b", "#2166ac")
+
+
+PLOT_EDGE = 6_666_667  # bytes: 0.75 steps each, the work bound's 5,000,000 steps
+
+
+@pytest.mark.parametrize("size, refused", [(PLOT_EDGE, False), (PLOT_EDGE + 1, True)])
+def test_plot_is_admitted_by_its_file_size_before_reading(tmp_path, capsys, monkeypatch, size,
+                                                          refused):
+    def no_reading(fh):
+        raise AssertionError("read")
+
+    big = tmp_path / "big.csv"
+    with open(big, "wb") as fh:
+        fh.truncate(size)  # sparse: only the size is ever looked at
+    monkeypatch.setattr(cli.csv, "reader", no_reading)
+    if not refused:
+        with pytest.raises(AssertionError, match="read"):
+            cli.main(["plot", "--input", str(big)])
+        return
+    code, out, err = run_cli(capsys, "plot", "--input", str(big))
+    assert (code, out) == (3, "")
+    assert err == (f"error: plotting {size} bytes of embedding needs 5000001 steps, above the "
+                   f"work bound {groups.WORK_MAX} steps\n")
+
+
+def test_embed_refuses_a_file_past_the_parser_s_limit_from_its_size(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    with open(big, "wb") as fh:
+        fh.truncate(8 * 10 ** 9)  # sparse: reading it would take far longer than the bound
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "embed", "--input", str(big))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err == ("error: parsing at least 2000000000 characters of rankings needs 50000000 "
+                   f"steps, above the work bound {groups.WORK_MAX} steps\n")
+
+
 def test_plot_missing_coordinates_is_usage_error(tmp_path, capsys):
     csv_file = tmp_path / "thin.csv"
     csv_file.write_text("id,label,weight,x1:+\n0,a,1,0.5\n")
@@ -557,9 +635,9 @@ def test_plot_byte_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--group", "sn", "--n", "4", "--metric", "hamming"],
-        ["verify", "--group", "c2k", "--k", "5", "--metric", "hamming"],
-        ["verify", "--group", "cyclic", "--n", "12", "--metric", "arc"],
+        ["verify", "--group", "sn", "--n", "4"],
+        ["verify", "--group", "c2k", "--k", "5"],
+        ["verify", "--group", "cyclic", "--n", "12"],
     ],
 )
 def test_verify_passes(capsys, argv):
@@ -628,10 +706,10 @@ def test_verify_cap_trips_before_dumping_distances(tmp_path, capsys):
 
 
 def test_spectrum_output_deterministic(capsys):
-    argv = ["spectrum", "--group", "sn", "--n", "5", "--metric", "hamming"]
-    _, first, _ = run_cli(capsys, *argv)
-    _, second, _ = run_cli(capsys, *argv)
+    argv = ["spectrum", "--group", "sn", "--n", "5"]
+    first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
     assert first == second
+    assert first[0] == 0
 
 
 def test_synthesize_deterministic_bytes(tmp_path, capsys):
@@ -695,7 +773,7 @@ def test_console_script_entry_point(tmp_path):
         return subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True,
                               text=True, env=env)
 
-    result = script("spectrum", "--group", "c2k", "--k", "3", "--metric", "hamming")
+    result = script("spectrum", "--group", "c2k", "--k", "3")
     assert result.returncode == 0
     assert json.loads(result.stdout)["group"] == "elementary-abelian-2(3)"
     missing = tmp_path / "no-such-file.txt"
@@ -717,7 +795,8 @@ _EMBED = {"groupmds.groups", "groupmds.metrics", "groupmds.dense", "groupmds.ran
 @pytest.mark.parametrize("argv, status, modules, numpy_loaded", [
     pytest.param("--help", 0, _CLI, False, id="help"),
     pytest.param("spectrum --n 5", 2, _CLI, False, id="usage-error"),
-    pytest.param("plot --input {embedding}", 0, _CLI | {"groupmds.plotting"}, False, id="plot"),
+    pytest.param("plot --input {embedding}", 0, _CLI | {"groupmds.groups", "groupmds.plotting"},
+                 False, id="plot"),
     pytest.param("chartable --group sn --n 5", 0, _CLI | _EXACT, False, id="chartable"),
     pytest.param("chartable --group cyclic --n 5", 0, _CLI | _EXACT, True,
                  id="chartable-cyclic"),

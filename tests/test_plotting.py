@@ -109,3 +109,15 @@ def test_non_positive_weights_are_refused(weights):
 def test_nothing_to_plot():
     with pytest.raises(ValueError, match="nothing to plot"):
         scatter_svg([])
+
+
+
+def test_a_span_past_the_float64_maximum_is_drawn_as_its_halves():
+    # Every column is taken in halves, which keeps the bytes of any finite
+    # span: a span past the float64 maximum draws as the reference's halves.
+    big = 1.7976931348623157e308
+    points = [(big, -1e308, 1.0, 1e308), (-big, 1e308, 2.0, -big), (0.0, 0.5, 1.0, 2.0)]
+    svg = scatter_svg(points)
+    assert "nan" not in svg and "inf" not in svg
+    assert svg == reference_scatter_svg([(x / 2, y / 2, w, c / 2) for x, y, w, c in points])
+    assert '<circle cx="672.000" cy="672.000" r="9.899" fill="#b2182b"' in svg
