@@ -16,10 +16,11 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from contextlib import suppress
 from functools import partial
-from itertools import takewhile
+from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import RankingParseError, TooLargeError, UnsupportedClosedFormError
@@ -30,6 +31,9 @@ EXIT_GUARD = 3
 
 DEFAULT_SEED = 7
 DEFAULT_VERIFY_CAP = 720
+# plot's price of a character, a step (2 us) per 40 of them, sets the most
+# characters it can admit, as rankings.MAX_TEXT is set for the ranking parser.
+_PLOT_CHARS_PER_STEP = 40
 
 
 class _UsageError(Exception):
@@ -42,6 +46,25 @@ def _write(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_text(path, limit: int, what: str, newline=None) -> str:
+    """The UTF-8 text of ``path`` for a parser whose price of a character alone
+    refuses more than ``limit``; ``what`` words a refusal from the size alone,
+    past 4 bytes a character. A regular file within ``limit`` bytes is read
+    whole, anything else to one character past the limit."""
+    from . import groups
+
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > 4 * limit:
+                chars = -(-size // 4)
+                groups.admit(what.format(f"at least {chars}"),
+                             work=chars * (groups.WORK_MAX + 1) // (limit + 1))
+            return fh.read() if 0 < size <= limit else fh.read(limit + 1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(text: str, out_path):
@@ -140,10 +163,8 @@ def cmd_embed(parser, args) -> int:
 
     if args.dims < 1:
         parser.error("--dims must be >= 1")
-    try:
-        dataset = rankings.read_rankings(args.input)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read {args.input}: {exc}") from exc
+    dataset = rankings.parse_rankings(
+        _read_text(args.input, rankings.MAX_TEXT, "parsing {} characters of rankings"))
     samples = rankings.aggregate(dataset)
     try:
         emb = rankings.embed_dataset(samples, dataset.n_items, args.dims, mode=args.mode)
@@ -153,71 +174,75 @@ def cmd_embed(parser, args) -> int:
     return EXIT_OK
 
 
-def _floats(texts: list) -> list:
-    """Each text by ``float()``'s rules; nan (not finite) where it refuses."""
+def _is_whole(row: list, needed: list) -> bool:
+    """Whether ``row`` holds each needed field, and each is a finite number."""
     try:
-        return list(map(float, texts))
-    except ValueError:
-        return list(map(_float_or_nan, texts))
+        return all(math.isfinite(float(row[col])) for col in needed)
+    except (IndexError, ValueError):
+        return False
 
 
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
-def _read_embedding_csv(path):
+def _parse_embedding_csv(text: str):
     """(columns, weights): each x column as a list of floats, and the weight
-    column (1.0 without one), each read as a whole column. A ValueError
-    names the first row that misses a needed field or holds one that is not
-    a finite number. A file refused by its size is not read."""
+    column (1.0 without one). A ValueError names the first row that misses a
+    needed field or holds one that is not a finite number."""
     from . import groups
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        # Each byte is priced as in the costliest file, two-column rows "1,1":
-        # 145 bytes held and 1.44 us of plotting, 0.75 steps.
-        size = os.fstat(fh.fileno()).st_size
-        groups.admit(f"plotting {size} bytes of embedding", nbytes=150 * size,
-                     work=size * 3 // 4)
-        rows = list(csv.reader(fh))
-    if not rows:
+    # Bytes: the text; per line its row, floats and circle; per comma a float
+    # and its slots. Work: 50 ns a character, 4 us a line, 0.125 us a comma.
+    what = f"plotting {len(text)} characters of embedding"
+    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+    commas = text.count(",")
+    nbytes = sys.getsizeof(text) + 760 * ends + 40 * commas
+    groups.admit(what, nbytes=nbytes,
+                 work=len(text) // _PLOT_CHARS_PER_STEP + 2 * ends + commas // 16)
+    # The widest line's row is split whole, 32 bytes a character; the first
+    # price covers the line strs that find it.
+    widest = max(map(len, text.split("\n")))
+    groups.admit(what, nbytes=nbytes + 32 * widest)
+    # Lines as a file opened with newline="" yields them, one at a time: a
+    # StringIO would hold 4 bytes a character.
+    rows = csv.reader(map(re.Match.group, re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text)))
+    header = next(rows, None)
+    if header is None:
         raise ValueError("empty embedding file")
-    header, rows = rows[0], list(filter(None, rows[1:]))
     coord_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-    weight_col = header.index("weight") if "weight" in header else None
-    needed = coord_cols + ([] if weight_col is None else [weight_col])
-    width = max(needed, default=-1) + 1
-    whole = list(takewhile(lambda row: len(row) >= width, rows))
-    columns = [_floats(list(map(itemgetter(col), whole))) for col in needed]
-    if weight_col is None:
-        columns.append([1.0] * len(whole))
-    finite = [list(map(math.isfinite, col)) for col in columns]
-    first = min((flags.index(False) for flags in finite if False in flags), default=len(whole))
-    if first < len(rows):
-        raise ValueError(f"malformed embedding row: {','.join(rows[first])!r}")
+    needed = coord_cols + ([header.index("weight")] if "weight" in header else [])
+    columns = [[] for _ in needed]
+    rows = filter(None, rows)
+    # Rows of at most 2**16 characters at a time, so that only the floats of
+    # their needed fields outlive them.
+    for chunk in iter(lambda: list(islice(rows, 1 + 2 ** 16 // (widest + 1))), []):
+        try:
+            parsed = [list(map(float, map(itemgetter(col), chunk))) for col in needed]
+            whole = all(map(math.isfinite, chain.from_iterable(parsed)))
+        except (IndexError, ValueError):
+            whole = False
+        if not whole:
+            row = next(row for row in chunk if not _is_whole(row, needed))
+            raise ValueError(f"malformed embedding row: {','.join(row)!r}")
+        for column, values in zip(columns, parsed):
+            column += values
+    if "weight" not in header:
+        columns.append([1.0] * len(columns[0] if columns else ()))
     return columns[:-1], columns[-1]
 
 
 def cmd_plot(parser, args) -> int:
-    from . import plotting
+    from . import groups, plotting
 
     if args.color_col < 1:
         parser.error("--color-col must be >= 1")
+    limit = _PLOT_CHARS_PER_STEP * (groups.WORK_MAX + 1) - 1
     try:
-        columns, weights = _read_embedding_csv(args.input)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read {args.input}: {exc}") from exc
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    if not weights or len(columns) < 2:
-        raise _UsageError("need at least 2 coordinate columns")
-    color_index = args.color_col - 1
-    colors = columns[color_index] if color_index < len(columns) else [None] * len(weights)
-    try:
+        columns, weights = _parse_embedding_csv(
+            _read_text(args.input, limit, "plotting {} characters of embedding", newline=""))
+        if not weights or len(columns) < 2:
+            raise _UsageError("need at least 2 coordinate columns")
+        color_index = args.color_col - 1
+        colors = columns[color_index] if color_index < len(columns) else [None] * len(weights)
         svg = plotting.scatter_svg(list(zip(columns[0], columns[1], weights, colors)))
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise _UsageError(str(exc)) from exc
     _emit(svg, args.out)
     return EXIT_OK

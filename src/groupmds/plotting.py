@@ -10,6 +10,7 @@ coordinate is available).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 LOW_COLOR = (0x21, 0x66, 0xAC)
@@ -37,6 +38,9 @@ def _normalize(values: list, lo_px: float, hi_px: float) -> list:
     if span == 0.0:
         return [(lo_px + hi_px) / 2.0] * len(values)
     scale = (hi_px - lo_px) / span
+    if scale == math.inf:
+        # A span under about 3.5e-306: raised by 2**1000, exact on values this close.
+        return _normalize([v * 2.0 ** 1000 for v in values], lo_px, hi_px)
     return [lo_px + (0.5 * v - vmin) * scale for v in values]
 
 

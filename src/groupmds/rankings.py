@@ -13,10 +13,8 @@ embeds from the permutations' marginal counts, never their k × n² block.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, repeat
 from typing import Iterator, Optional, Tuple
 
@@ -215,24 +213,6 @@ def parse_rankings(text: str) -> RankingDataset:
 # The most characters parse_rankings can admit: its work count alone, a step
 # for each 40 characters, refuses a longer text.
 MAX_TEXT = 40 * groups.WORK_MAX + 39
-
-
-def read_rankings(path) -> RankingDataset:
-    """:func:`parse_rankings` on a UTF-8 file. A file of more than
-    :data:`MAX_TEXT` characters is refused before its text is held: from
-    its size alone past four bytes a character, else by a count that holds
-    1 MiB at a time. A file with no size (a pipe) is read to one character
-    past the limit, which the parser then refuses."""
-    with open(path, "r", encoding="utf-8") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size > MAX_TEXT:
-            chars = -(-size // 4)
-            if chars <= MAX_TEXT:
-                chars = sum(map(len, iter(partial(fh.read, 2 ** 20), "")))
-            groups.admit(f"parsing at least {chars} characters of rankings", work=chars // 40)
-            fh.seek(0)
-        text = fh.read() if size else fh.read(MAX_TEXT + 1)
-    return parse_rankings(text)
 
 
 def ranking_to_permutation(ranking):

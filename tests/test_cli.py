@@ -7,12 +7,13 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
-from groupmds import cli, dense, groups, metrics, spectral
+from groupmds import cli, dense, groups, metrics, rankings, spectral
 
 
 def run_cli(capsys, *argv):
@@ -542,27 +543,160 @@ def test_plot_spans_past_the_float64_maximum(tmp_path, capsys, column):
     assert (cells[0]["fill"], cells[1]["fill"]) == ("#b2182b", "#2166ac")
 
 
-PLOT_EDGE = 6_666_667  # bytes: 0.75 steps each, the work bound's 5,000,000 steps
+def test_plot_spans_below_the_smallest_finite_scale(tmp_path, capsys):
+    # Halved spans of 2.5e-311 would make the pixel scale overflow to inf.
+    csv_file = tmp_path / "tiny.csv"
+    csv_file.write_text("x1,x2\n1e-310,2e-310\n1.5e-310,2.5e-310\n")
+    code, out, _ = run_cli(capsys, "plot", "--input", str(csv_file))
+    assert code == 0
+    assert "nan" not in out and "inf" not in out
+    cells = [dict(re.findall(r'(\w+)="([^"]*)"', line)) for line in out.splitlines()
+             if line.startswith("<circle")]
+    assert [(c["cx"], c["cy"]) for c in cells] == [("48.000", "672.000"), ("672.000", "48.000")]
 
 
-@pytest.mark.parametrize("size, refused", [(PLOT_EDGE, False), (PLOT_EDGE + 1, True)])
-def test_plot_is_admitted_by_its_file_size_before_reading(tmp_path, capsys, monkeypatch, size,
-                                                          refused):
-    def no_reading(fh):
-        raise AssertionError("read")
+PLOT_EDGE_ROWS = 1_335_498  # "1,1" rows: 804 bytes each, the table bound's 2**30 bytes
 
-    big = tmp_path / "big.csv"
-    with open(big, "wb") as fh:
-        fh.truncate(size)  # sparse: only the size is ever looked at
-    monkeypatch.setattr(cli.csv, "reader", no_reading)
+
+def _ones_csv(rows: int) -> str:
+    return "x1,x2\n" + "1,1\n" * rows
+
+
+@pytest.mark.parametrize("rows, refused", [(PLOT_EDGE_ROWS, False), (PLOT_EDGE_ROWS + 1, True)])
+def test_plot_prices_its_text_before_splitting_it(tmp_path, capsys, monkeypatch, rows, refused):
+    def no_splitting(lines):
+        raise AssertionError("split")
+
+    big = tmp_path / "ones.csv"
+    big.write_text(_ones_csv(rows), encoding="utf-8")
+    monkeypatch.setattr(cli.csv, "reader", no_splitting)
     if not refused:
-        with pytest.raises(AssertionError, match="read"):
+        with pytest.raises(AssertionError, match="split"):
             cli.main(["plot", "--input", str(big)])
         return
     code, out, err = run_cli(capsys, "plot", "--input", str(big))
     assert (code, out) == (3, "")
-    assert err == (f"error: plotting {size} bytes of embedding needs 5000001 steps, above the "
-                   f"work bound {groups.WORK_MAX} steps\n")
+    assert err == ("error: plotting 5342002 characters of embedding needs 1073742051 bytes, "
+                   f"above the table bound {groups.TABLE_MAX_BYTES} bytes\n")
+
+
+def test_plot_refuses_a_stream_past_its_edge(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen([sys.executable, "-c", "import sys; open(sys.argv[1], 'w').write("
+                               f"'x1,x2\\n' + '1,1\\n' * {PLOT_EDGE_ROWS + 1})", str(fifo)])
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "plot", "--input", str(fifo))
+        assert time.perf_counter() - start < 5.0
+    finally:
+        writer.kill()
+        writer.wait()
+    assert (code, out) == (3, "")
+    assert err == ("error: plotting 5342002 characters of embedding needs 1073742051 bytes, "
+                   f"above the table bound {groups.TABLE_MAX_BYTES} bytes\n")
+
+
+@pytest.mark.parametrize("size, err", [
+    (1039, "need at least 2 coordinate columns"),  # the limit, read whole and admitted
+    (1040, "plotting 1040 characters of embedding needs 26 steps"),  # read to the limit + 1
+    (4 * 1039, "plotting 1040 characters of embedding needs 26 steps"),
+    (4 * 1039 + 1, "plotting at least 1040 characters of embedding needs 26 steps"),  # size alone
+], ids=["limit", "limit-plus-one", "four-bytes-a-character", "size-alone"])
+def test_plot_reads_at_most_one_character_past_its_limit(tmp_path, capsys, monkeypatch, size,
+                                                         err):
+    monkeypatch.setattr(groups, "WORK_MAX", 25)  # a step per 40 characters: 1039 at most
+    path = tmp_path / "long.csv"
+    path.write_text("1" * size, encoding="utf-8")
+    code, out, got = run_cli(capsys, "plot", "--input", str(path))
+    refused = size > 1039
+    assert (code, out) == ((3, "") if refused else (2, ""))
+    assert got == f"error: {err}" + (", above the work bound 25 steps\n" if refused else "\n")
+
+
+def _embedding_rows(rows: int) -> str:
+    return "id,label,weight,x1:+,x2:+,x3:+\n" + "".join(
+        f'{i},"1,2,3,4,5,6,7,8,9,10",{i % 3 + 1},{math.sin(i)!r},{math.cos(i)!r},'
+        f"{math.sin(2 * i)!r}\n" for i in range(rows))
+
+
+def test_plot_prices_lines_and_commas_not_bytes(tmp_path, capsys, monkeypatch):
+    # Two texts of one size: "1,1" rows are priced at 2.2 steps a line, 0.54
+    # a character; an embedding's 90-character rows at 5 steps, 0.06 a character.
+    monkeypatch.setattr(groups, "WORK_MAX", 1000)
+    embedding = _embedding_rows(40)
+    size = len(embedding)
+    ones = _ones_csv((size - 10) // 4) + "1," + "1" * ((size - 10) % 4 + 1) + "\n"
+    assert len(ones) == size
+    paths = [tmp_path / "ones.csv", tmp_path / "embedding.csv"]
+    for path, text in zip(paths, [ones, embedding]):
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "plot", "--input", str(paths[0]))
+    assert (code, out) == (3, "")
+    assert err == (f"error: plotting {size} characters of embedding needs 1865 steps, above the "
+                   "work bound 1000 steps\n")
+    code, out, err = run_cli(capsys, "plot", "--input", str(paths[1]))
+    assert (code, err) == (0, "")
+    assert out.count("<circle") == 40
+
+
+@pytest.mark.parametrize("faults, named", [(("1,nan", "1"), "1,nan"), (("1", "1,nan"), "1")])
+def test_plot_names_the_first_faulty_row_past_its_first_chunk(tmp_path, capsys, faults, named):
+    # Rows of 6-character lines are split 10,923 (2**16 // 6 + 1) at a time:
+    # both faults sit in the second chunk, and the first one is named.
+    rows = ["1,1"] * 20000
+    rows[15000:15002] = faults
+    path = tmp_path / "late.csv"
+    path.write_text("x1,x2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "plot", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: malformed embedding row: {named!r}\n")
+
+
+def test_plot_holds_only_the_floats_of_its_needed_columns():
+    # Twenty distinct two-digit fields a row, two of them coordinates: split
+    # whole, the rows' strs alone would take about 1.5 kB a row.
+    text = ",".join(f"a{j}" for j in range(20)) + ",x1,x2\n" + "".join(
+        ",".join(str(10 + (7 * i + j) % 90) for j in range(22)) + "\n" for i in range(20000))
+    tracemalloc.start()
+    try:
+        columns, weights = cli._parse_embedding_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(column) for column in columns] == [20000, 20000] and len(weights) == 20000
+    assert peak < 20000 * 400
+
+
+@pytest.mark.parametrize("bound, refused", [(213_616, False), (213_615, True)])
+def test_plot_prices_the_widest_line_s_row(tmp_path, capsys, monkeypatch, bound, refused):
+    # 4007 characters, 2 lines and 2001 commas are priced at 85,616 bytes;
+    # the 4000-character row, split whole, adds 32 bytes a character.
+    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", bound)
+    path = tmp_path / "wide.csv"
+    path.write_text("x1,x2\n" + "1,2," * 1000 + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "plot", "--input", str(path))
+    if not refused:
+        assert (code, err, out.count("<circle")) == (0, "", 1)
+        return
+    assert (code, out) == (3, "")
+    assert err == ("error: plotting 4007 characters of embedding needs 213616 bytes, above the "
+                   "table bound 213615 bytes\n")
+
+
+def test_embed_then_plot_admits_an_embedding_past_a_per_byte_price(tmp_path, capsys,
+                                                                     monkeypatch):
+    # At 0.75 steps a byte, the price of "1,1" rows, this embedding would be
+    # refused; priced by its lines and commas it is plotted.
+    monkeypatch.setattr(groups, "WORK_MAX", 3000)
+    ranking_file, csv_file = tmp_path / "rankings.txt", tmp_path / "embedding.csv"
+    assert run_cli(capsys, "synthesize", "--items", "5", "--rows", "300", "--seed", "3",
+                   "--out", str(ranking_file))[0] == 0
+    assert run_cli(capsys, "embed", "--input", str(ranking_file), "--out", str(csv_file))[0] == 0
+    rows = len(csv_file.read_text(encoding="utf-8").splitlines()) - 1
+    assert csv_file.stat().st_size * 3 // 4 > groups.WORK_MAX
+    code, out, err = run_cli(capsys, "plot", "--input", str(csv_file))
+    assert (code, err) == (0, "")
+    assert out.count("<circle") == rows
 
 
 def test_embed_refuses_a_file_past_the_parser_s_limit_from_its_size(tmp_path, capsys):
@@ -575,6 +709,51 @@ def test_embed_refuses_a_file_past_the_parser_s_limit_from_its_size(tmp_path, ca
     assert (code, out) == (3, "")
     assert err == ("error: parsing at least 2000000000 characters of rankings needs 50000000 "
                    f"steps, above the work bound {groups.WORK_MAX} steps\n")
+
+
+@pytest.fixture
+def small_text_limit(monkeypatch):
+    """A work bound of 25 steps, so that the ranking parser's limit is 1039 characters."""
+    monkeypatch.setattr(groups, "WORK_MAX", 25)
+    monkeypatch.setattr(rankings, "MAX_TEXT", 40 * 25 + 39)
+
+
+def test_read_text_reads_a_file_past_the_limit_in_bytes_whole(tmp_path, small_text_limit):
+    # 817 characters in 1617 bytes: read to one character past the limit, so whole.
+    text = "\u00e9" * 400 + "," + "\u00fc" * 400 + ",c\n1,2,3\n3,2,1\n"
+    path = tmp_path / "wide.txt"
+    path.write_text(text, encoding="utf-8")
+    assert len(text) <= rankings.MAX_TEXT < path.stat().st_size
+    assert cli._read_text(path, rankings.MAX_TEXT, "parsing {} characters of rankings") == text
+
+
+@pytest.mark.parametrize("size, message", [
+    (1100, "parsing 1040 characters of rankings needs 26 steps"),  # read to the limit + 1
+    (4 * 1039, "parsing 1040 characters of rankings needs 26 steps"),
+    (4 * 1039 + 1, "parsing at least 1040 characters of rankings needs 26 steps"),  # size alone
+], ids=["limit-plus-one", "four-bytes-a-character", "size-alone"])
+def test_embed_refuses_a_file_past_the_limit_in_characters(tmp_path, capsys, small_text_limit,
+                                                           size, message):
+    path = tmp_path / "long.txt"
+    path.write_text("a,b\n" + "1" * (size - 4), encoding="utf-8")
+    code, out, err = run_cli(capsys, "embed", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}, above the work bound 25 steps\n"
+
+
+def test_embed_reads_a_pipe_to_one_character_past_the_limit(tmp_path, capsys, small_text_limit):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen([sys.executable, "-c", "import sys; open(sys.argv[1], 'w').write("
+                               "'a,b\\n' + '1,2\\n' * 100000)", str(fifo)])
+    try:
+        code, out, err = run_cli(capsys, "embed", "--input", str(fifo))
+    finally:
+        writer.kill()
+        writer.wait()
+    assert (code, out) == (3, "")
+    assert err == ("error: parsing 1040 characters of rankings needs 130 steps, above the work "
+                   "bound 25 steps\n")
 
 
 def test_plot_missing_coordinates_is_usage_error(tmp_path, capsys):

@@ -844,51 +844,6 @@ def test_parse_refuses_past_the_byte_bound_before_splitting(monkeypatch):
     assert str(excinfo.value).startswith(f"parsing {len(text)} characters of rankings needs ")
 
 
-@pytest.fixture
-def small_text_limit(monkeypatch):
-    """A work bound of 25 steps, so that MAX_TEXT is 1039 characters."""
-    monkeypatch.setattr(groups, "WORK_MAX", 25)
-    monkeypatch.setattr(rankings, "MAX_TEXT", 40 * 25 + 39)
-
-
-def test_read_rankings_counts_the_characters_of_a_file_past_the_limit_in_bytes(
-        tmp_path, small_text_limit):
-    # 817 characters in 1617 bytes: counted, then read and parsed whole.
-    text = "\u00e9" * 400 + "," + "\u00fc" * 400 + ",c\n1,2,3\n3,2,1\n"
-    path = tmp_path / "wide.txt"
-    path.write_text(text, encoding="utf-8")
-    assert len(text) <= rankings.MAX_TEXT < path.stat().st_size
-    got, want = rankings.read_rankings(path), parse_rankings(text)
-    assert got.items == want.items
-    assert np.array_equal(got.rankings, want.rankings) and np.array_equal(got.counts, want.counts)
-
-
-@pytest.mark.parametrize("size, message", [
-    (1100, "parsing at least 1100 characters of rankings needs 27 steps"),  # counted
-    (4 * 1039, "parsing at least 4156 characters of rankings needs 103 steps"),  # counted
-    (4 * 1039 + 1, "parsing at least 1040 characters of rankings needs 26 steps"),  # size alone
-])
-def test_read_rankings_refuses_a_file_past_the_limit_in_characters(tmp_path, small_text_limit,
-                                                                   size, message):
-    path = tmp_path / "long.txt"
-    path.write_text("a,b\n" + "1" * (size - 4), encoding="utf-8")
-    with pytest.raises(TooLargeError, match=f"^{message}, above the work bound 25 steps$"):
-        rankings.read_rankings(path)
-
-
-def test_read_rankings_reads_a_pipe_to_one_character_past_the_limit(tmp_path, small_text_limit):
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    writer = subprocess.Popen([sys.executable, "-c", "import sys; open(sys.argv[1], 'w').write("
-                               "'a,b\\n' + '1,2\\n' * 100000)", str(fifo)])
-    try:
-        with pytest.raises(TooLargeError, match="^parsing 1040 characters of rankings needs "):
-            rankings.read_rankings(fifo)
-    finally:
-        writer.kill()
-        writer.wait()
-
-
 @pytest.mark.parametrize("n,rows", [(10, 50_000), (14, 25_000), (200, 500)])
 def test_row_labels_admit_at_least_their_traced_peak(monkeypatch, n, rows):
     perms = aggregate(synthesize_rankings(n, rows, seed=6)).permutations
