@@ -15,8 +15,9 @@ import os
 # thread spinning for 2^28 cycles (about 0.1 s) after every BLAS call: on two
 # vCPUs the benchmark's oracle requests spent 3.8 s of CPU for 2.3 s of wall
 # time. 2^20 cycles (about 0.4 ms) cut that CPU by 32% at the same wall time,
-# kept the two-thread speed of a 2048 x 2048 eigvalsh, and measured no
-# different from 16 there. A value the user sets still wins.
+# kept the two-thread speed of the full-rank 2000 x 2000 eigvalsh of
+# `spectrum --group cyclic --n 2000 --verify`, and measured no different from
+# 16 there. A value the user sets still wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 import sys

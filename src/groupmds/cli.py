@@ -135,8 +135,10 @@ def cmd_spectrum(parser, args) -> int:
         from . import dense, verify
 
         kernel = verify.dense_oracle(spec, metric)[1]  # distances not kept
+        found = dense.kernel_eigenvalues(kernel)
         doc["dense_max_deviation"], doc["dense_match"] = verify.spectrum_match_deviation(
-            summary, dense.kernel_eigenvalues(kernel))
+            summary, found, error_bound=found.error_bound)
+        doc["dense_rank"] = found.rank
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -4,7 +4,9 @@ This is the brute-force pipeline every character-predicted spectrum is
 checked against: square the distances entrywise and double-center, then
 either take the eigenvalues alone (``kernel_eigenvalues``, all the
 spectrum check reads) or the full eigendecomposition (``eigendecompose``)
-and read embeddings off the eigenpairs. Both eigensolvers read the
+and read embeddings off the eigenpairs. A kernel of low numerical rank
+gets its eigenvalues from a randomized range finder, with a certified
+error bound; any other from ``eigvalsh``. Both eigensolvers read the
 kernel's lower triangle as given: its symmetry is checked, never
 rewritten, and eigenvalues come in ``eigh``'s order, reversed. Both the
 Euclidean (positive eigenvalues only) and the pseudo-Euclidean embedding
@@ -14,9 +16,10 @@ provided.
 
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -121,10 +124,89 @@ def _checked_symmetric(kernel) -> np.ndarray:
     return m
 
 
-def kernel_eigenvalues(kernel) -> np.ndarray:
+class KernelSpectrum(NamedTuple):
+    """A kernel's m eigenvalues, descending. By Weyl's inequality each lies
+    within ``error_bound`` of the one a full ``eigvalsh`` puts at its place
+    (0 when ``eigvalsh`` ran); ``rank`` is the side of the matrix solved."""
+
+    eigenvalues: np.ndarray
+    error_bound: float
+    rank: int
+
+
+# The range finder (Halko, Martinsson and Tropp, SIAM Review 53, 2011)
+# sketches the kernel times a fixed-seed block of random bytes, 64 columns
+# wide (half the side if that is less, but at least 32), then twice as wide,
+# while the width is at most half the side and at most an eighth of it (the
+# first sketch always runs). A sketch whose singular values fall below
+# _RANK_REL_TOL of its largest has found the range. A sketch whose Gram's
+# smallest eigenvalue is above _GRAM_SCREEN of its largest is full rank with
+# room to spare, and skips the SVD. On a full-rank kernel the sketches cost
+# 3-10% of eigvalsh at m = 720 and m = 2000 on a 2-vCPU VM.
+_SKETCH_MIN = 32
+_SKETCH_WIDTH = 64
+_SKETCH_CAP_DIV = 8
+_SKETCH_SEED = 0
+_RANK_REL_TOL = 1e-10
+_GRAM_SCREEN = 1e-12
+# The range is kept only if the residual outside it is within this of the
+# kernel's Frobenius norm: a property of the kernel alone.
+_RESIDUAL_REL_TOL = 1e-12
+# Rows of the kernel held at once while the residual is summed.
+_ROW_BLOCK = 256
+
+
+def kernel_eigenvalues(kernel) -> KernelSpectrum:
     """Eigenvalues of a symmetric kernel in descending order, without
-    eigenvectors: all that a spectrum comparison reads."""
-    return np.linalg.eigvalsh(_checked_symmetric(kernel))[::-1]
+    eigenvectors: all that a spectrum comparison reads.
+
+    A kernel of low numerical rank r is solved on its range: r eigenvalues
+    of an r x r matrix and m - r zeros, with a certified bound. Any other
+    kernel takes ``eigvalsh``, with bound 0."""
+    m = _checked_symmetric(kernel)
+    return _range_eigenvalues(m) or KernelSpectrum(np.linalg.eigvalsh(m)[::-1], 0.0, len(m))
+
+
+def _range_eigenvalues(m: np.ndarray) -> Optional[KernelSpectrum]:
+    side = len(m)
+    rng = random.Random(_SKETCH_SEED)
+    sketch = np.empty((side, 0))
+    width = min(_SKETCH_WIDTH, side // 2)
+    while _SKETCH_MIN <= width <= max(_SKETCH_WIDTH, side // _SKETCH_CAP_DIV) and 2 * width <= side:
+        test = np.frombuffer(rng.randbytes(side * (width - sketch.shape[1])), dtype=np.int8)
+        sketch = np.hstack([sketch, m @ test.reshape(side, -1).astype(float)])
+        gram = np.linalg.eigvalsh(sketch.T @ sketch)
+        if gram[0] <= _GRAM_SCREEN * gram[-1]:
+            basis, singular, _ = np.linalg.svd(sketch, full_matrices=False)
+            rank = int(np.count_nonzero(singular > _RANK_REL_TOL * singular[0]))
+            if rank < width:
+                return _certified(m, basis[:, :rank])
+        width *= 2
+    return None
+
+
+def _certified(m: np.ndarray, q: np.ndarray) -> Optional[KernelSpectrum]:
+    """The eigenvalues of Q^T M Q and zeros, M the symmetric matrix of m's
+    lower triangle, when M lies within the residual tolerance of the range of
+    the orthonormal Q. With P = QQ^T, |M - PMP|_2 <= sqrt(2) |(I - P)M|_F, the
+    bound returned; the residual is summed a block of rows at a time."""
+    side, rank = q.shape
+    mq = np.empty((side, rank))
+    norm_sq = residual_sq = 0.0
+    for start in range(0, side, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, side)
+        rows = m[start:stop].copy()  # rows of M: the lower triangle, mirrored
+        rows[:, stop:] = m[stop:, start:stop].T
+        square = m[start:stop, start:stop]
+        rows[:, start:stop] = np.tril(square) + np.tril(square, -1).T
+        norm_sq += float(np.vdot(rows, rows))
+        np.matmul(rows, q, out=mq[start:stop])
+        rows -= mq[start:stop] @ q.T
+        residual_sq += float(np.vdot(rows, rows))
+    if residual_sq > _RESIDUAL_REL_TOL ** 2 * norm_sq:
+        return None
+    values = np.append(np.linalg.eigvalsh(q.T @ mq), np.zeros(side - rank))
+    return KernelSpectrum(np.sort(values)[::-1], float(np.sqrt(2.0 * residual_sq)), rank)
 
 
 def eigendecompose(kernel) -> SpectralDecomposition:

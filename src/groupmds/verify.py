@@ -6,8 +6,9 @@ and the work bound on each m^3 decomposition and product, checked before
 anything dense is built, this builds the full distance matrix and centers
 it (the CLI's ``--cap`` on the order is checked before these calls).
 ``spectrum --verify`` then needs only the kernel's eigenvalues
-(``dense.kernel_eigenvalues``); the full report eigendecomposes the
-kernel and verifies:
+(``dense.kernel_eigenvalues``: on a low-rank kernel, those of its range,
+whose certified error bound the match adds to its deviation); the full
+report eigendecomposes the kernel and verifies:
 
 * the predicted eigenvalues, expanded by multiplicity and sorted, match
   the sorted dense spectrum one by one;
@@ -63,27 +64,31 @@ def dense_oracle(spec: GroupSpec, metric):
     """(distance matrix, centered kernel) of the dense MDS pipeline on
     ``spec``; each caller decomposes the kernel as far as it reads it.
 
-    Raises :class:`TooLargeError` before building anything when the
-    distance matrix or one m^3 decomposition of the kernel passes a bound."""
+    Raises :class:`TooLargeError` before building anything when the arrays
+    or one m^3 decomposition of the kernel pass a bound: 24 bytes an entry
+    for the int64 distances, the float kernel and ``eigvalsh``'s copy."""
     m = spec.order
-    groups.admit(f"the distance matrix of {spec.text} and its eigenvalues", nbytes=m * m * 8,
+    groups.admit(f"the distance matrix of {spec.text} and its eigenvalues", nbytes=m * m * 24,
                  work=m ** 3 // groups.FLOPS_PER_STEP)
     dm = metrics.build_distance_matrix(spec, metric)
     return dm, dense.double_center(dm)
 
 
-def spectrum_match_deviation(summary, dec, rel_tol: float = 1e-8):
+def spectrum_match_deviation(summary, dec, rel_tol: float = 1e-8, error_bound: float = 0.0):
     """Compare the predicted spectrum with the dense one, eigenvalue by
     eigenvalue.
 
-    ``dec`` is a decomposition or the descending eigenvalues themselves.
+    ``dec`` is a decomposition, a ``dense.KernelSpectrum`` or the descending
+    eigenvalues themselves.
     The predicted entries are expanded by multiplicity, with one extra zero
     for the trivial direction that centering removes, and sorted descending
     like them. By Weyl's inequality each sorted dense eigenvalue then lies
     within the kernel's rounding error of its predicted counterpart,
     however close distinct eigenvalues are, so no clustering is needed.
-    Returns (max absolute deviation, ok); a length mismatch gives
-    (inf, False).
+    ``error_bound`` caps how far the given eigenvalues may lie from a full
+    solve's (``KernelSpectrum.error_bound``), and is added to the deviation.
+    Returns (max absolute deviation + error_bound, ok); a length mismatch
+    gives (inf, False).
     """
     eigenvalues = getattr(dec, "eigenvalues", dec)
     counts = [e.multiplicity for e in summary.entries]
@@ -91,7 +96,7 @@ def spectrum_match_deviation(summary, dec, rel_tol: float = 1e-8):
         return float("inf"), False
     values = [float(e.eigenvalue) for e in summary.entries]
     predicted = np.sort(np.append(np.repeat(values, counts), 0.0))[::-1]
-    max_dev = float(np.max(np.abs(predicted - eigenvalues)))
+    max_dev = float(np.max(np.abs(predicted - eigenvalues))) + error_bound
     scale = max(1.0, float(np.max(np.abs(predicted))))
     return max_dev, max_dev <= rel_tol * scale
 
@@ -124,7 +129,9 @@ def oracle_equivalence_report(spec: GroupSpec, metric) -> VerificationReport:
     full_family = len(labels) <= 128
     if not full_family:
         labels = labels[::max(1, len(labels) // 16)]
-    groups.admit(f"the distance matrix of {spec.text} and its checks", nbytes=m * m * 8,
+    # Held at once: the int64 distances, the kernel, its eigenvectors, a
+    # projector, their product and the projectors' running total.
+    groups.admit(f"the distance matrix of {spec.text} and its checks", nbytes=m * m * 48,
                  work=(dense.EIGENVECTOR_COST + 2 * len(labels)) * m ** 3 // groups.FLOPS_PER_STEP)
     summary = spectral.spectrum_via_characters(spec, metric)
     dm, kernel = dense_oracle(spec, metric)

@@ -72,6 +72,17 @@ def test_spectrum_with_dense_verification(capsys):
     doc = json.loads(out)
     assert doc["dense_match"] is True
     assert doc["dense_max_deviation"] < 1e-8
+    assert doc["dense_rank"] == 120  # full rank: eigvalsh ran
+
+
+def test_spectrum_verify_reports_the_rank_the_range_path_solved(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "c2k", "--k", "7", "--verify")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc)[-3:] == ["dense_max_deviation", "dense_match", "dense_rank"]
+    assert doc["dense_match"] is True
+    assert doc["dense_rank"] == 7 + 21
+    assert 0 < doc["dense_max_deviation"] < 1e-8
 
 
 def test_spectrum_verify_reads_eigenvalues_only(capsys, monkeypatch):
@@ -306,8 +317,6 @@ REFUSED_FOR_WORK = {
     "chartable-c2k13": "chartable --max-classes 50000 --group c2k --k 13",
     "chartable-cyclic2000": "chartable --max-classes 50000 --group cyclic --n 2000",
     "spectrum-cyclic3001": "spectrum --group cyclic --n 3001",
-    "spectrum-verify-c2k13": "spectrum --group c2k --k 13 --verify --cap 10000",
-    "verify-c2k13": "verify --group c2k --k 13 --cap 10000",
     "verify-cyclic3000": "verify --group cyclic --n 3000 --cap 5000",
     # A 5040 x 5040 eigh with eigenvectors, 17 to 22 s when admitted.
     "embed-dense-n7": "embed --input {rankings} --mode dense",
@@ -836,14 +845,20 @@ def test_verify_cap(capsys):
     [
         ["verify", "--group", "sn", "--n", "8", "--cap", "40320"],
         ["spectrum", "--group", "c2k", "--k", "15", "--verify", "--cap", "40000"],
+        # Priced by the arrays each holds at once: 24 and 48 bytes an entry.
+        ["spectrum", "--group", "c2k", "--k", "13", "--verify", "--cap", "10000"],
+        ["verify", "--group", "c2k", "--k", "13", "--cap", "10000"],
     ],
-    ids=["verify-sn8", "spectrum-verify-c2k15"],
+    ids=["verify-sn8", "spectrum-verify-c2k15", "spectrum-verify-c2k13", "verify-c2k13"],
 )
 def test_dense_request_over_the_byte_bound_is_refused(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
     assert code == 3
     assert out == ""
     assert err.startswith("error: the distance matrix of ")
+    assert err.endswith(f"bytes, above the table bound {groups.TABLE_MAX_BYTES} bytes\n")
 
 
 def test_verify_dump_distances(tmp_path, capsys):

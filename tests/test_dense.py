@@ -135,11 +135,77 @@ def test_eigendecompose_rejects_asymmetric():
 ])
 def test_kernel_eigenvalues_match_the_full_decomposition(kernel):
     kernel = kernel()
-    values = kernel_eigenvalues(kernel)
+    values = kernel_eigenvalues(kernel).eigenvalues
     expected = eigendecompose(kernel).eigenvalues
     radius = float(np.max(np.abs(expected)))
     assert values.shape == expected.shape
     assert np.max(np.abs(values - expected)) <= 1e-10 * radius
+
+
+def points_kernel(count, dims, seed):
+    """The classical-MDS kernel of random points in R^dims, of rank dims,
+    with its nonzero eigenvalues from the points' own SVD."""
+    x = np.random.default_rng(seed).normal(size=(count, dims))
+    diff = x[:, None, :] - x[None, :, :]
+    kernel = double_center(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+    singular = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    return kernel, np.append(singular ** 2, np.zeros(count - dims))
+
+
+@pytest.mark.parametrize("k", [6, 9, 10])
+def test_a_low_rank_kernel_is_solved_on_its_range_within_its_bound(k):
+    kernel = kernel_of(elementary_abelian_2(k))
+    found = kernel_eigenvalues(kernel)
+    full = np.linalg.eigvalsh(kernel.matrix)[::-1]
+    assert found.rank == k + k * (k - 1) // 2
+    assert 0.0 < found.error_bound < 1e-12 * 2 ** k * k
+    assert np.count_nonzero(found.eigenvalues) == found.rank
+    # Weyl: both lie within their own errors of the exact spectrum.
+    exact = np.sort(np.repeat([2.0 ** (k - 2) * k, -2.0 ** (k - 2), 0.0],
+                              [k, k * (k - 1) // 2, 2 ** k - found.rank]))[::-1]
+    full_dev = np.max(np.abs(full - exact))
+    assert np.max(np.abs(found.eigenvalues - exact)) + found.error_bound >= full_dev
+    assert np.max(np.abs(found.eigenvalues - full)) <= found.error_bound + full_dev
+
+
+def test_a_low_rank_kernel_without_a_group_is_solved_on_its_range():
+    kernel, exact = points_kernel(400, 5, seed=3)
+    found = kernel_eigenvalues(kernel)
+    full = np.linalg.eigvalsh(kernel.matrix)[::-1]
+    assert found.rank == 5
+    assert 0.0 < found.error_bound < 1e-12 * exact[0]
+    full_dev = np.max(np.abs(full - exact))
+    assert np.max(np.abs(found.eigenvalues - exact)) + found.error_bound >= full_dev
+    assert np.max(np.abs(found.eigenvalues - full)) <= found.error_bound + full_dev
+
+
+@pytest.mark.parametrize("spec", [cyclic(12), cyclic(720), symmetric(5)], ids=lambda s: s.text)
+def test_a_full_rank_kernel_falls_back_to_eigvalsh_bytes(spec):
+    kernel = kernel_of(spec)
+    found = kernel_eigenvalues(kernel)
+    assert found.eigenvalues.tobytes() == np.linalg.eigvalsh(kernel.matrix)[::-1].tobytes()
+    assert (found.error_bound, found.rank) == (0.0, spec.order)
+
+
+def test_a_kernel_off_its_sketched_range_falls_back(monkeypatch):
+    # Rank 5 plus a component at 3e-11 of the norm: the sketch sees rank 5, but
+    # the residual is far above the tolerance, so eigvalsh decides.
+    kernel, _ = points_kernel(400, 5, seed=3)
+    noise = np.random.default_rng(4).normal(size=(400, 400))
+    m = kernel.matrix + 3e-11 * np.linalg.norm(kernel.matrix) * (noise + noise.T) / 800
+    certified, real = [], dense._certified
+    monkeypatch.setattr(dense, "_certified", lambda m, q: certified.append(q.shape[1]) or real(m, q))
+    found = kernel_eigenvalues(m)
+    assert certified == [5]
+    assert found.eigenvalues.tobytes() == np.linalg.eigvalsh(m)[::-1].tobytes()
+    assert (found.error_bound, found.rank) == (0.0, 400)
+
+
+def test_kernel_eigenvalues_repeat_to_the_byte():
+    kernel = kernel_of(elementary_abelian_2(9))
+    first, second = kernel_eigenvalues(kernel), kernel_eigenvalues(kernel)
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert (first.error_bound, first.rank) == (second.error_bound, second.rank)
 
 
 def test_kernel_eigenvalues_rejects_asymmetric():

@@ -696,6 +696,37 @@ def test_spectrum_match_rejects_a_moved_eigenvalue():
     assert not ok and deviation == pytest.approx(1e-3)
     short = dataclasses.replace(summary, entries=summary.entries[1:])
     assert verify.spectrum_match_deviation(short, dec) == (float("inf"), False)
+    # An error bound adds to the deviation before the tolerance is applied.
+    deviation, ok = verify.spectrum_match_deviation(summary, dec, error_bound=0.5)
+    assert not ok and deviation == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("k", [6, 9, 10])
+def test_the_range_path_deviation_covers_the_full_solve(k):
+    spec = elementary_abelian_2(k)
+    summary = closed_form_c2k(k)
+    kernel = dense.double_center(build_distance_matrix(spec, hamming_metric(spec)))
+    found = dense.kernel_eigenvalues(kernel)
+    assert found.rank < spec.order
+    certified, ok = verify.spectrum_match_deviation(summary, found, error_bound=found.error_bound)
+    full, full_ok = verify.spectrum_match_deviation(summary, np.linalg.eigvalsh(kernel.matrix)[::-1])
+    assert ok and full_ok
+    assert full <= certified < 1e-8
+
+
+def test_a_raised_distance_pair_fails_the_dense_match_on_both_paths():
+    spec = elementary_abelian_2(11)
+    summary = closed_form_c2k(11)
+    values = build_distance_matrix(spec, hamming_metric(spec)).values.copy()
+    values[3, 700] += 1
+    values[700, 3] += 1
+    kernel = dense.double_center(values)
+    found = dense.kernel_eigenvalues(kernel)
+    assert found.rank < spec.order
+    certified, ok = verify.spectrum_match_deviation(summary, found, error_bound=found.error_bound)
+    full, full_ok = verify.spectrum_match_deviation(summary, np.linalg.eigvalsh(kernel.matrix)[::-1])
+    assert not ok and not full_ok
+    assert certified == pytest.approx(full, rel=1e-9) and full > 1.0
 
 
 class ClassDissimilarity:
