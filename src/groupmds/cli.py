@@ -34,6 +34,8 @@ DEFAULT_VERIFY_CAP = 720
 # plot's price of a character, a step (2 us) per 40 of them, sets the most
 # characters it can admit, as rankings.MAX_TEXT is set for the ranking parser.
 _PLOT_CHARS_PER_STEP = 40
+_READ_PIECE = 2 ** 20  # characters read from a pipe at a time
+_WIDE_HEADER = sys.getsizeof("\xe9") - 2  # a str's size less its characters (less if ASCII)
 
 
 class _UsageError(Exception):
@@ -52,7 +54,8 @@ def _read_text(path, limit: int, what: str, newline=None) -> str:
     """The UTF-8 text of ``path`` for a parser whose price of a character alone
     refuses more than ``limit``; ``what`` words a refusal from the size alone,
     past 4 bytes a character. A regular file within ``limit`` bytes is read
-    whole, anything else to one character past the limit."""
+    whole, anything else in pieces to one character past the limit while the
+    pieces and their join fit the byte bound."""
     from . import groups
 
     try:
@@ -62,7 +65,16 @@ def _read_text(path, limit: int, what: str, newline=None) -> str:
                 chars = -(-size // 4)
                 groups.admit(what.format(f"at least {chars}"),
                              work=chars * (groups.WORK_MAX + 1) // (limit + 1))
-            return fh.read() if 0 < size <= limit else fh.read(limit + 1)
+            if 0 < size <= limit:
+                return fh.read()
+            pieces, chars, held, width = [], 0, 0, 1
+            while piece := fh.read(min(_READ_PIECE, limit + 1 - chars)):
+                pieces.append(piece)
+                chars += len(piece)
+                held += sys.getsizeof(piece)
+                width = max(width, (sys.getsizeof(piece) - _WIDE_HEADER) // (len(piece) + 1))
+                groups.admit(what.format(f"at least {chars}"), nbytes=held + width * chars)
+            return "".join(pieces)
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
@@ -134,8 +146,7 @@ def cmd_spectrum(parser, args) -> int:
     if args.verify:
         from . import dense, verify
 
-        kernel = verify.dense_oracle(spec, metric)[1]  # distances not kept
-        found = dense.kernel_eigenvalues(kernel)
+        found = dense.kernel_eigenvalues(verify.dense_oracle(spec, metric))
         doc["dense_max_deviation"], doc["dense_match"] = verify.spectrum_match_deviation(
             summary, found, error_bound=found.error_bound)
         doc["dense_rank"] = found.rank

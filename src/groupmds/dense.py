@@ -1,17 +1,17 @@
 """Classical multidimensional scaling on arbitrary finite metric spaces.
 
 This is the brute-force pipeline every character-predicted spectrum is
-checked against: square the distances entrywise and double-center, then
-either take the eigenvalues alone (``kernel_eigenvalues``, all the
-spectrum check reads) or the full eigendecomposition (``eigendecompose``)
-and read embeddings off the eigenpairs. A kernel of low numerical rank
-gets its eigenvalues from a randomized range finder, with a certified
-error bound; any other from ``eigvalsh``. Both eigensolvers read the
-kernel's lower triangle as given: its symmetry is checked, never
-rewritten, and eigenvalues come in ``eigh``'s order, reversed. Both the
-Euclidean (positive eigenvalues only) and the pseudo-Euclidean embedding
-(positive block plus negative block, squared distances subtract) are
-provided.
+checked against: square the distances entrywise, a block of rows at a
+time where the caller drops them, and double-center in place; then take
+the eigenvalues alone (``kernel_eigenvalues``, all the spectrum check
+reads) or the full eigendecomposition (``eigendecompose``) and read
+embeddings off the eigenpairs. A kernel of low numerical rank gets its
+eigenvalues from a randomized range finder, with a certified error bound;
+any other from ``eigvalsh``. Both eigensolvers read the kernel's lower
+triangle as given: its symmetry is checked, never rewritten, and
+eigenvalues come in ``eigh``'s order, reversed. Both the Euclidean
+(positive eigenvalues only) and the pseudo-Euclidean embedding (positive
+block plus negative block, squared distances subtract) are provided.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import groups
+from .metrics import CHUNK_ENTRIES
 
 ZERO_EIGENVALUE_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-8
@@ -44,21 +45,22 @@ class MdsKernel:
         return self.matrix.shape[0]
 
 
-def _as_matrix(distance_matrix) -> np.ndarray:
-    values = getattr(distance_matrix, "values", distance_matrix)
-    d = np.asarray(values)
-    if d.dtype.kind not in "iuf":  # integers and floats are cast by the square
-        d = d.astype(float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("distance matrix must be square")
-    return d
-
-
 def double_center(distance_matrix) -> MdsKernel:
     """-(1/2) H (D o D) H with H the centering projection; the entrywise
     square is applied before centering. The input is never written to:
     the square is the one fresh array, and it is centered in place."""
-    sq = np.square(_as_matrix(distance_matrix), dtype=float)
+    d = np.asarray(getattr(distance_matrix, "values", distance_matrix))
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("distance matrix must be square")
+    return double_center_rows(len(d), [(0, d if d.dtype.kind in "iuf" else d.astype(float))])
+
+
+def double_center_rows(side: int, blocks) -> MdsKernel:
+    """:func:`double_center` of the side x side matrix whose rows come as
+    (start, block) pairs, each block squared into the kernel and dropped."""
+    sq = np.empty((side, side))
+    for start, block in blocks:
+        np.square(block, out=sq[start:start + len(block)], dtype=float)
     row_mean = sq.mean(axis=1, keepdims=True)
     col_mean = sq.mean(axis=0, keepdims=True)
     grand_mean = sq.mean()
@@ -152,8 +154,6 @@ _GRAM_SCREEN = 1e-12
 # The range is kept only if the residual outside it is within this of the
 # kernel's Frobenius norm: a property of the kernel alone.
 _RESIDUAL_REL_TOL = 1e-12
-# Rows of the kernel held at once while the residual is summed.
-_ROW_BLOCK = 256
 
 
 def kernel_eigenvalues(kernel) -> KernelSpectrum:
@@ -189,12 +189,13 @@ def _certified(m: np.ndarray, q: np.ndarray) -> Optional[KernelSpectrum]:
     """The eigenvalues of Q^T M Q and zeros, M the symmetric matrix of m's
     lower triangle, when M lies within the residual tolerance of the range of
     the orthonormal Q. With P = QQ^T, |M - PMP|_2 <= sqrt(2) |(I - P)M|_F, the
-    bound returned; the residual is summed a block of rows at a time."""
+    bound returned; the residual is summed a strip of CHUNK_ENTRIES at a time."""
     side, rank = q.shape
     mq = np.empty((side, rank))
     norm_sq = residual_sq = 0.0
-    for start in range(0, side, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, side)
+    strip = max(1, CHUNK_ENTRIES // side)
+    for start in range(0, side, strip):
+        stop = min(start + strip, side)
         rows = m[start:stop].copy()  # rows of M: the lower triangle, mirrored
         rows[:, stop:] = m[stop:, start:stop].T
         square = m[start:stop, start:stop]

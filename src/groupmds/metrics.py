@@ -155,9 +155,19 @@ class DistanceMatrix:
         return buf.getvalue()
 
 
+def distance_blocks(spec: GroupSpec, metric):
+    """d(x_i, x_j) over the enumeration order as (start, block) pairs of rows,
+    made as asked for, CHUNK_ENTRIES a block; a lifted metric is priced first."""
+    forms = groups.array_forms(spec, groups.enumerate_elements(spec))
+    m = len(forms)
+    distances = array_distances(spec, metric, pairs=m * m)
+    rows = max(1, CHUNK_ENTRIES // m)
+    return ((start, distances(forms[start:start + rows, None], forms[None]))
+            for start in range(0, m, rows))
+
+
 def build_distance_matrix(spec: GroupSpec, metric) -> DistanceMatrix:
-    """Full distance matrix d(x_i, x_j) over the enumeration order, filled
-    in blocks of rows from :func:`array_distances`.
+    """The full distance matrix, copied from :func:`distance_blocks`.
 
     Raises :class:`TooLargeError` before allocating when the int64 matrix
     would exceed :data:`groups.TABLE_MAX_BYTES`, and before the first call
@@ -166,12 +176,9 @@ def build_distance_matrix(spec: GroupSpec, metric) -> DistanceMatrix:
     elements = groups.enumerate_elements(spec)
     m = len(elements)
     groups.admit(f"the distance matrix of {spec.text}", nbytes=m * m * 8)
-    distances = array_distances(spec, metric, pairs=m * m)
-    forms = groups.array_forms(spec, elements)
     values = np.empty((m, m), dtype=np.int64)
-    rows = max(1, CHUNK_ENTRIES // m)
-    for start in range(0, m, rows):
-        values[start:start + rows] = distances(forms[start:start + rows, None], forms[None])
+    for start, block in distance_blocks(spec, metric):
+        values[start:start + len(block)] = block
     kind = getattr(metric, "kind", "custom")
     return DistanceMatrix(spec=spec, metric_kind=kind, labels=elements, values=values)
 

@@ -320,13 +320,14 @@ def embed_dataset(samples: AggregatedSamples, n: int, dims: int,
         raise ValueError(f"a sample is not a permutation of 1..{n}")
     if mode == "dense":
         spec = groups.symmetric(n)
-        groups.admit(f"the dense embedding of {spec.text}",
+        groups.admit(f"the dense embedding of {spec.text}", nbytes=24 * spec.order ** 2,
                      work=dense.EIGENVECTOR_COST * spec.order ** 3 // groups.FLOPS_PER_STEP)
-        dm = metrics.build_distance_matrix(spec, metrics.hamming_metric(spec))
-        full = dense.classical_embedding(dense.eigendecompose(dense.double_center(dm)), dims)
+        blocks = metrics.distance_blocks(spec, metrics.hamming_metric(spec))
+        kernel = dense.double_center_rows(spec.order, blocks)
+        full = dense.classical_embedding(dense.eigendecompose(kernel), dims)
         # The enumeration's keys ascend, one each (n! is under the enumeration cap).
-        listed = groups.permutation_keys(groups.array_forms(spec, dm.labels))[:, 0]
-        rows = np.searchsorted(listed, groups.permutation_keys(samples.permutations - 1)[:, 0])
+        listed = groups.permutation_keys(groups.array_forms(spec, groups.enumerate_elements(spec)))
+        rows = np.searchsorted(listed[:, 0], groups.permutation_keys(samples.permutations - 1)[:, 0])
         coordinates, eigenvalues = full.coordinates[rows], full.eigenvalues
     else:
         coordinates, eigenvalues = _standard_block_embedding(samples, n, dims)

@@ -1,14 +1,14 @@
 """Cross-checks between the character-predicted spectrum and the dense
 MDS pipeline, packaged so the CLI and the test suite run the same checks.
 
-For a (group, metric) pair within the byte bound on the distance matrix
+For a (group, metric) pair within the byte bound on the arrays it holds
 and the work bound on each m^3 decomposition and product, checked before
-anything dense is built, this builds the full distance matrix and centers
-it (the CLI's ``--cap`` on the order is checked before these calls).
-``spectrum --verify`` then needs only the kernel's eigenvalues
+anything dense is built (the CLI's ``--cap`` on the order is checked
+first), ``spectrum --verify`` squares blocks of distance rows straight
+into the centered kernel and needs only its eigenvalues
 (``dense.kernel_eigenvalues``: on a low-rank kernel, those of its range,
 whose certified error bound the match adds to its deviation); the full
-report eigendecomposes the kernel and verifies:
+report keeps the distance matrix, eigendecomposes its kernel and verifies:
 
 * the predicted eigenvalues, expanded by multiplicity and sorted, match
   the sorted dense spectrum one by one;
@@ -60,18 +60,17 @@ class VerificationReport:
         return out
 
 
-def dense_oracle(spec: GroupSpec, metric):
-    """(distance matrix, centered kernel) of the dense MDS pipeline on
-    ``spec``; each caller decomposes the kernel as far as it reads it.
+def dense_oracle(spec: GroupSpec, metric) -> dense.MdsKernel:
+    """The dense MDS pipeline's centered kernel on ``spec``, squared from
+    blocks of distance rows that are dropped; its caller takes the eigenvalues.
 
     Raises :class:`TooLargeError` before building anything when the arrays
-    or one m^3 decomposition of the kernel pass a bound: 24 bytes an entry
-    for the int64 distances, the float kernel and ``eigvalsh``'s copy."""
+    or one m^3 decomposition of the kernel pass a bound: 16 bytes an entry
+    for the float kernel and ``eigvalsh``'s copy."""
     m = spec.order
-    groups.admit(f"the distance matrix of {spec.text} and its eigenvalues", nbytes=m * m * 24,
+    groups.admit(f"the distance matrix of {spec.text} and its eigenvalues", nbytes=m * m * 16,
                  work=m ** 3 // groups.FLOPS_PER_STEP)
-    dm = metrics.build_distance_matrix(spec, metric)
-    return dm, dense.double_center(dm)
+    return dense.double_center_rows(m, metrics.distance_blocks(spec, metric))
 
 
 def spectrum_match_deviation(summary, dec, rel_tol: float = 1e-8, error_bound: float = 0.0):
@@ -134,7 +133,8 @@ def oracle_equivalence_report(spec: GroupSpec, metric) -> VerificationReport:
     groups.admit(f"the distance matrix of {spec.text} and its checks", nbytes=m * m * 48,
                  work=(dense.EIGENVECTOR_COST + 2 * len(labels)) * m ** 3 // groups.FLOPS_PER_STEP)
     summary = spectral.spectrum_via_characters(spec, metric)
-    dm, kernel = dense_oracle(spec, metric)
+    dm = metrics.build_distance_matrix(spec, metric)
+    kernel = dense.double_center(dm)
     dec = dense.eigendecompose(kernel)
     checks = []
 

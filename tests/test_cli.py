@@ -318,6 +318,8 @@ REFUSED_FOR_WORK = {
     "chartable-cyclic2000": "chartable --max-classes 50000 --group cyclic --n 2000",
     "spectrum-cyclic3001": "spectrum --group cyclic --n 3001",
     "verify-cyclic3000": "verify --group cyclic --n 3000 --cap 5000",
+    # 16 bytes an entry is exactly 2^30 at 8192: the m^3 eigenvalue solve refuses it.
+    "spectrum-verify-c2k13": "spectrum --group c2k --k 13 --verify --cap 10000",
     # A 5040 x 5040 eigh with eigenvectors, 17 to 22 s when admitted.
     "embed-dense-n7": "embed --input {rankings} --mode dense",
 }
@@ -765,6 +767,27 @@ def test_embed_reads_a_pipe_to_one_character_past_the_limit(tmp_path, capsys, sm
                    "bound 25 steps\n")
 
 
+def test_embed_refuses_a_pipe_by_the_bytes_its_pieces_and_their_join_hold(
+        tmp_path, capsys, monkeypatch, small_text_limit):
+    # 256 four-byte characters a piece: three pieces and a join of 768 such
+    # characters pass 6000 bytes, well inside the parser's 1039 characters.
+    monkeypatch.setattr(cli, "_READ_PIECE", 256)
+    monkeypatch.setattr(groups, "TABLE_MAX_BYTES", 6000)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen([sys.executable, "-c", "import sys; open(sys.argv[1], 'w', "
+                               "encoding='utf-8').write('\\U0001F600' * 100000)", str(fifo)])
+    try:
+        code, out, err = run_cli(capsys, "embed", "--input", str(fifo))
+    finally:
+        writer.kill()
+        writer.wait()
+    held = 3 * sys.getsizeof("\U0001F600" * 256) + 4 * 768
+    assert (code, out) == (3, "")
+    assert err == (f"error: parsing at least 768 characters of rankings needs {held} bytes, "
+                   "above the table bound 6000 bytes\n")
+
+
 def test_plot_missing_coordinates_is_usage_error(tmp_path, capsys):
     csv_file = tmp_path / "thin.csv"
     csv_file.write_text("id,label,weight,x1:+\n0,a,1,0.5\n")
@@ -845,11 +868,10 @@ def test_verify_cap(capsys):
     [
         ["verify", "--group", "sn", "--n", "8", "--cap", "40320"],
         ["spectrum", "--group", "c2k", "--k", "15", "--verify", "--cap", "40000"],
-        # Priced by the arrays each holds at once: 24 and 48 bytes an entry.
-        ["spectrum", "--group", "c2k", "--k", "13", "--verify", "--cap", "10000"],
+        # Priced by the arrays it holds at once: 48 bytes an entry.
         ["verify", "--group", "c2k", "--k", "13", "--cap", "10000"],
     ],
-    ids=["verify-sn8", "spectrum-verify-c2k15", "spectrum-verify-c2k13", "verify-c2k13"],
+    ids=["verify-sn8", "spectrum-verify-c2k15", "verify-c2k13"],
 )
 def test_dense_request_over_the_byte_bound_is_refused(capsys, argv):
     start = time.perf_counter()

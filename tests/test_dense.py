@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groupmds import dense, metrics
+from groupmds import dense, metrics, verify
 from groupmds.dense import (
     SpectralDecomposition,
     classical_embedding,
@@ -67,6 +67,36 @@ def test_double_center_in_place_equals_the_formula(spec):
     expected = -0.5 * (sq - row - col + sq.mean())
     assert np.array_equal(double_center(d).matrix, expected)
     assert np.array_equal(d, before)  # the float input is not written to
+
+
+STREAMED_SPECS = ([symmetric(n) for n in range(1, 7)]
+                  + [elementary_abelian_2(k) for k in range(1, 11)]
+                  + [cyclic(n) for n in (1, 2, 7, 60, 720)])
+
+
+@pytest.mark.parametrize("spec", STREAMED_SPECS, ids=lambda spec: spec.text)
+def test_the_kernel_squared_from_distance_blocks_is_the_centered_matrix(spec):
+    metric = metrics.default_metric(spec)
+    streamed = dense.double_center_rows(spec.order, metrics.distance_blocks(spec, metric))
+    assert streamed.matrix.tobytes() == kernel_of(spec).matrix.tobytes()
+
+
+def test_the_dense_spectrum_check_holds_one_kernel():
+    # The int64 distances held beside the kernel would make 16 m^2 bytes.
+    # Above the kernel sit at most a distance block while it fills, then the
+    # sketch, its basis, and a residual strip with its product: a strip is
+    # CHUNK_ENTRIES float64 entries.
+    spec = elementary_abelian_2(10)
+    metric = metrics.default_metric(spec)
+    side, strip = spec.order, metrics.CHUNK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        found = kernel_eigenvalues(verify.dense_oracle(spec, metric))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found.rank < side
+    assert peak < 8 * side * side + 4 * strip
 
 
 def test_c22_kernel_trace():

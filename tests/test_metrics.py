@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from groupmds import groups, metrics
+from groupmds import dense, groups, metrics
 from groupmds.errors import InvalidElementError, TooLargeError
 from groupmds.groups import cyclic, elementary_abelian_2, enumerate_elements, symmetric
 from groupmds.metrics import (
@@ -303,6 +303,22 @@ def test_lifting_is_priced_before_the_first_call():
     lifted = build_distance_matrix(spec, counting).values
     assert counting.calls == 60 * 60
     assert np.array_equal(lifted, build_distance_matrix(spec, counting.base).values)
+
+
+def test_a_lifted_metric_is_priced_before_its_kernel_is_streamed():
+    spec = cyclic(3000)
+    counting = CountingMetric(spec)
+    with pytest.raises(TooLargeError) as excinfo:
+        metrics.distance_blocks(spec, counting)
+    assert excinfo.value.cap == groups.WORK_MAX
+    assert counting.calls == 0
+
+    spec = cyclic(60)
+    counting = CountingMetric(spec)
+    streamed = dense.double_center_rows(spec.order, metrics.distance_blocks(spec, counting))
+    assert counting.calls == 60 * 60
+    expected = dense.double_center(build_distance_matrix(spec, counting.base))
+    assert streamed.matrix.tobytes() == expected.matrix.tobytes()
 
 
 class HalfArc:
